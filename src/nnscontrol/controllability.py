@@ -3,7 +3,10 @@
 The full test runs three independent checks on a system pair (A, B):
 
   condition i   - no left eigenvector of A is orthogonal to every column
-                  of B (the classical eigenvector rank test);
+                  of B: rank(B^T Z) = dim Z for the left eigenbasis Z of
+                  every eigenvalue (equivalent to the classical rank test
+                  rank [lambda I - A | B] = N, which ``pbh_rank`` keeps as
+                  the reference);
   condition ii  - no real eigenvalue lambda >= 0 admits a left eigenvector
                   z with z^T B <= 0 componentwise;
   condition iii - the sparsity level satisfies s >= N - rank(A).
@@ -31,7 +34,6 @@ from .matrixcore import (
     as_matrix,
     left_eigensystem,
     null_space_basis,
-    pbh_rank,
     rank,
 )
 
@@ -252,11 +254,28 @@ def _eig_residual(sys: SystemPair, lam: complex, z: np.ndarray) -> float:
     return float(np.abs(z @ sys.A - lam * z).max())
 
 
+def _annihilates_b(b: np.ndarray, basis: np.ndarray, cutoff: float) -> bool:
+    """True when some unit z in the span of ``basis`` has |z^T B| <= cutoff.
+
+    The basis is orthonormal, so that minimum is the smallest singular value
+    of B^T Z, and it is zero when Z has more columns than B.
+    """
+    if basis.shape[1] > b.shape[1]:
+        return True
+    zb = b.T @ basis
+    if zb.shape[1] == 1:
+        return float(np.linalg.norm(zb)) <= cutoff
+    return float(np.linalg.svd(zb, compute_uv=False)[-1]) <= cutoff
+
+
 def _condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
+    # rank(B^T Z) < dim Z on each left eigenbasis Z. |lambda| + |A|_F + |B|_F
+    # bounds sigma_max([lambda I - A | B]), the scale the pencil test cuts at.
+    scale = float(np.linalg.norm(sys.A)) + float(np.linalg.norm(sys.B))
     violations = []
     for group in eig.groups:
         lam = group.eigenvalue
-        if pbh_rank(sys.A, sys.B, lam, tol) < sys.n:
+        if _annihilates_b(sys.B, group.basis, tol.rank_rtol * (abs(lam) + scale)):
             violations.append(lam)
     if not violations:
         return ConditionResult(passed=True)
@@ -317,7 +336,13 @@ def _condition_ii(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> Con
 
 
 def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
-    """Eigenvector rank test: rank [lambda I - A | B] = N at every eigenvalue."""
+    """Eigenvector rank test: rank(B^T Z) = dim Z for every left eigenbasis Z.
+
+    Fails at lambda when some z in the left eigenspace has z^T B = 0; the
+    certificate is taken from the left null space of [lambda I - A | B] at
+    the violation of largest modulus. ``matrixcore.pbh_rank`` is the
+    equivalent pencil test, kept as the reference.
+    """
     return _condition_i(sys, left_eigensystem(sys.A, tol), tol)
 
 
@@ -441,10 +466,10 @@ def input_count_bound_check(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> b
     Returns that verdict; vacuously true when the system is not nonnegative
     controllable in the first place.
     """
-    if not check_nonneg(sys, tol).controllable:
+    report = check_nonneg_sparse(sys, max(1, sys.m - 1), tol)
+    if not (report.condition_i.passed and report.condition_ii.passed):
         return True
-    s = max(1, sys.m - 1)
-    return check_nonneg_sparse(sys, s, tol).controllable
+    return report.controllable
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,9 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     Left vectors satisfy z^T A = lambda z^T, i.e. they span the kernel of
     A^T - lambda I. Eigenvalues within ``eig_imag_tol * (1 + spectral
     radius)`` of each other are merged into one group, since repeated
-    eigenvalues of non-normal matrices split numerically.
+    eigenvalues of non-normal matrices split numerically. A is real, so a
+    complex group whose exact conjugate group was already solved takes the
+    conjugate of that basis instead of a second null-space SVD.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
@@ -213,6 +215,7 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     clusters = _cluster(values, radius)
 
     groups = []
+    complex_bases: dict[tuple[complex, int], np.ndarray] = {}
     for members in clusters:
         center = complex(members.mean())
         spread = float(np.abs(members - center).max())
@@ -222,13 +225,19 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
             shifted = a.T - lam.real * np.eye(n)
         else:
             shifted = a.T.astype(np.complex128) - lam * np.eye(n)
-        basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
-        if basis.shape[1] == 0:
-            # The cluster center is within `radius` of a true eigenvalue, so
-            # sigma_min <= radius; if rounding pushed it past the cutoff,
-            # keep the closest singular direction and report its residual.
-            _, _, vh = np.linalg.svd(shifted)
-            basis = vh[-1:].conj().T
+        mirror = complex_bases.get((lam.conjugate(), members.size))
+        if mirror is not None:
+            basis = mirror.conj()
+        else:
+            basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
+            if basis.shape[1] == 0:
+                # The cluster center is within `radius` of a true eigenvalue, so
+                # sigma_min <= radius; if rounding pushed it past the cutoff,
+                # keep the closest singular direction and report its residual.
+                _, _, vh = np.linalg.svd(shifted)
+                basis = vh[-1:].conj().T
+            if not is_real:
+                complex_bases[(lam, members.size)] = basis
         residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))
         groups.append(
             EigenGroup(

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from nnscontrol import DEFAULT_TOL, InputError
+from nnscontrol import (
+    DEFAULT_TOL,
+    KINDS,
+    InputError,
+    generate_system,
+    left_eigensystem,
+    pbh_rank,
+)
 from nnscontrol.controllability import (
     Certificate,
     SystemPair,
@@ -88,6 +95,86 @@ class TestConditionI:
         assert cert.eigenvalue == pytest.approx(0.0)
         np.testing.assert_allclose(np.abs(cert.z), [0.0, 1.0], atol=1e-10)
         assert verify_certificate(sys, cert).valid
+
+
+def _pbh_violations(sys):
+    """Reference for condition i: eigenvalues where [lambda I - A | B] loses rank,
+    in the order the report lists them (largest modulus first)."""
+    found = [
+        g.eigenvalue
+        for g in left_eigensystem(sys.A).groups
+        if pbh_rank(sys.A, sys.B, g.eigenvalue) < sys.n
+    ]
+    return sorted(found, key=lambda v: (-abs(v), v.real, v.imag))
+
+
+def _similar(d, b_d, seed):
+    """(T D T^-1, T B_D) for a well-conditioned random T: the left eigenvectors
+    of the result are T^-T times those of D, and their products with B are
+    the rows of B_D."""
+    rng = np.random.default_rng(seed)
+    n = d.shape[0]
+    t = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    return SystemPair(A=t @ d @ np.linalg.inv(t), B=t @ b_d)
+
+
+def _planted_real(seed):
+    # Row 0 of B_D is zero: the left eigenvector for 2.5 annihilates B.
+    rng = np.random.default_rng(seed)
+    b_d = rng.standard_normal((5, 2))
+    b_d[0] = 0.0
+    return _similar(np.diag([2.5, -1.0, 0.5, 1.5, -2.0]), b_d, seed), [2.5]
+
+
+def _planted_complex_pair(seed):
+    # Rows 0 and 1 of B_D are zero, so both 1 + 2i and 1 - 2i violate.
+    rng = np.random.default_rng(seed)
+    d = np.diag([0.0, 0.0, -0.5, 0.7, 3.0])
+    d[:2, :2] = [[1.0, -2.0], [2.0, 1.0]]
+    b_d = rng.standard_normal((5, 3))
+    b_d[:2] = 0.0
+    return _similar(d, b_d, seed), [1 - 2j, 1 + 2j]
+
+
+def _planted_double(seed):
+    # 1.5 has a two-dimensional eigenspace; rows 0 and 1 of B_D are r and 2r,
+    # so only z = 2 e_0 - e_1 (in D's coordinates) annihilates B.
+    rng = np.random.default_rng(seed)
+    b_d = rng.standard_normal((5, 3))
+    b_d[1] = 2.0 * b_d[0]
+    return _similar(np.diag([1.5, 1.5, -0.8, 0.3, 2.2]), b_d, seed), [1.5]
+
+
+class TestConditionIAgainstPencil:
+    """Condition i decided on the left eigenbases matches the pencil rank test."""
+
+    def _assert_matches_reference(self, sys):
+        res = check_condition_i(sys)
+        reference = _pbh_violations(sys)
+        assert res.passed == (not reference)
+        if res.passed:
+            assert res.certificate is None and res.other_violations == ()
+            return
+        assert [res.certificate.eigenvalue, *res.other_violations] == reference
+        assert verify_certificate(sys, res.certificate).valid
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_generated_systems(self, kind, n):
+        for m in (1, 3, 6):
+            for seed in range(3):
+                self._assert_matches_reference(generate_system(kind, n, m, seed).system)
+
+    @pytest.mark.parametrize("plant", [_planted_real, _planted_complex_pair, _planted_double])
+    def test_planted_violations(self, plant):
+        for seed in range(5):
+            sys, planted = plant(seed)
+            self._assert_matches_reference(sys)
+            res = check_condition_i(sys)
+            found = [res.certificate.eigenvalue, *res.other_violations]
+            assert len(found) == len(planted)
+            for lam, expected in zip(sorted(found, key=lambda v: v.imag), planted):
+                assert abs(lam - expected) <= 1e-8
 
 
 class TestConditionII:

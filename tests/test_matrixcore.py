@@ -123,6 +123,25 @@ class TestLeftEigensystem:
         with pytest.raises(InputError):
             left_eigensystem(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.random.default_rng(11).standard_normal((7, 7)),
+            # +/- i twice each, with two-dimensional left eigenspaces.
+            np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]]),
+        ],
+    )
+    def test_conjugate_groups_share_conjugate_bases(self, a):
+        groups = left_eigensystem(a).groups
+        complex_groups = [g for g in groups if not g.is_real]
+        assert complex_groups
+        for g in complex_groups:
+            (mirror,) = [h for h in groups if h.eigenvalue == g.eigenvalue.conjugate()]
+            assert mirror.algebraic_multiplicity == g.algebraic_multiplicity
+            assert mirror.geometric_multiplicity == g.geometric_multiplicity
+            assert mirror.max_residual == g.max_residual
+            np.testing.assert_array_equal(mirror.basis, g.basis.conj())
+
     @settings(max_examples=60, deadline=None)
     @given(int_matrices())
     def test_residuals_and_multiplicities(self, m):
