@@ -167,16 +167,38 @@ def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembers
 def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness | None:
     """Find a nonzero rho with M rho <= 0, or None when the cone is {0}.
 
+    With one column the cone is a sign test: rho = +1 when every entry of M
+    is at most ``ineq_tol``, else rho = -1 when every entry of -M is, else
+    {0}. With g > 1 columns it solves the 2g box LPs of ``_box_lp_ray``.
+    """
+    m = as_matrix(m, "M")
+    if m.shape[1] < 1:
+        raise InputError("M must have at least one column")
+    if m.shape[1] > 1:
+        rho = _box_lp_ray(m, tol)
+    elif m.max(initial=0.0) <= tol.ineq_tol:
+        rho = np.ones(1)
+    elif (-m).max(initial=0.0) <= tol.ineq_tol:
+        rho = -np.ones(1)
+    else:
+        rho = None
+    if rho is None:
+        return None
+    worst = float((m @ rho).max(initial=0.0))
+    if worst > tol.ineq_tol:
+        raise NumericError(f"homogeneous witness failed re-verification, violation {worst:.3e}")
+    return HomogeneousWitness(rho=rho, max_entry_norm=float(np.abs(rho).max()))
+
+
+def _box_lp_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """A nonzero rho with M rho <= 0 scaled to unit max modulus, or None.
+
     Solves the 2g box LPs max +/-rho_i subject to M rho <= 0, -1 <= rho <= 1.
     The cone is scale invariant, so whenever it contains any nonzero ray one
     of the LPs attains an optimum of 1; all optima near zero certify that
     the cone is trivial.
     """
-    m = as_matrix(m, "M")
     rows, g = m.shape
-    if g < 1:
-        raise InputError("M must have at least one column")
-
     # Shift t = rho + 1 in [0, 2]: M rho <= 0 becomes M t <= M 1.
     ones = np.ones(g)
     a = np.zeros((rows + g, g + rows + g))
@@ -206,11 +228,7 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness 
 
     if best_rho is None or best_value <= tol.ineq_tol:
         return None
-    rho = best_rho / np.abs(best_rho).max()
-    worst = float((m @ rho).max(initial=0.0))
-    if worst > tol.ineq_tol:
-        raise NumericError(f"homogeneous witness failed re-verification, violation {worst:.3e}")
-    return HomogeneousWitness(rho=rho, max_entry_norm=float(np.abs(rho).max()))
+    return best_rho / np.abs(best_rho).max()
 
 
 def sparsify_positive_combination(z_mat, z, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -350,8 +350,9 @@ def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Condit
     """No real eigenvalue >= 0 admits a left eigenvector z with z^T B <= 0.
 
     For each such eigenvalue the left eigenspace basis Z is assembled and
-    a nonzero rho with B^T Z rho <= 0 is searched by linear programming;
-    the pass is vacuous when A has no real nonnegative eigenvalue.
+    a nonzero rho with B^T Z rho <= 0 is searched: by the sign of B^T z when
+    Z is one vector z, by linear programming otherwise. The pass is vacuous
+    when A has no real nonnegative eigenvalue.
     """
     return _condition_ii(sys, left_eigensystem(sys.A, tol), tol)
 

@@ -3,6 +3,9 @@
 Every floating-point decision made downstream (cone feasibility, verdicts,
 the zero-eigenvalue decomposition) funnels through the thresholds defined
 here, so identical inputs and tolerances always give identical answers.
+The eigen-analysis costs O(N^3) when the eigenvalues are simple: one
+eigenvalue solve fixes the clustering, one eigenvector solve supplies the
+left eigenvectors, and only repeated eigenvalues need a null-space SVD.
 Correctness is promised for well-conditioned, small matrices (N <= 8);
 larger or ill-conditioned inputs get best-effort results with residuals
 reported rather than hidden.
@@ -179,16 +182,40 @@ def _cluster(values: np.ndarray, radius: float) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    close = np.abs(values[:, None] - values[None, :]) <= radius
+    rows, cols = np.nonzero(np.triu(close, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
     buckets: dict[int, list[int]] = {}
     for i in range(n):
         buckets.setdefault(find(i), []).append(i)
     return [values[idx] for idx in buckets.values()]
+
+
+def _eig_column(
+    members: np.ndarray, w: np.ndarray, vectors: np.ndarray, radius: float, is_real: bool
+) -> np.ndarray | None:
+    """The unit eigenvector of a one-member cluster, as an N x 1 basis.
+
+    None when the cluster has several members, when not exactly one
+    eigenvalue ``w[j]`` of the eigenvector solve lies within ``radius`` of
+    it, or when a real group's value or ``w[j]`` carries an imaginary part.
+    """
+    if members.size != 1:
+        return None
+    value = members[0]
+    (match,) = np.nonzero(np.abs(w - value) <= radius)
+    if match.size != 1:
+        return None
+    j = int(match[0])
+    column = vectors[:, j : j + 1]
+    if not is_real:
+        return column.astype(np.complex128)
+    if value.imag != 0.0 or w[j].imag != 0.0:
+        return None
+    return column.real
 
 
 def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
@@ -197,9 +224,16 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     Left vectors satisfy z^T A = lambda z^T, i.e. they span the kernel of
     A^T - lambda I. Eigenvalues within ``eig_imag_tol * (1 + spectral
     radius)`` of each other are merged into one group, since repeated
-    eigenvalues of non-normal matrices split numerically. A is real, so a
-    complex group whose exact conjugate group was already solved takes the
-    conjugate of that basis instead of a second null-space SVD.
+    eigenvalues of non-normal matrices split numerically.
+
+    The groups come from ``eigvals(A)``. The bases of one-member groups are
+    the unit eigenvectors of one ``eig(A^T)`` solve, matched to the group
+    by eigenvalue; its eigenvalues are not used for the grouping, because
+    they differ from ``eigvals(A)`` at rounding level and would move the
+    cluster boundaries. Groups with several members, and one-member groups
+    that match no single ``eig(A^T)`` eigenvalue, take the kernel of
+    A^T - lambda I from an SVD. A is real, so a complex group whose exact
+    conjugate group was already solved takes the conjugate of that basis.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
@@ -209,6 +243,7 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         return LeftEigenSystem(groups=(), cluster_radius=0.0)
     try:
         values = np.linalg.eigvals(a)
+        w, vectors = np.linalg.eig(a.T)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
@@ -229,7 +264,9 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         if mirror is not None:
             basis = mirror.conj()
         else:
-            basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
+            basis = _eig_column(members, w, vectors, radius, is_real)
+            if basis is None:
+                basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
             if basis.shape[1] == 0:
                 # The cluster center is within `radius` of a true eigenvalue, so
                 # sigma_min <= radius; if rounding pushed it past the cutoff,

@@ -14,6 +14,7 @@ import pytest
 from helpers import planted_structure_matrix
 
 from nnscontrol import (
+    DEFAULT_TOL,
     KINDS,
     OracleConfig,
     certificate_direction,
@@ -24,7 +25,6 @@ from nnscontrol import (
     generate_system,
     is_positive_spanning_subspace,
     left_eigensystem,
-    homogeneous_nonzero,
     random_rollout,
     rank,
     sparsify_positive_combination,
@@ -33,6 +33,7 @@ from nnscontrol import (
     zero_structure,
 )
 from nnscontrol.cli import run_command
+from nnscontrol.conelp import _box_lp_ray
 from nnscontrol.fixtures import fixture_path
 from nnscontrol.jordan import build_decomposition
 from nnscontrol.systemio import parse_system_file
@@ -306,8 +307,10 @@ def test_acceptance_8_sign_test_cross_check():
                 z = g.basis[:, 0]
                 zb = z @ b
                 expected = bool(np.all(zb <= 1e-8) or np.all(-zb <= 1e-8))
-                witness = homogeneous_nonzero(b.T @ g.basis)
-                if (witness is not None) != expected:
+                # homogeneous_nonzero itself takes the sign test for one
+                # column, so the box LPs are called directly.
+                ray = _box_lp_ray(b.T @ g.basis, DEFAULT_TOL)
+                if (ray is not None) != expected:
                     consistent = False
             assert consistent
             agreed += 1

@@ -436,3 +436,52 @@ class TestInvariants:
                 u[support] = rng.uniform(0, 1, size=1)
                 x = a @ x + b @ u
             assert z @ x <= 1e-8 * (1 + np.linalg.norm(x))
+
+
+def _outcome(sys, s):
+    report = check_nonneg_sparse(sys, s)
+    return (
+        report.verdict,
+        report.condition_i.passed,
+        report.condition_ii.passed,
+        report.condition_iii.passed,
+    )
+
+
+class TestMetamorphic:
+    """Verdicts and each condition's pass/fail are invariant under a state
+    similarity, a permutation of B's columns and a positive scaling of them."""
+
+    @staticmethod
+    def _cases(kind, n):
+        for m in (1, 3, 6):
+            for seed in range(3):
+                rng = np.random.default_rng([n, m, seed])
+                sys = generate_system(kind, n, m, seed).system
+                for s in sorted({1, m}):
+                    yield sys, s, rng
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_state_similarity(self, kind, n):
+        for sys, s, rng in self._cases(kind, n):
+            # T = Q diag(d) with Q orthogonal and d in [0.5, 2]: cond(T) <= 4.
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            d = rng.uniform(0.5, 2.0, size=n)
+            t, t_inv = q * d, (q / d).T
+            moved = SystemPair(A=t @ sys.A @ t_inv, B=t @ sys.B)
+            assert _outcome(moved, s) == _outcome(sys, s)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_input_permutation(self, kind, n):
+        for sys, s, rng in self._cases(kind, n):
+            moved = SystemPair(A=sys.A, B=sys.B[:, rng.permutation(sys.m)])
+            assert _outcome(moved, s) == _outcome(sys, s)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_positive_input_scaling(self, kind, n):
+        for sys, s, rng in self._cases(kind, n):
+            moved = SystemPair(A=sys.A, B=sys.B * rng.uniform(0.1, 10.0, size=sys.m))
+            assert _outcome(moved, s) == _outcome(sys, s)
