@@ -3,9 +3,10 @@
 Every floating-point decision made downstream (cone feasibility, verdicts,
 the zero-eigenvalue decomposition) funnels through the thresholds defined
 here, so identical inputs and tolerances always give identical answers.
-The eigen-analysis costs O(N^3) when the eigenvalues are simple: one
-eigenvalue solve fixes the clustering, one eigenvector solve supplies the
-left eigenvectors, and only repeated eigenvalues need a null-space SVD.
+The eigen-analysis costs O(N^3) when the eigenvalues are well separated:
+one eigenvalue solve fixes the clustering, one eigenvector solve supplies
+the left eigenvectors, and only repeated or closely spaced eigenvalues need
+a null-space SVD.
 Correctness is promised for well-conditioned, small matrices (N <= 8);
 larger or ill-conditioned inputs get best-effort results with residuals
 reported rather than hidden.
@@ -171,9 +172,9 @@ class LeftEigenSystem:
         return any(g.spread > 1e-3 * self.cluster_radius for g in self.groups)
 
 
-def _cluster(values: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Group complex values whose pairwise chains stay within ``radius``."""
-    n = values.size
+def _cluster(close: np.ndarray) -> list[np.ndarray]:
+    """Index groups chained together by the symmetric boolean matrix ``close``."""
+    n = close.shape[0]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -182,7 +183,6 @@ def _cluster(values: np.ndarray, radius: float) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    close = np.abs(values[:, None] - values[None, :]) <= radius
     rows, cols = np.nonzero(np.triu(close, 1))
     for i, j in zip(rows.tolist(), cols.tolist()):
         ri, rj = find(i), find(j)
@@ -191,21 +191,32 @@ def _cluster(values: np.ndarray, radius: float) -> list[np.ndarray]:
     buckets: dict[int, list[int]] = {}
     for i in range(n):
         buckets.setdefault(find(i), []).append(i)
-    return [values[idx] for idx in buckets.values()]
+    return [np.array(idx) for idx in buckets.values()]
+
+
+# Rounding splits a defective eigenvalue into copies that can lie farther
+# apart than the clustering radius, so they become one-member groups. Their
+# eig(A^T) vectors are nearly parallel and miss the rest of the eigenspace,
+# which the null-space SVD of the copy nearest the true eigenvalue still
+# finds. An eigenvalue therefore takes its vector from eig(A^T) only when
+# every other eigenvalue is farther than this factor times the larger of
+# the radius and the two eigenvalues' error bars. The error bar of an
+# eigvals(A) value is its distance to the nearest eig(A^T) eigenvalue: two
+# backward-stable solves agree to rounding level on a simple eigenvalue and
+# differ by about the size of the split on a defective one, which grows
+# like eps**(1/k) for a Jordan block of size k.
+_CROWDING_FACTOR = 1e3
 
 
 def _eig_column(
-    members: np.ndarray, w: np.ndarray, vectors: np.ndarray, radius: float, is_real: bool
+    value: complex, w: np.ndarray, vectors: np.ndarray, radius: float, is_real: bool
 ) -> np.ndarray | None:
-    """The unit eigenvector of a one-member cluster, as an N x 1 basis.
+    """The unit eigenvector of an isolated eigenvalue, as an N x 1 basis.
 
-    None when the cluster has several members, when not exactly one
-    eigenvalue ``w[j]`` of the eigenvector solve lies within ``radius`` of
-    it, or when a real group's value or ``w[j]`` carries an imaginary part.
+    None when not exactly one eigenvalue ``w[j]`` of the eigenvector solve
+    lies within ``radius`` of ``value``, or when a real group's value or
+    ``w[j]`` carries an imaginary part.
     """
-    if members.size != 1:
-        return None
-    value = members[0]
     (match,) = np.nonzero(np.abs(w - value) <= radius)
     if match.size != 1:
         return None
@@ -226,14 +237,17 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     radius)`` of each other are merged into one group, since repeated
     eigenvalues of non-normal matrices split numerically.
 
-    The groups come from ``eigvals(A)``. The bases of one-member groups are
-    the unit eigenvectors of one ``eig(A^T)`` solve, matched to the group
-    by eigenvalue; its eigenvalues are not used for the grouping, because
-    they differ from ``eigvals(A)`` at rounding level and would move the
-    cluster boundaries. Groups with several members, and one-member groups
-    that match no single ``eig(A^T)`` eigenvalue, take the kernel of
-    A^T - lambda I from an SVD. A is real, so a complex group whose exact
-    conjugate group was already solved takes the conjugate of that basis.
+    The groups come from ``eigvals(A)``. One ``eig(A^T)`` solve runs when a
+    group has one member; its eigenvalues are not used for the grouping,
+    because they differ from ``eigvals(A)`` at rounding level and would
+    move the cluster boundaries. A one-member group that no other
+    eigenvalue crowds (see ``_CROWDING_FACTOR``) takes as its basis the
+    unit ``eig(A^T)`` eigenvector matched to it by eigenvalue. Every other
+    group (several members, a crowded one-member group, which may be a
+    split copy of a defective eigenvalue, or one that matches no single
+    ``eig(A^T)`` eigenvalue) takes the kernel of A^T - lambda I from an
+    SVD. A is real, so a complex group whose exact conjugate group was
+    already solved takes the conjugate of that basis.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
@@ -243,15 +257,21 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         return LeftEigenSystem(groups=(), cluster_radius=0.0)
     try:
         values = np.linalg.eigvals(a)
-        w, vectors = np.linalg.eig(a.T)
+        radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
+        gaps = np.abs(values[:, None] - values[None, :])
+        isolated = np.count_nonzero(gaps <= radius, axis=1) == 1
+        if isolated.any():
+            w, vectors = np.linalg.eig(a.T)
+            bars = np.maximum(radius, np.abs(values[:, None] - w[None, :]).min(axis=1))
+            reach = _CROWDING_FACTOR * np.maximum.outer(bars, bars)
+            isolated &= np.count_nonzero(gaps <= reach, axis=1) == 1
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
-    clusters = _cluster(values, radius)
 
     groups = []
     complex_bases: dict[tuple[complex, int], np.ndarray] = {}
-    for members in clusters:
+    for idx in _cluster(gaps <= radius):
+        members = values[idx]
         center = complex(members.mean())
         spread = float(np.abs(members - center).max())
         is_real = abs(center.imag) <= tol.eig_imag_tol
@@ -264,7 +284,9 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         if mirror is not None:
             basis = mirror.conj()
         else:
-            basis = _eig_column(members, w, vectors, radius, is_real)
+            basis = None
+            if isolated[idx[0]]:
+                basis = _eig_column(members[0], w, vectors, radius, is_real)
             if basis is None:
                 basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
             if basis.shape[1] == 0:

@@ -259,6 +259,23 @@ class TestFullChecks:
         assert data["tolerances"]["ineq_tol"] == DEFAULT_TOL.ineq_tol
 
 
+class TestSplitDefectiveEigenvalue:
+    """This A has the eigenvalue 0 with algebraic multiplicity 3 and a
+    two-dimensional left eigenspace; eigvals splits it into -1.1e-7, 0 and
+    1.1e-7, each farther from the next than the clustering radius."""
+
+    def test_paired_input_is_uncontrollable(self):
+        gen = generate_system("planted_rank_deficient", 4, 3, 0).system
+        np.testing.assert_array_equal(gen.B[:, 2], -gen.B[:, 0])
+        sys = SystemPair(A=gen.A, B=gen.B[:, [0, 2]])
+        # Some z in the left kernel of A annihilates c in B = [c | -c]; a
+        # group holding only one direction of that kernel would miss it.
+        report = check_nonneg_sparse(sys, 2)
+        assert report.verdict == "uncontrollable"
+        assert not report.condition_i.passed
+        assert verify_certificate(sys, report.certificate).valid
+
+
 class TestMinSparsity:
     def test_cob(self):
         assert min_sparsity(COB) == 1
@@ -454,7 +471,7 @@ class TestMetamorphic:
 
     @staticmethod
     def _cases(kind, n):
-        for m in (1, 3, 6):
+        for m in (1, 2, 3, 6):
             for seed in range(3):
                 rng = np.random.default_rng([n, m, seed])
                 sys = generate_system(kind, n, m, seed).system
