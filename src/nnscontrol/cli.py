@@ -132,13 +132,11 @@ def _cmd_check(args, tol: Tolerances) -> dict:
         variant = "nonneg-sparse" if s is not None else "nonneg"
     if variant == "nonneg":
         report = check_nonneg(parsed.system, tol)
+    elif s is None:
+        raise InputError(f"variant {variant!r} needs a sparsity level (--s or the file)")
     elif variant == "sparse":
-        if s is None:
-            raise InputError("variant 'sparse' needs a sparsity level (--s or the file)")
         report = check_sparse(parsed.system, s, tol)
     else:
-        if s is None:
-            raise InputError("variant 'nonneg-sparse' needs a sparsity level (--s or the file)")
         report = check_nonneg_sparse(parsed.system, s, tol)
     return {"input_digest": digest, "name": parsed.name, "result": report.to_dict()}
 

@@ -48,7 +48,6 @@ class HomogeneousWitness:
     """A nonzero rho with M rho <= 0, scaled so its largest entry is 1 in modulus."""
 
     rho: np.ndarray
-    max_entry_norm: float
 
 
 @dataclass
@@ -56,6 +55,15 @@ class _LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray
     objective: float
+
+
+def _pivot(tableau: np.ndarray, basis: list[int], i: int, j: int) -> None:
+    """Make column j basic in row i: scale the row, eliminate the column
+    from every other row and record j in the basis."""
+    tableau[i] /= tableau[i, j]
+    other = np.arange(tableau.shape[0]) != i
+    tableau[other] -= np.outer(tableau[other, j], tableau[i])
+    basis[i] = j
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, feas_tol: float) -> _LPResult:
@@ -102,11 +110,7 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, feas_tol: float) -> _
             best = ratios.min()
             ties = positive[ratios <= best + _PIVOT_TOL]
             i = int(min(ties, key=lambda r: basis[r]))
-            pivot = tableau[i, j]
-            tableau[i] /= pivot
-            other = np.arange(rows) != i
-            tableau[other] -= np.outer(tableau[other, j], tableau[i])
-            basis[i] = j
+            _pivot(tableau, basis, i, j)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(rows)])
     run(phase1_cost, total)
@@ -119,12 +123,7 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, feas_tol: float) -> _
         if basis[i] >= n:
             candidates = np.nonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)[0]
             if candidates.size:
-                j = int(candidates[0])
-                pivot = tableau[i, j]
-                tableau[i] /= pivot
-                other = np.arange(rows) != i
-                tableau[other] -= np.outer(tableau[other, j], tableau[i])
-                basis[i] = j
+                _pivot(tableau, basis, i, int(candidates[0]))
 
     phase2_cost = np.concatenate([c, np.zeros(rows)])
     status = run(phase2_cost, n)
@@ -187,7 +186,7 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness 
     worst = float((m @ rho).max(initial=0.0))
     if worst > tol.ineq_tol:
         raise NumericError(f"homogeneous witness failed re-verification, violation {worst:.3e}")
-    return HomogeneousWitness(rho=rho, max_entry_norm=float(np.abs(rho).max()))
+    return HomogeneousWitness(rho=rho)
 
 
 def _box_lp_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:

@@ -368,30 +368,32 @@ def check_condition_iii(
     )
 
 
-def _eig_table(eig: LeftEigenSystem) -> tuple[dict, ...]:
-    return tuple(group.to_dict() for group in eig.groups)
+# The report's mode, keyed by (condition ii ran, condition iii ran).
+_MODES = {(True, True): "nonneg_sparse", (True, False): "nonneg", (False, True): "sparse"}
 
 
-def _assemble(
-    mode: str,
-    s: int | None,
-    cond_i: ConditionResult | None,
-    cond_ii: ConditionResult | None,
-    cond_iii: SparsityConditionResult | None,
-    eig: LeftEigenSystem,
-    tol: Tolerances,
+def _check(
+    sys: SystemPair, s: int | None, nonneg: bool, tol: Tolerances
 ) -> ControllabilityReport:
+    """One eigen-analysis, then condition i always, condition ii when
+    ``nonneg`` and condition iii when ``s`` is given."""
+    if s is not None:
+        s = validate_sparsity(s, sys.m)
+    eig = left_eigensystem(sys.A, tol)
+    cond_i = _condition_i(sys, eig, tol)
+    cond_ii = _condition_ii(sys, eig, tol) if nonneg else None
+    cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
     passed = all(
         cond.passed for cond in (cond_i, cond_ii, cond_iii) if cond is not None
     )
     return ControllabilityReport(
         verdict="controllable" if passed else "uncontrollable",
-        mode=mode,
+        mode=_MODES[nonneg, s is not None],
         s=s,
         condition_i=cond_i,
         condition_ii=cond_ii,
         condition_iii=cond_iii,
-        eigenvalues=_eig_table(eig),
+        eigenvalues=tuple(group.to_dict() for group in eig.groups),
         tolerances=tol,
     )
 
@@ -400,48 +402,19 @@ def check_nonneg_sparse(
     sys: SystemPair, s: int, tol: Tolerances = DEFAULT_TOL
 ) -> ControllabilityReport:
     """Full test for controllability with nonnegative s-sparse inputs."""
-    s = validate_sparsity(s, sys.m)
-    eig = left_eigensystem(sys.A, tol)
-    return _assemble(
-        "nonneg_sparse",
-        s,
-        _condition_i(sys, eig, tol),
-        _condition_ii(sys, eig, tol),
-        check_condition_iii(sys, s, tol),
-        eig,
-        tol,
-    )
+    return _check(sys, s, True, tol)
 
 
 def check_nonneg(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ControllabilityReport:
     """Controllability with unrestricted-support nonnegative inputs
     (conditions i and ii only)."""
-    eig = left_eigensystem(sys.A, tol)
-    return _assemble(
-        "nonneg",
-        None,
-        _condition_i(sys, eig, tol),
-        _condition_ii(sys, eig, tol),
-        None,
-        eig,
-        tol,
-    )
+    return _check(sys, None, True, tol)
 
 
 def check_sparse(sys: SystemPair, s: int, tol: Tolerances = DEFAULT_TOL) -> ControllabilityReport:
     """Controllability with sign-unrestricted s-sparse inputs
     (conditions i and iii only)."""
-    s = validate_sparsity(s, sys.m)
-    eig = left_eigensystem(sys.A, tol)
-    return _assemble(
-        "sparse",
-        s,
-        _condition_i(sys, eig, tol),
-        None,
-        check_condition_iii(sys, s, tol),
-        eig,
-        tol,
-    )
+    return _check(sys, s, False, tol)
 
 
 def min_sparsity(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> int | None:
@@ -449,7 +422,12 @@ def min_sparsity(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> int | None:
 
     None when the system is not nonnegative controllable at all. Raises
     NoFeasibleSparsityError when N - rank(A) exceeds the input dimension,
-    in which case no sparsity level works.
+    in which case no sparsity level works. In exact arithmetic that cannot
+    happen: condition i makes B^T injective on ker A^T, so
+    N - rank(A) = dim ker A^T <= m. The error therefore means that the
+    relative cut of ``rank(A)`` (``rank_rtol`` times the largest singular
+    value) disagrees with the eigenvalues and eigenspaces that condition i
+    was decided on.
     """
     if not check_nonneg(sys, tol).controllable:
         return None

@@ -21,6 +21,7 @@ import numpy as np
 
 from .controllability import SystemPair
 from .errors import InputError
+from .systemio import system_file_dict
 
 __all__ = [
     "KINDS",
@@ -55,11 +56,7 @@ class GeneratedSystem:
     def to_file_dict(self) -> dict:
         """JSON-ready system file; the planted witness rides along as an
         extra key that parsers are free to ignore."""
-        data = {
-            "name": self.name,
-            "A": [[float(v) for v in row] for row in self.system.A],
-            "B": [[float(v) for v in row] for row in self.system.B],
-        }
+        data = system_file_dict(self.system, name=self.name)
         if self.planted is not None:
             data["planted"] = {
                 "lambda": self.planted.eigenvalue,

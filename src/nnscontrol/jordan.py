@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, mat_pow, rank
+from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, mat_pow, null_space_basis, rank
 
 __all__ = [
     "ZeroStructure",
@@ -146,8 +146,6 @@ def _orth(columns: list[np.ndarray], n_dim: int) -> np.ndarray:
 
 
 def _kernel_basis(a: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
-    from .matrixcore import null_space_basis
-
     if k == 0:
         return np.zeros((a.shape[0], 0))
     return null_space_basis(mat_pow(a, k), tol)

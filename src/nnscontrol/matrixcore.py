@@ -166,11 +166,6 @@ class LeftEigenSystem:
     groups: tuple[EigenGroup, ...]
     cluster_radius: float
 
-    @property
-    def merged_clusters(self) -> bool:
-        """True when any group absorbed numerically distinct eigenvalues."""
-        return any(g.spread > 1e-3 * self.cluster_radius for g in self.groups)
-
 
 def _cluster(close: np.ndarray) -> list[np.ndarray]:
     """Index groups chained together by the symmetric boolean matrix ``close``."""

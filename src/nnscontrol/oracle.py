@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,17 @@ def _powers_times_b(sys: SystemPair, k: int) -> list[np.ndarray]:
     return blocks
 
 
+def _sequences(supports: list[tuple[int, ...]], k: int) -> itertools.product:
+    """All support sequences of length k, in lexicographic order, once the
+    enumeration guard has passed."""
+    total = len(supports) ** k
+    if total > MAX_SEQUENCES:
+        raise InputError(
+            f"{total} support sequences exceed the guard ({MAX_SEQUENCES}); lower the horizon or s"
+        )
+    return itertools.product(supports, repeat=k)
+
+
 def reachable_membership(
     sys: SystemPair, s: int, k: int, x, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[tuple[tuple[int, ...], ...], list[np.ndarray]] | None:
@@ -140,14 +151,10 @@ def reachable_membership(
     if x.shape != (sys.n,):
         raise InputError(f"x must have length {sys.n}, got shape {x.shape}")
     supports = enumerate_supports(sys.m, s)
-    total = len(supports) ** k
-    if total > MAX_SEQUENCES:
-        raise InputError(
-            f"{total} support sequences exceed the guard ({MAX_SEQUENCES}); lower k or s"
-        )
+    sequences = _sequences(supports, k)
     blocks = _powers_times_b(sys, k)
     s_len = len(supports[0])
-    for sequence in itertools.product(supports, repeat=k):
+    for sequence in sequences:
         columns = [blocks[k - step - 1][:, list(sup)] for step, sup in enumerate(sequence)]
         stacked = np.hstack(columns)
         result = feasible_nonneg_solution(stacked, x, tol)
@@ -169,22 +176,12 @@ def _canonical_column(col: np.ndarray) -> bytes | None:
     return (np.round(col / norm, 12) + 0.0).tobytes()
 
 
-@dataclass
-class _SequenceCones:
-    """Distinct generator sets of all support sequences at one horizon."""
-
-    keys: list[frozenset[bytes]]
-    generators: dict[frozenset[bytes], np.ndarray]
-
-
 def _distinct_sequence_cones(
     sys: SystemPair, supports: list[tuple[int, ...]], k: int, blocks: list[np.ndarray]
-) -> _SequenceCones:
-    total = len(supports) ** k
-    if total > MAX_SEQUENCES:
-        raise InputError(
-            f"{total} support sequences exceed the guard ({MAX_SEQUENCES}); lower k_max or s"
-        )
+) -> dict[frozenset[bytes], np.ndarray]:
+    """Generators of each distinct sequence cone at horizon k, keyed by the
+    set of canonical columns, in the order the sequences first reach them."""
+    sequences = _sequences(supports, k)
     column_by_key: dict[bytes, np.ndarray] = {}
     # Key of each (power step, support) block: the set of its nonzero
     # canonical columns. A sequence's cone is determined by the union.
@@ -204,19 +201,17 @@ def _distinct_sequence_cones(
             per_support[sup] = frozenset(keys)
         step_keys.append(per_support)
 
-    seen: dict[frozenset[bytes], None] = {}
-    for sequence in itertools.product(supports, repeat=k):
-        merged = frozenset().union(*(step_keys[step][sup] for step, sup in enumerate(sequence)))
-        if merged not in seen:
-            seen[merged] = None
     generators: dict[frozenset[bytes], np.ndarray] = {}
-    for key_set in seen:
-        ordered = sorted(key_set)
+    for sequence in sequences:
+        merged = frozenset().union(*(step_keys[step][sup] for step, sup in enumerate(sequence)))
+        if merged in generators:
+            continue
+        ordered = sorted(merged)
         if ordered:
-            generators[key_set] = np.column_stack([column_by_key[key] for key in ordered])
+            generators[merged] = np.column_stack([column_by_key[key] for key in ordered])
         else:
-            generators[key_set] = np.zeros((sys.n, 0))
-    return _SequenceCones(keys=list(seen), generators=generators)
+            generators[merged] = np.zeros((sys.n, 0))
+    return generators
 
 
 def _probe_directions(sys: SystemPair, cfg: OracleConfig) -> list[np.ndarray]:
@@ -249,7 +244,7 @@ def _sweep_coverage(
     # Memo across horizons: identical generator sets recur when powers of A
     # repeat directions (nilpotent or low-rank A).
     memo: dict[tuple[int, frozenset[bytes]], bool] = {}
-    cones_at: dict[int, _SequenceCones] = {}
+    cones_at: dict[int, dict[frozenset[bytes], np.ndarray]] = {}
 
     blocks = _powers_times_b(sys, k_max)
     for k in range(1, k_max + 1):
@@ -265,9 +260,8 @@ def _sweep_coverage(
                 continue  # single support: the relaxation is the exact cone
             if k not in cones_at:
                 cones_at[k] = _distinct_sequence_cones(sys, supports, k, blocks)
-            cones = cones_at[k]
             hit = False
-            for key in cones.keys:
+            for key, generators in cones_at[k].items():
                 memo_key = (idx, key)
                 if memo_key in memo:
                     if memo[memo_key]:
@@ -275,7 +269,7 @@ def _sweep_coverage(
                         break
                     continue
                 lp_count += 1
-                member = feasible_nonneg_solution(cones.generators[key], probe, tol).member
+                member = feasible_nonneg_solution(generators, probe, tol).member
                 memo[memo_key] = member
                 if member:
                     hit = True

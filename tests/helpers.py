@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from nnscontrol import SystemPair
+
 
 def planted_structure_matrix(rng, max_n=6):
     """Random integer matrix with known zero-eigenvalue block structure.
@@ -40,3 +42,12 @@ def planted_structure_matrix(rng, max_n=6):
     u_inv = np.round(np.linalg.inv(u)).astype(np.int64)
     assert np.array_equal(u @ u_inv, np.eye(n_dim, dtype=np.int64))
     return (u @ direct_sum @ u_inv).astype(float), sizes
+
+
+def rank_cut_disagreement():
+    """rank(A) = 1 under rank_rtol, because the 1e6 entries set the scale,
+    while all four eigenvalues are simple and nonzero; B = [b | -b]."""
+    a = np.diag([1e-4, 2e-4, 3e-4, 4e-4])
+    a[0, 1:] = 1e6
+    b = np.array([1.0, 2.0, -1.0, 3.0])
+    return SystemPair(A=a, B=np.column_stack([b, -b]))

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from nnscontrol.cli import main, run_command
+from nnscontrol.controllability import check_sparse
 from nnscontrol.fixtures import fixture_path
+from nnscontrol.systemio import parse_system_file
+
+from helpers import rank_cut_disagreement
 
 COB = fixture_path("cob_system.json")
 COB_T = fixture_path("cob_transformed.json")
@@ -185,3 +189,38 @@ class TestDeterminism:
             if baseline is None:
                 baseline = snapshot
             assert snapshot == baseline
+
+
+class TestCheckVariants:
+    @pytest.mark.parametrize("path", [COB, COB_T])
+    def test_sparse_matches_library(self, capsys, path):
+        system = parse_system_file(path).system
+        for s in range(1, system.m + 1):
+            code, out, _ = run(capsys, "check", path, "--variant", "sparse", "--s", str(s))
+            assert code == 0
+            expected = json.loads(json.dumps(check_sparse(system, s).to_dict()))
+            assert json.loads(out)["result"] == expected
+
+    @pytest.mark.parametrize("variant", ["sparse", "nonneg-sparse"])
+    def test_missing_sparsity_is_input_error(self, capsys, tmp_path, variant):
+        path = tmp_path / "sys.json"
+        path.write_text('{"A": [[1.0]], "B": [[1.0]]}')
+        code, out, err = run(capsys, "check", str(path), "--variant", variant)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: variant '{variant}' needs a sparsity level (--s or the file)\n"
+
+
+class TestMinSparsityInfeasible:
+    def test_rank_cut_disagreement_is_reported(self, capsys, tmp_path):
+        system = rank_cut_disagreement()
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"A": system.A.tolist(), "B": system.B.tolist()}))
+        code, out, _ = run(capsys, "min-sparsity", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "min_sparsity": None,
+            "feasible": False,
+            "nonneg_controllable": True,
+            "reason": "N - rank(A) = 3 exceeds the input dimension m = 2",
+        }

@@ -24,11 +24,14 @@ from nnscontrol.controllability import (
     min_sparsity,
     verify_certificate,
 )
+from nnscontrol.errors import NoFeasibleSparsityError
 from nnscontrol.fixtures import (
     change_of_basis_matrix,
     change_of_basis_system,
     change_of_basis_transformed,
 )
+
+from helpers import rank_cut_disagreement
 
 COB = change_of_basis_system()
 COB_T = change_of_basis_transformed()
@@ -502,3 +505,82 @@ class TestMetamorphic:
         for sys, s, rng in self._cases(kind, n):
             moved = SystemPair(A=sys.A, B=sys.B * rng.uniform(0.1, 10.0, size=sys.m))
             assert _outcome(moved, s) == _outcome(sys, s)
+
+
+def _assert_verdict_is_and(report):
+    blocks = [report[key] for key in ("condition_i", "condition_ii", "condition_iii")]
+    passed = all(block["passed"] for block in blocks if block is not None)
+    assert report["verdict"] == ("controllable" if passed else "uncontrollable")
+
+
+class TestPipelineContract:
+    """check_nonneg_sparse, check_nonneg and check_sparse agree on every
+    block they share, each block is the standalone condition check, and the
+    verdict is the AND of the blocks present."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_entry_points_agree(self, kind, n):
+        for m in (1, 3):
+            for seed in range(3):
+                sys = generate_system(kind, n, m, seed).system
+                cond_i = check_condition_i(sys).to_dict()
+                cond_ii = check_condition_ii(sys).to_dict()
+                nonneg = check_nonneg(sys).to_dict()
+                assert (nonneg["mode"], nonneg["s"]) == ("nonneg", None)
+                assert nonneg["condition_i"] == cond_i
+                assert nonneg["condition_ii"] == cond_ii
+                assert nonneg["condition_iii"] is None
+                _assert_verdict_is_and(nonneg)
+                for s in range(1, m + 1):
+                    cond_iii = check_condition_iii(sys, s).to_dict()
+                    full = check_nonneg_sparse(sys, s).to_dict()
+                    sparse = check_sparse(sys, s).to_dict()
+                    assert (full["mode"], full["s"]) == ("nonneg_sparse", s)
+                    assert (sparse["mode"], sparse["s"]) == ("sparse", s)
+                    assert full["condition_i"] == sparse["condition_i"] == cond_i
+                    assert full["condition_ii"] == cond_ii
+                    assert sparse["condition_ii"] is None
+                    assert full["condition_iii"] == sparse["condition_iii"] == cond_iii
+                    assert full["eigenvalues"] == sparse["eigenvalues"] == nonneg["eigenvalues"]
+                    assert full["tolerances"] == sparse["tolerances"] == nonneg["tolerances"]
+                    _assert_verdict_is_and(full)
+                    _assert_verdict_is_and(sparse)
+
+
+class TestMinSparsityAgainstBruteForce:
+    @staticmethod
+    def _systems():
+        for kind in KINDS:
+            for n in (2, 4, 8):
+                for m in (1, 3):
+                    for seed in range(3):
+                        yield generate_system(kind, n, m, seed).system
+        # Fixed deficiencies with two or more paired columns reach level 2.
+        for n in (4, 8):
+            for m in (3, 4):
+                for deficiency in (1, 2, 3):
+                    for seed in range(2):
+                        yield generate_system(
+                            "planted_rank_deficient", n, m, seed, deficiency
+                        ).system
+
+    def test_smallest_controllable_level(self):
+        levels = set()
+        for sys in self._systems():
+            expected = next(
+                (s for s in range(1, sys.m + 1) if check_nonneg_sparse(sys, s).controllable),
+                None,
+            )
+            assert min_sparsity(sys) == expected
+            levels.add(expected)
+        assert levels == {None, 1, 2}
+
+    def test_rank_cut_disagreement_raises(self):
+        sys = rank_cut_disagreement()
+        assert check_nonneg(sys).controllable
+        with pytest.raises(
+            NoFeasibleSparsityError,
+            match=r"^N - rank\(A\) = 3 exceeds the input dimension m = 2$",
+        ):
+            min_sparsity(sys)
