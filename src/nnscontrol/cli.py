@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Commands: check, min-sparsity, oracle, decompose, verify-cert, gen.
-Every command writes a JSON report to stdout (gen writes the generated
-system file itself) and, with --pretty, a human summary to stderr. Exit
-codes: 0 for a completed analysis regardless of verdict, 1 for input
-errors, 2 for numeric failures. Reports embed the tolerance policy and,
-except for the wall-time field, are byte-identical across repeated runs
-with the same inputs and seeds.
+``run_command`` is the one front door: a parser built once per process
+reads argv, and for every command but gen it loads and digests the system
+file and wraps the command's result in the report envelope. Every command
+writes a JSON report to stdout (gen writes the generated system file
+itself) and, with --pretty, a human summary to stderr. Exit codes: 0 for
+a completed analysis regardless of verdict, 1 for input errors, unreadable
+paths included (stdout empty, one "error:" line on stderr), 2 for numeric
+failures. Reports embed the tolerance policy and, except for the wall-time
+field, are byte-identical across repeated runs with the same inputs and seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 from . import __version__
 from .controllability import (
     Certificate,
-    SystemPair,
     check_nonneg,
     check_nonneg_sparse,
     check_sparse,
@@ -35,7 +37,7 @@ from .generators import KINDS, generate_system
 from .jordan import build_decomposition, verify_decomposition
 from .matrixcore import DEFAULT_TOL, Tolerances, rank
 from .oracle import OracleConfig, coverage_probe
-from .systemio import dump_system_file, parse_system_file
+from .systemio import dump_system_file, parse_system_file, read_text
 
 __all__ = ["main", "run_command", "console_main"]
 
@@ -115,17 +117,10 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kwargs) if kwargs else DEFAULT_TOL
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+_PARSER = _build_parser()
 
 
-def _load(args):
-    parsed = parse_system_file(args.file)
-    return parsed, _digest(args.file)
-
-
-def _cmd_check(args, tol: Tolerances) -> dict:
-    parsed, digest = _load(args)
+def _cmd_check(args, parsed, tol: Tolerances) -> dict:
     s = args.s if args.s is not None else parsed.s
     variant = args.variant
     if variant == "auto":
@@ -138,11 +133,10 @@ def _cmd_check(args, tol: Tolerances) -> dict:
         report = check_sparse(parsed.system, s, tol)
     else:
         report = check_nonneg_sparse(parsed.system, s, tol)
-    return {"input_digest": digest, "name": parsed.name, "result": report.to_dict()}
+    return report.to_dict()
 
 
-def _cmd_min_sparsity(args, tol: Tolerances) -> dict:
-    parsed, digest = _load(args)
+def _cmd_min_sparsity(args, parsed, tol: Tolerances) -> dict:
     sys_pair = parsed.system
     try:
         level = min_sparsity(sys_pair, tol)
@@ -168,11 +162,10 @@ def _cmd_min_sparsity(args, tol: Tolerances) -> dict:
                 "nonneg_controllable": True,
                 "required": sys_pair.n - rank(sys_pair.A, tol),
             }
-    return {"input_digest": digest, "name": parsed.name, "result": result}
+    return result
 
 
-def _cmd_oracle(args, tol: Tolerances) -> dict:
-    parsed, digest = _load(args)
+def _cmd_oracle(args, parsed, tol: Tolerances) -> dict:
     s = args.s if args.s is not None else parsed.s
     if s is None:
         raise InputError("the oracle needs a sparsity level (--s or the file)")
@@ -186,14 +179,13 @@ def _cmd_oracle(args, tol: Tolerances) -> dict:
     result = verdict.to_dict()
     result["s"] = s
     result["config"] = cfg.to_dict()
-    return {"input_digest": digest, "name": parsed.name, "result": result}
+    return result
 
 
-def _cmd_decompose(args, tol: Tolerances) -> dict:
-    parsed, digest = _load(args)
+def _cmd_decompose(args, parsed, tol: Tolerances) -> dict:
     dec = build_decomposition(parsed.system.A, tol)
     report = verify_decomposition(parsed.system.A, dec, tol)
-    result = {
+    return {
         "structure": dec.structure.to_dict(),
         "P": dec.P.tolist(),
         "J": dec.J.tolist(),
@@ -201,65 +193,51 @@ def _cmd_decompose(args, tol: Tolerances) -> dict:
         "parts": [part.tolist() for part in dec.parts],
         "verification": report.to_dict(),
     }
-    return {"input_digest": digest, "name": parsed.name, "result": result}
 
 
-def _cmd_verify_cert(args, tol: Tolerances) -> dict:
-    parsed, digest = _load(args)
-    cert_path = Path(args.cert)
-    if not cert_path.exists():
-        raise InputError(f"certificate file not found: {args.cert}")
+def _cmd_verify_cert(args, parsed, tol: Tolerances) -> dict:
     try:
-        cert_data = json.loads(cert_path.read_text(encoding="utf-8"))
+        cert_data = json.loads(read_text(args.cert, "certificate"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from exc
     cert = Certificate.from_dict(cert_data)
     check = verify_certificate(parsed.system, cert, tol)
-    return {
-        "input_digest": digest,
-        "name": parsed.name,
-        "result": {"certificate": cert.to_dict(), "check": check.to_dict()},
-    }
+    return {"certificate": cert.to_dict(), "check": check.to_dict()}
 
 
-def _cmd_gen(args, tol: Tolerances) -> dict:
-    generated = generate_system(args.kind, args.n, args.m, args.seed, args.deficiency)
-    return {"system_file": generated.to_file_dict()}
-
-
-_DISPATCH = {
+_FILE_COMMANDS = {
     "check": _cmd_check,
     "min-sparsity": _cmd_min_sparsity,
     "oracle": _cmd_oracle,
     "decompose": _cmd_decompose,
     "verify-cert": _cmd_verify_cert,
-    "gen": _cmd_gen,
 }
 
 
 def run_command(argv: list[str]) -> tuple[dict, int]:
     """Parse argv, run the command, and return (report, exit code).
 
-    The report is the full JSON-ready object the CLI prints; gen returns
-    the generated system file under the key "system_file".
+    gen returns {"system_file": ...}. Any other command's result comes in the
+    envelope the CLI prints, whose wall_time_s includes loading the file.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     tol = _tolerances(args)
-    started = time.perf_counter()
-    payload = _DISPATCH[args.command](args, tol)
-    elapsed = time.perf_counter() - started
     if args.command == "gen":
-        return payload, 0
+        generated = generate_system(args.kind, args.n, args.m, args.seed, args.deficiency)
+        return {"system_file": generated.to_file_dict()}, 0
+    started = time.perf_counter()
+    parsed = parse_system_file(args.file)
+    digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
+    result = _FILE_COMMANDS[args.command](args, parsed, tol)
     report = {
         "tool": "nnscontrol",
         "version": __version__,
         "command": args.command,
-        "input_digest": payload.get("input_digest"),
-        "name": payload.get("name"),
+        "input_digest": digest,
+        "name": parsed.name,
         "tolerances": tol.to_dict(),
-        "result": payload["result"],
-        "wall_time_s": elapsed,
+        "result": result,
+        "wall_time_s": time.perf_counter() - started,
     }
     return report, 0
 

@@ -50,7 +50,7 @@ class OracleConfig:
     """Probe-set and horizon parameters for coverage runs.
 
     Probe i is drawn from its own RNG stream seeded by (seed, i), so
-    serial and parallel evaluations agree bit for bit.
+    results do not depend on the order in which probes are evaluated.
     """
 
     k_max: int = 6

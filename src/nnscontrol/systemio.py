@@ -9,6 +9,7 @@ locations so malformed files are quick to fix.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,15 +42,29 @@ def _rectangular(raw, key: str) -> np.ndarray:
                 f'"{key}" row {i + 1} has {len(row)} entries, expected {width} (ragged)'
             )
         for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if type(value) is not int and type(value) is not float:  # exact: rejects bool
                 raise InputError(
                     f'"{key}" entry at row {i + 1}, column {j + 1} is not a number: {value!r}'
                 )
-            if not np.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise InputError(
                     f'"{key}" entry at row {i + 1}, column {j + 1} is not finite'
                 )
     return np.asarray(raw, dtype=float)
+
+
+def read_text(path, what: str) -> str:
+    """Read a UTF-8 file; ``what`` ("system", "certificate") names it in errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def parse_system_file(source) -> ParsedSystem:
@@ -58,15 +73,10 @@ def parse_system_file(source) -> ParsedSystem:
     A string starting with "{" (after whitespace) is treated as JSON text,
     anything else as a filesystem path.
     """
-    if isinstance(source, (Path, os.PathLike)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
-    elif isinstance(source, str):
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"system file not found: {source}")
-        text = path.read_text(encoding="utf-8")
+    elif isinstance(source, (str, Path, os.PathLike)):
+        text = read_text(source, "system")
     else:
         raise InputError(f"unsupported system source type {type(source).__name__}")
 

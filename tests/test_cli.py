@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from nnscontrol.cli import main, run_command
 from nnscontrol.controllability import check_sparse
 from nnscontrol.fixtures import fixture_path
+from nnscontrol.matrixcore import Tolerances
 from nnscontrol.systemio import parse_system_file
 
 from helpers import rank_cut_disagreement
@@ -224,3 +227,113 @@ class TestMinSparsityInfeasible:
             "nonneg_controllable": True,
             "reason": "N - rank(A) = 3 exceeds the input dimension m = 2",
         }
+
+
+ENVELOPE_KEYS = {
+    "tool", "version", "command", "input_digest", "name", "tolerances", "result", "wall_time_s",
+}
+
+
+@pytest.fixture
+def cert_file(tmp_path):
+    report, _ = run_command(["check", COB_T, "--s", "1"])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(report["result"]["condition_ii"]["certificate"]))
+    return str(path)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "command, path, options, tolerances",
+        [
+            ("check", COB, [], {}),
+            ("min-sparsity", COB, ["--rank-rtol", "1e-10"], {"rank_rtol": 1e-10}),
+            ("oracle", COB, ["--samples", "4", "--tol", "1e-7"],
+             {"eig_imag_tol": 1e-7, "ineq_tol": 1e-7}),
+            ("decompose", COB_T, [], {}),
+            ("verify-cert", COB_T, ["--cert", "{cert}"], {}),
+        ],
+    )
+    def test_file_commands_share_one_envelope(self, cert_file, command, path, options, tolerances):
+        options = [value.format(cert=cert_file) for value in options]
+        report, code = run_command([command, path, *options])
+        assert code == 0
+        assert set(report) == ENVELOPE_KEYS
+        assert report["command"] == command
+        data = Path(path).read_bytes()
+        assert report["input_digest"] == hashlib.sha256(data).hexdigest()
+        assert report["name"] == json.loads(data)["name"]
+        assert report["tolerances"] == Tolerances(**tolerances).to_dict()
+
+    def test_gen_returns_only_the_system_file(self):
+        report, code = run_command(
+            ["gen", "--kind", "random_nonsingular_paired", "--n", "2", "--m", "2", "--seed", "0"]
+        )
+        assert code == 0
+        assert set(report) == {"system_file"}
+
+
+class TestParserReuse:
+    """The parser is built once per process, so no option may leak into the next call."""
+
+    def test_check_options_do_not_leak(self, tmp_path):
+        data = json.loads(Path(COB).read_text())
+        path = tmp_path / "no_s.json"
+        path.write_text(json.dumps({"A": data["A"], "B": data["B"]}))
+        calls = [
+            (["--s", "1"], "nonneg_sparse"),
+            ([], "nonneg"),
+            (["--variant", "sparse", "--s", "2"], "sparse"),
+            ([], "nonneg"),
+        ]
+        for options, mode in calls:
+            report, _ = run_command(["check", str(path), *options])
+            assert report["result"]["mode"] == mode
+
+    def test_oracle_options_do_not_leak(self):
+        first, _ = run_command(["oracle", COB, "--samples", "4", "--no-axes"])
+        second, _ = run_command(["oracle", COB, "--samples", "4"])
+        assert first["result"]["config"]["include_axes"] is False
+        assert second["result"]["config"]["include_axes"] is True
+
+
+BAD_INPUTS = ["missing", "directory", "not_utf8", "malformed", "array"]
+
+
+def bad_input(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b'{"A": [[1]], "B": [[1]], "name": "\xff"}')
+    elif kind == "malformed":
+        path.write_text('{"A": [[1]], ')
+    elif kind == "array":
+        path.write_text("[[1]]")
+    return str(path)
+
+
+class TestExitCodeContract:
+    """Every unusable input exits 1 with empty stdout and one "error:" line on stderr."""
+
+    @pytest.mark.parametrize("kind", BAD_INPUTS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{bad}"],
+            ["min-sparsity", "{bad}"],
+            ["oracle", "{bad}"],
+            ["decompose", "{bad}"],
+            ["verify-cert", "{bad}", "--cert", "{cert}"],
+            ["verify-cert", COB_T, "--cert", "{bad}"],
+        ],
+        ids=["check", "min-sparsity", "oracle", "decompose", "verify-cert", "verify-cert-cert"],
+    )
+    def test_unusable_input_exits_one(self, capsys, tmp_path, cert_file, argv, kind):
+        bad = bad_input(tmp_path, kind)
+        argv = [arg.format(bad=bad, cert=cert_file) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")

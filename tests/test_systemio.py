@@ -77,3 +77,53 @@ class TestRoundTrip:
         gen = generate_system("random_nonsingular_paired", 2, 2, 0)
         data = system_file_dict(gen.system, s=1, name="x")
         assert set(data) == {"A", "B", "s", "name"}
+
+
+class TestEntryMessages:
+    """Exact messages for bad matrix entries; the first offender in row-major order wins."""
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ("[[1, 2], [3]]", '"A" row 2 has 1 entries, expected 2 (ragged)'),
+            ("[[true]]", '"A" entry at row 1, column 1 is not a number: True'),
+            ("[[null]]", '"A" entry at row 1, column 1 is not a number: None'),
+            ('[[1, "x"]]', "\"A\" entry at row 1, column 2 is not a number: 'x'"),
+            ("[[1, [2]]]", '"A" entry at row 1, column 2 is not a number: [2]'),
+            ("[[NaN]]", '"A" entry at row 1, column 1 is not finite'),
+            ("[[0, -Infinity]]", '"A" entry at row 1, column 2 is not finite'),
+            ("[[1e400]]", '"A" entry at row 1, column 1 is not finite'),
+            ('[[1, NaN], ["x", 0]]', '"A" entry at row 1, column 2 is not finite'),
+            ("[[1" + "0" * 400 + "]]", '"A" entry at row 1, column 1 is not finite'),
+            ("[[100000000000000000000]]", None),
+        ],
+        ids=[
+            "ragged", "true", "null", "string", "nested", "nan", "infinity", "1e400",
+            "nonfinite-first", "int-1e400", "int-1e20",
+        ],
+    )
+    def test_messages(self, a, message):
+        text = '{"A": %s, "B": [[1]]}' % a
+        if message is None:
+            assert parse_system_file(text).system.A[0, 0] == 1e20
+            return
+        with pytest.raises(InputError) as info:
+            parse_system_file(text)
+        assert str(info.value) == message
+
+
+class TestUnreadablePath:
+    def test_missing_path_object(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(InputError, match="^system file not found: "):
+            parse_system_file(missing)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(InputError, match="^cannot read system file "):
+            parse_system_file(str(tmp_path))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_bytes(b'{"A": [[1]], "B": [[1]], "name": "\xff"}')
+        with pytest.raises(InputError, match="^cannot read system file "):
+            parse_system_file(path)
