@@ -6,10 +6,11 @@ reads argv, and for every command but gen it loads and digests the system
 file and wraps the command's result in the report envelope. Every command
 writes a JSON report to stdout (gen writes the generated system file
 itself) and, with --pretty, a human summary to stderr. Exit codes: 0 for
-a completed analysis regardless of verdict, 1 for input errors, unreadable
-paths included (stdout empty, one "error:" line on stderr), 2 for numeric
-failures. Reports embed the tolerance policy and, except for the wall-time
-field, are byte-identical across repeated runs with the same inputs and seeds.
+a completed analysis regardless of verdict, 1 for input and usage errors
+and unreadable paths (stdout empty, one "error:" line on stderr), 2 for
+numeric failures. Reports embed the tolerance policy and, except for the
+wall-time field, are byte-identical across repeated runs with the same
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -42,8 +43,13 @@ from .systemio import dump_system_file, parse_system_file, read_text
 __all__ = ["main", "run_command", "console_main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is an input error: exit 1, not 2
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nnscontrol",
         description=(
             "Controllability of x_k = A x_{k-1} + B u_k under nonnegative "
@@ -220,13 +226,16 @@ def run_command(argv: list[str]) -> tuple[dict, int]:
     gen returns {"system_file": ...}. Any other command's result comes in the
     envelope the CLI prints, whose wall_time_s includes loading the file.
     """
-    args = _PARSER.parse_args(argv)
+    return _run(_PARSER.parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _tolerances(args)
     if args.command == "gen":
         generated = generate_system(args.kind, args.n, args.m, args.seed, args.deficiency)
         return {"system_file": generated.to_file_dict()}, 0
     started = time.perf_counter()
-    parsed = parse_system_file(args.file)
+    parsed = parse_system_file(Path(args.file))  # a path, even when it starts with "{"
     digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
     result = _FILE_COMMANDS[args.command](args, parsed, tol)
     report = {
@@ -281,9 +290,9 @@ def _pretty(report: dict, command: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        report, code = run_command(argv)
+        args = _PARSER.parse_args(argv)  # None reads sys.argv
+        report, code = _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -294,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(dump_system_file(report["system_file"]))
         return code
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if "--pretty" in argv:
+    if args.pretty:
         print(_pretty(report, report.get("command", "")), file=sys.stderr)
     return code
 

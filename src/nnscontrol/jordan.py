@@ -1,7 +1,8 @@
 """Zero-eigenvalue Jordan structure and the row-splitting decomposition.
 
 ``zero_structure`` reads the block sizes of the eigenvalue 0 off the rank
-sequence rank(A^k). ``build_decomposition`` constructs an invertible P,
+sequence rank(A^k); one SVD of each power decides its rank and gives its
+kernel and range. ``build_decomposition`` constructs an invertible P,
 split row-wise into a part P0 intertwining with a nonsingular J
 (P0 A^k = J^k P0) and parts P_i that die under increasing powers of A
 (P_i A^k = 0 for k >= i, with rank(P_i) = rank(P_i A^{i-1})). Only the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, mat_pow, null_space_basis, rank
+from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, mat_pow, rank
 
 __all__ = [
     "ZeroStructure",
@@ -62,29 +63,34 @@ class ZeroStructure:
         }
 
 
-def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
-    """Block statistics of the eigenvalue 0 from the rank sequence rank(A^k)."""
+def _power_ladder(a, tol: Tolerances) -> tuple[ZeroStructure, list[np.ndarray], np.ndarray]:
+    """The zero structure, kernels[k] = ker(A^k) for k = 0..n, and range(A^n).
+
+    One SVD of A^k = ``mat_pow(A, k)`` decides r = rank(A^k); its last N - r
+    rows of V^H span ker(A^k) and its first r columns of U span range(A^k).
+    The ranks fall from N at most N times, so the loop always breaks.
+    """
     a = as_matrix(a, "A")
     n_dim = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise InputError(f"A must be square, got shape {a.shape}")
-
     ranks = [n_dim]
-    power = np.eye(n_dim)
+    kernels = [np.zeros((n_dim, 0))]
+    range_basis = np.eye(n_dim)
     for k in range(1, n_dim + 2):
-        power = power @ a
-        ranks.append(rank(power, tol))
+        # as_matrix refuses a power that overflowed, which an SVD would rank.
+        u, s, vh = np.linalg.svd(as_matrix(mat_pow(a, k), "matrix"))
+        ranks.append(int(np.count_nonzero(s > tol.rank_rtol * s[0])) if s.size else 0)
         if ranks[-1] > ranks[-2]:
             raise NumericError(
                 f"rank sequence increased at power {k}: {ranks[-2]} -> {ranks[-1]}"
             )
         if ranks[-1] == ranks[-2]:
             break
-    else:
-        raise NumericError(f"rank sequence did not stabilize within {n_dim + 1} powers")
+        kernels.append(vh[ranks[-1] :].copy().T)  # a copy, so V^H itself is not kept
+        range_basis = u[:, : ranks[-1]]
 
     n = len(ranks) - 2  # first k with rank(A^k) == rank(A^{k+1})
-    q = ranks[n]
     # Block counts from second differences of the rank sequence.
     drops = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]  # r_k
     q_sizes = []
@@ -94,15 +100,20 @@ def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
         if qi < 0:
             raise NumericError(f"negative block count at size {i}: rank drops not convex")
         q_sizes.append(qi)
-    if n > 0 and sum(q_sizes) != n_dim - ranks[1]:
-        raise NumericError("block counts do not add up to the nullity")
-    return ZeroStructure(
+    structure = ZeroStructure(
         n=n,
-        q=q,
+        q=ranks[n],
         q_sizes=tuple(q_sizes),
         r_tail=tuple(drops),
         rank_sequence=tuple(ranks),
     )
+    return structure, kernels, range_basis
+
+
+def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
+    """Block statistics of the eigenvalue 0 from the rank sequence rank(A^k),
+    one SVD per power deciding its rank and giving its kernel and range."""
+    return _power_ladder(a, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -121,14 +132,6 @@ class RowSplitDecomposition:
     structure: ZeroStructure
 
 
-def _orthonormal_range(power: np.ndarray, q: int) -> np.ndarray:
-    """Orthonormal basis of the column space of ``power`` (first q directions)."""
-    if q == 0:
-        return np.zeros((power.shape[0], 0))
-    u, _, _ = np.linalg.svd(power)
-    return u[:, :q]
-
-
 def _project_out(candidates: np.ndarray, span: np.ndarray) -> np.ndarray:
     """Components of candidate columns orthogonal to an orthonormal span."""
     if span.shape[1] == 0:
@@ -145,13 +148,9 @@ def _orth(columns: list[np.ndarray], n_dim: int) -> np.ndarray:
     return u[:, : int(np.count_nonzero(keep))]
 
 
-def _kernel_basis(a: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
-    if k == 0:
-        return np.zeros((a.shape[0], 0))
-    return null_space_basis(mat_pow(a, k), tol)
-
-
-def _zero_chains(a: np.ndarray, structure: ZeroStructure, tol: Tolerances) -> list[list[np.ndarray]]:
+def _zero_chains(
+    a: np.ndarray, structure: ZeroStructure, kernels: list[np.ndarray]
+) -> list[list[np.ndarray]]:
     """Jordan chains for the eigenvalue 0, longest first.
 
     Descending-kernel completion: at height k, new chain heads are picked
@@ -165,13 +164,9 @@ def _zero_chains(a: np.ndarray, structure: ZeroStructure, tol: Tolerances) -> li
     inherited_owner: list[int] = []
     for k in range(structure.n, 0, -1):
         qk = structure.q_sizes[k - 1]
-        kernel_k = _kernel_basis(a, k, tol)
-        kernel_km1 = _kernel_basis(a, k - 1, tol)
-        avoid = _orth(
-            [kernel_km1[:, j] for j in range(kernel_km1.shape[1])] + inherited, n_dim
-        )
+        avoid = _orth(list(kernels[k - 1].T) + inherited, n_dim)
         new_heads: list[np.ndarray] = []
-        projected = _project_out(kernel_k, avoid)
+        projected = _project_out(kernels[k], avoid)
         for _ in range(qk):
             norms = np.linalg.norm(projected, axis=0) if projected.shape[1] else np.zeros(0)
             if norms.size == 0 or norms.max() <= 1e-8:
@@ -205,18 +200,15 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     diagonalizes A into the nonsingular J and shift blocks.
     """
     a = as_matrix(a, "A")
+    structure, kernels, range_basis = _power_ladder(a, tol)  # refuses a non-square A
     n_dim = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"A must be square, got shape {a.shape}")
-    structure = zero_structure(a, tol)
     if structure.n == 0:
         return RowSplitDecomposition(
             P=np.eye(n_dim), J=a.copy(), P0=np.eye(n_dim), parts=(), structure=structure
         )
 
     q = structure.q
-    range_basis = _orthonormal_range(mat_pow(a, structure.n), q)
-    chains = _zero_chains(a, structure, tol)
+    chains = _zero_chains(a, structure, kernels)
     chains.sort(key=len)  # block sizes ascending, matching q_sizes order
 
     columns = [range_basis[:, j] for j in range(q)]
@@ -320,9 +312,10 @@ def verify_decomposition(
     )
 
     # Intertwining P0 A^k = J^k P0 for k = 0..n+1.
+    powers = [mat_pow(a, k) for k in range(st.n + 2)]
     scale_p0 = max(1.0, float(np.abs(dec.P0).max(initial=0.0)))
     for k in range(st.n + 2):
-        lhs = dec.P0 @ mat_pow(a, k)
+        lhs = dec.P0 @ powers[k]
         rhs = mat_pow(dec.J, k) @ dec.P0 if st.q else lhs * 0.0
         add(
             f"intertwine_k{k}",
@@ -335,7 +328,7 @@ def verify_decomposition(
     for i, part in enumerate(dec.parts, start=1):
         scale_part = max(1.0, float(np.abs(part).max(initial=0.0)))
         rank_part = rank(part, tol)
-        rank_shifted = rank(part @ mat_pow(a, i - 1), tol)
+        rank_shifted = rank(part @ powers[i - 1], tol)
         checks.append(
             DecompositionCheck(
                 name=f"part{i}_rank_preserved",
@@ -346,7 +339,7 @@ def verify_decomposition(
         for k in range(i, st.n + 2):
             add(
                 f"part{i}_annihilated_k{k}",
-                float(np.abs(part @ mat_pow(a, k)).max(initial=0.0)) / scale_part,
+                float(np.abs(part @ powers[k]).max(initial=0.0)) / scale_part,
                 rtol * norm_a**k,
             )
     return DecompositionReport(checks=tuple(checks))

@@ -326,7 +326,8 @@ def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def mat_pow(m, k: int) -> np.ndarray:
-    """M**k by repeated multiplication, M**0 = I. Preserves nilpotent structure."""
+    """M**k by ``np.linalg.matrix_power`` (squaring from k = 4), M**0 = I: the
+    one power convention of ``jordan``. Preserves nilpotent structure."""
     m = as_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise InputError(f"matrix must be square, got shape {m.shape}")

@@ -15,13 +15,15 @@ Two semantics-preserving shortcuts keep the enumeration tractable:
     every sequence cone, costing one LP instead of the full sweep;
   * sequences whose generator sets coincide after dropping zero columns
     and rescaling each column to unit norm define the same cone, so each
-    distinct set is solved once and memoized per probe.
+    distinct set is solved once per probe. The distinct sets of horizon k
+    are built from those of horizon k-1, keying each A^j B column once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,15 +127,13 @@ def _powers_times_b(sys: SystemPair, k: int) -> list[np.ndarray]:
     return blocks
 
 
-def _sequences(supports: list[tuple[int, ...]], k: int) -> itertools.product:
-    """All support sequences of length k, in lexicographic order, once the
-    enumeration guard has passed."""
+def _guard_sequences(supports: list[tuple[int, ...]], k: int) -> None:
+    """Refuse horizons with more support sequences than ``MAX_SEQUENCES``."""
     total = len(supports) ** k
     if total > MAX_SEQUENCES:
         raise InputError(
             f"{total} support sequences exceed the guard ({MAX_SEQUENCES}); lower the horizon or s"
         )
-    return itertools.product(supports, repeat=k)
 
 
 def reachable_membership(
@@ -151,10 +151,10 @@ def reachable_membership(
     if x.shape != (sys.n,):
         raise InputError(f"x must have length {sys.n}, got shape {x.shape}")
     supports = enumerate_supports(sys.m, s)
-    sequences = _sequences(supports, k)
+    _guard_sequences(supports, k)
     blocks = _powers_times_b(sys, k)
     s_len = len(supports[0])
-    for sequence in sequences:
+    for sequence in itertools.product(supports, repeat=k):
         columns = [blocks[k - step - 1][:, list(sup)] for step, sup in enumerate(sequence)]
         stacked = np.hstack(columns)
         result = feasible_nonneg_solution(stacked, x, tol)
@@ -176,42 +176,32 @@ def _canonical_column(col: np.ndarray) -> bytes | None:
     return (np.round(col / norm, 12) + 0.0).tobytes()
 
 
-def _distinct_sequence_cones(
-    sys: SystemPair, supports: list[tuple[int, ...]], k: int, blocks: list[np.ndarray]
-) -> dict[frozenset[bytes], np.ndarray]:
-    """Generators of each distinct sequence cone at horizon k, keyed by the
-    set of canonical columns, in the order the sequences first reach them."""
-    sequences = _sequences(supports, k)
-    column_by_key: dict[bytes, np.ndarray] = {}
-    # Key of each (power step, support) block: the set of its nonzero
-    # canonical columns. A sequence's cone is determined by the union.
-    step_keys: list[dict[tuple[int, ...], frozenset[bytes]]] = []
-    for step in range(k):
-        block = blocks[k - step - 1]
-        per_support: dict[tuple[int, ...], frozenset[bytes]] = {}
+def _sequence_cone_ladder(
+    sys: SystemPair, supports: list[tuple[int, ...]], blocks: list[np.ndarray]
+) -> Iterator[dict[frozenset[bytes], np.ndarray]]:
+    """Yield, for k = 1..len(blocks), the generators of each distinct horizon-k
+    sequence cone, keyed by its set of nonzero canonical columns, in the order
+    the lexicographic sequences first reach them. A horizon-k sequence is a
+    support on A^{k-1} B followed by a horizon-(k-1) sequence, so each
+    support's key set is joined with each key set of horizon k-1 in turn.
+    """
+    tails: list[frozenset[bytes]] = [frozenset()]
+    for block in blocks:
+        column_keys = [_canonical_column(block[:, j]) for j in range(sys.m)]
+        generators: dict[frozenset[bytes], np.ndarray] = {}
         for sup in supports:
-            keys = []
-            for j in sup:
-                key = _canonical_column(block[:, j])
-                if key is None:
+            head = frozenset(column_keys[j] for j in sup) - {None}
+            for tail in tails:
+                merged = head | tail
+                if merged in generators:
                     continue
-                keys.append(key)
-                if key not in column_by_key:
-                    column_by_key[key] = np.frombuffer(key, dtype=float)
-            per_support[sup] = frozenset(keys)
-        step_keys.append(per_support)
-
-    generators: dict[frozenset[bytes], np.ndarray] = {}
-    for sequence in sequences:
-        merged = frozenset().union(*(step_keys[step][sup] for step, sup in enumerate(sequence)))
-        if merged in generators:
-            continue
-        ordered = sorted(merged)
-        if ordered:
-            generators[merged] = np.column_stack([column_by_key[key] for key in ordered])
-        else:
-            generators[merged] = np.zeros((sys.n, 0))
-    return generators
+                ordered = sorted(merged)
+                if ordered:
+                    generators[merged] = np.column_stack([np.frombuffer(key) for key in ordered])
+                else:
+                    generators[merged] = np.zeros((sys.n, 0))
+        yield generators
+        tails = list(generators)
 
 
 def _probe_directions(sys: SystemPair, cfg: OracleConfig) -> list[np.ndarray]:
@@ -241,12 +231,12 @@ def _sweep_coverage(
     supports = enumerate_supports(sys.m, s)
     uncovered = list(range(len(probes)))
     lp_count = 0
-    # Memo across horizons: identical generator sets recur when powers of A
-    # repeat directions (nilpotent or low-rank A).
-    memo: dict[tuple[int, frozenset[bytes]], bool] = {}
-    cones_at: dict[int, dict[frozenset[bytes], np.ndarray]] = {}
-
     blocks = _powers_times_b(sys, k_max)
+    ladder = _sequence_cone_ladder(sys, supports, blocks)
+    cones: list[dict[frozenset[bytes], np.ndarray]] = []  # cones[k-1]: horizon k
+    # Known-outside (probe, key set) pairs. Key sets recur across horizons
+    # when powers of A repeat directions (nilpotent or low-rank A).
+    outside: set[tuple[int, frozenset[bytes]]] = set()
     for k in range(1, k_max + 1):
         relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
         survivors = []
@@ -258,23 +248,17 @@ def _sweep_coverage(
                 continue
             if s == sys.m:
                 continue  # single support: the relaxation is the exact cone
-            if k not in cones_at:
-                cones_at[k] = _distinct_sequence_cones(sys, supports, k, blocks)
-            hit = False
-            for key, generators in cones_at[k].items():
-                memo_key = (idx, key)
-                if memo_key in memo:
-                    if memo[memo_key]:
-                        hit = True
-                        break
+            if len(cones) < k:
+                _guard_sequences(supports, k)
+                cones.extend(itertools.islice(ladder, k - len(cones)))
+            for key, generators in cones[k - 1].items():
+                if (idx, key) in outside:
                     continue
                 lp_count += 1
-                member = feasible_nonneg_solution(generators, probe, tol).member
-                memo[memo_key] = member
-                if member:
-                    hit = True
+                if feasible_nonneg_solution(generators, probe, tol).member:
                     break
-            if not hit:
+                outside.add((idx, key))
+            else:
                 survivors.append(idx)
         uncovered = survivors
         if not uncovered:

@@ -66,6 +66,12 @@ class TestCheck:
         assert "verdict: controllable" in err
         json.loads(out)  # stdout stays machine readable
 
+    def test_abbreviated_pretty_writes_summary(self, capsys):
+        code, out, err = run(capsys, "check", COB, "--s", "1", "--pret")
+        assert code == 0
+        assert "verdict: controllable" in err
+        json.loads(out)
+
 
 class TestMinSparsity:
     def test_cob(self, capsys):
@@ -297,11 +303,13 @@ class TestParserReuse:
         assert second["result"]["config"]["include_axes"] is True
 
 
-BAD_INPUTS = ["missing", "directory", "not_utf8", "malformed", "array"]
+BAD_INPUTS = ["missing", "missing_brace", "directory", "not_utf8", "malformed", "array"]
 
 
 def bad_input(tmp_path, kind):
     path = tmp_path / f"{kind}.json"
+    if kind == "missing_brace":
+        return '{"A": [[1]], "B": [[1]]}'  # a missing path, never JSON text
     if kind == "directory":
         path.mkdir()
     elif kind == "not_utf8":
@@ -337,3 +345,30 @@ class TestExitCodeContract:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["check"],
+            ["check", COB, "--s", "abc"],
+            ["zzz"],
+            ["check", COB, "--variant", "zzz"],
+            ["check", COB, "--bogus"],
+        ],
+        ids=["no-command", "no-file", "bad-int", "unknown-command", "bad-choice", "unknown-option"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out
+

@@ -47,6 +47,11 @@ class TestZeroStructure:
         with pytest.raises(InputError):
             zero_structure(np.zeros((2, 3)))
 
+    def test_overflowing_power_is_refused(self):
+        # A^2 overflows; an SVD of it would return a rank instead of failing.
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+            zero_structure([[1e200, 1.0], [0.0, 0.0]])
+
     def test_integer_identities_on_planted_matrices(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -123,3 +128,37 @@ class TestVerifyDecomposition:
         report = verify_decomposition(A_DIAG, dec)
         assert report.all_passed
         assert np.linalg.matrix_rank(dec.parts[0]) == 1  # equals N - rank(A)
+
+
+def planted_blocks(sizes, nonsingular, seed):
+    """T · diag(J_sizes, diag(nonsingular)) · T^-1 with T = Q · diag(d), Q from
+    a seeded QR and d in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    n_dim = sum(sizes) + len(nonsingular)
+    canonical = np.zeros((n_dim, n_dim))
+    offset = 0
+    for size in sizes:
+        canonical[offset : offset + size, offset : offset + size] = np.eye(size, k=1)
+        offset += size
+    canonical[offset:, offset:] = np.diag(nonsingular)
+    q, _ = np.linalg.qr(rng.standard_normal((n_dim, n_dim)))
+    t = q * rng.uniform(0.5, 2.0, size=n_dim)
+    return t @ canonical @ np.linalg.inv(t)
+
+
+class TestLargeZeroBlocks:
+    """Zero blocks of size 4 and 5 reach A^5 and A^6, where powers are formed
+    by squaring rather than by a running product."""
+
+    @pytest.mark.parametrize("sizes", [(4, 1), (5,), (4, 2, 1), (5, 3)], ids=str)
+    def test_planted_structure_is_recovered(self, sizes):
+        seed = 100 * len(sizes) + sum(sizes)
+        nonsingular = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=3)
+        a = planted_blocks(sizes, nonsingular, seed)
+        n = max(sizes)
+        st = zero_structure(a)
+        assert st.q_sizes == tuple(sizes.count(i) for i in range(1, n + 1))
+        assert st.rank_sequence == tuple(
+            3 + sum(max(size - k, 0) for size in sizes) for k in range(n + 2)
+        )
+        assert verify_decomposition(a, build_decomposition(a)).all_passed

@@ -1,12 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nnscontrol import InputError
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
 from nnscontrol.fixtures import change_of_basis_system, change_of_basis_transformed
+from nnscontrol.generators import generate_system
 from nnscontrol.oracle import (
     OracleConfig,
     OracleVerdict,
+    _canonical_column,
+    _powers_times_b,
+    _sequence_cone_ladder,
     coverage_probe,
     enumerate_supports,
     random_rollout,
@@ -170,3 +176,75 @@ class TestAgreementWithVerdicts:
             checked += 1
             assert not verdict.covered
         assert checked > 0
+
+
+def product_sequence_cones(sys, supports, k, blocks):
+    """Reference: the distinct sequence cones of horizon k from the product of
+    all support sequences, in the order the sequences first reach them."""
+    column_by_key = {}
+    step_keys = []
+    for step in range(k):
+        block = blocks[k - step - 1]
+        per_support = {}
+        for sup in supports:
+            keys = []
+            for j in sup:
+                key = _canonical_column(block[:, j])
+                if key is None:
+                    continue
+                keys.append(key)
+                column_by_key.setdefault(key, np.frombuffer(key, dtype=float))
+            per_support[sup] = frozenset(keys)
+        step_keys.append(per_support)
+    generators = {}
+    for sequence in itertools.product(supports, repeat=k):
+        merged = frozenset().union(*(step_keys[step][sup] for step, sup in enumerate(sequence)))
+        if merged in generators:
+            continue
+        ordered = sorted(merged)
+        if ordered:
+            generators[merged] = np.column_stack([column_by_key[key] for key in ordered])
+        else:
+            generators[merged] = np.zeros((sys.n, 0))
+    return generators
+
+
+SHIFT = SystemPair(A=np.eye(3, k=1), B=np.eye(3))  # nilpotent: key sets recur
+
+
+class TestSequenceConeLadder:
+    @pytest.mark.parametrize(
+        "sys, s",
+        [
+            (COB, 2),
+            (COB_T, 2),
+            (SCALAR_FLIP, 1),
+            (SHIFT, 2),
+            (generate_system("planted_rank_deficient", 3, 4, 0).system, 2),
+        ],
+        ids=["cob", "cob_t", "scalar_flip", "shift", "generated"],
+    )
+    def test_matches_product_enumeration(self, sys, s):
+        supports = enumerate_supports(sys.m, s)
+        blocks = _powers_times_b(sys, 4)
+        ladder = list(_sequence_cone_ladder(sys, supports, blocks))
+        assert len(ladder) == 4
+        for k, cones in enumerate(ladder, start=1):
+            expected = product_sequence_cones(sys, supports, k, blocks)
+            assert list(cones) == list(expected)
+            for key, generators in cones.items():
+                assert np.array_equal(generators, expected[key])
+
+    def test_coverage_guard(self):
+        # 18 singleton supports: 18^3 = 5,832 sequences pass, 18^4 do not.
+        turn = np.pi / 6
+        rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        sys = SystemPair(A=rotation, B=np.tile([[1.0], [0.0]], 18))
+        with pytest.raises(InputError) as excinfo:
+            coverage_probe(sys, 1, OracleConfig(k_max=4))
+        assert str(excinfo.value) == (
+            "104976 support sequences exceed the guard (100000); lower the horizon or s"
+        )
+        verdict = coverage_probe(sys, 1, OracleConfig(k_max=3))
+        assert verdict.outcome == "uncovered"
+        assert verdict.lp_count == 207
