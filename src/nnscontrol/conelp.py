@@ -35,12 +35,16 @@ class ConeMembershipResult:
     ``coefficients`` is a basic feasible solution (at most rank(M) strict
     positives) and is None when not a member. ``residual`` is the infinity
     norm of M u - x for members, and the phase-one infeasibility gap
-    otherwise.
+    otherwise. ``separator`` is None for members; for non-members it is a
+    Farkas certificate w with w^T M >= 0 and w^T x < 0 up to rounding, a
+    hyperplane through the origin with the cone on one side and x on the
+    other (the phase-one duals of the simplex, or -x for an empty M).
     """
 
     member: bool
     coefficients: np.ndarray | None
     residual: float
+    separator: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,7 @@ class _LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray
     objective: float
+    separator: np.ndarray | None = None  # set when status is "infeasible"
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], i: int, j: int) -> None:
@@ -116,7 +121,12 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, feas_tol: float) -> _
     run(phase1_cost, total)
     infeasibility = float(phase1_cost[basis] @ tableau[:, -1])
     if infeasibility > feas_tol:
-        return _LPResult("infeasible", np.zeros(n), infeasibility)
+        # The artificial columns hold B^-1, so pi = c_B B^-1 are the duals.
+        # Optimality gives pi a_j <= 0 for every column and pi b > 0 on the
+        # sign-flipped rows; w = -pi with the flips undone separates b.
+        separator = -(phase1_cost[basis] @ tableau[:, n:total])
+        separator[neg] *= -1.0
+        return _LPResult("infeasible", np.zeros(n), infeasibility, separator)
 
     # Drive zero-level artificials out so phase two can never reuse them.
     for i in range(rows):
@@ -136,6 +146,12 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, feas_tol: float) -> _
     return _LPResult("optimal", x, float(c @ x))
 
 
+def membership_tol(x: np.ndarray, tol: Tolerances) -> float:
+    """The phase-one gap above which x counts as outside a cone:
+    ``ineq_tol`` scaled by 1 + ||x||_inf."""
+    return tol.ineq_tol * (1.0 + float(np.abs(x).max(initial=0.0)))
+
+
 def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembershipResult:
     """Decide whether x = M u has a solution u >= 0 (x in cone of M's columns).
 
@@ -146,16 +162,15 @@ def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembers
     x = as_vector(x, "x")
     if m.shape[0] != x.size:
         raise InputError(f"M has {m.shape[0]} rows but x has {x.size} entries")
-    scale = 1.0 + float(np.abs(x).max(initial=0.0))
-    feas_tol = tol.ineq_tol * scale
+    feas_tol = membership_tol(x, tol)
     if m.shape[1] == 0:
         residual = float(np.abs(x).max(initial=0.0))
         if residual <= feas_tol:
             return ConeMembershipResult(True, np.zeros(0), residual)
-        return ConeMembershipResult(False, None, residual)
+        return ConeMembershipResult(False, None, residual, -x)
     result = _solve_lp(m, x, np.zeros(m.shape[1]), feas_tol)
     if result.status == "infeasible":
-        return ConeMembershipResult(False, None, result.objective)
+        return ConeMembershipResult(False, None, result.objective, result.separator)
     u = result.x
     residual = float(np.abs(m @ u - x).max(initial=0.0))
     if residual > feas_tol:

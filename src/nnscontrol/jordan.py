@@ -78,8 +78,11 @@ def _power_ladder(a, tol: Tolerances) -> tuple[ZeroStructure, list[np.ndarray], 
     kernels = [np.zeros((n_dim, 0))]
     range_basis = np.eye(n_dim)
     for k in range(1, n_dim + 2):
-        # as_matrix refuses a power that overflowed, which an SVD would rank.
-        u, s, vh = np.linalg.svd(as_matrix(mat_pow(a, k), "matrix"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = mat_pow(a, k)
+        if not np.all(np.isfinite(power)):  # an SVD would rank it, not fail
+            raise NumericError(f"A^{k} overflows")
+        u, s, vh = np.linalg.svd(power)
         ranks.append(int(np.count_nonzero(s > tol.rank_rtol * s[0])) if s.size else 0)
         if ranks[-1] > ranks[-2]:
             raise NumericError(

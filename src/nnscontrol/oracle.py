@@ -9,14 +9,23 @@ positive evidence of controllability; an uncovered one is inconclusive on
 its own (no horizon bound exists) and gains meaning when paired with an
 uncontrollability certificate.
 
-Two semantics-preserving shortcuts keep the enumeration tractable:
+Three semantics-preserving shortcuts keep the enumeration tractable:
 
   * a probe outside the convex relaxation (all supports merged) is outside
     every sequence cone, costing one LP instead of the full sweep;
   * sequences whose generator sets coincide after dropping zero columns
     and rescaling each column to unit norm define the same cone, so each
     distinct set is solved once per probe. The distinct sets of horizon k
-    are built from those of horizon k-1, keying each A^j B column once.
+    are built from those of horizon k-1, keying each A^j B column once;
+  * every LP that finds a probe outside a cone G returns a Farkas
+    separator w (w^T G >= 0 > w^T p), scaled to unit max modulus and kept
+    when w^T G >= -1e-12 max|G| holds. One sweep shares them across every
+    cone and probe, and answers a question "p in cone(G)?" with "outside"
+    without an LP when a stored w has w^T p < -10^3 feas_tol (the LP's
+    own threshold) and w^T G >= -1e-12 max|G| on this G. Since
+    ||p - G u||_1 >= -w^T p - 1e-12 max|G| ||u||_1 for every u >= 0, the
+    LP would find a phase-one gap about 10^3 times over its threshold.
+    Nothing is kept from one sweep to the next.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conelp import feasible_nonneg_solution
+from .conelp import feasible_nonneg_solution, membership_tol
 from .controllability import SystemPair, validate_sparsity
-from .errors import InputError
+from .errors import InputError, NumericError
 from .matrixcore import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -45,6 +54,10 @@ __all__ = [
 
 MAX_SUPPORTS = 10_000
 MAX_SEQUENCES = 100_000
+# A stored separator w (max |w_i| = 1) settles "p outside cone(G)" when
+# w^T G >= -_SEPARATOR_TAU max|G| and w^T p < -_REJECT_FACTOR feas_tol.
+_SEPARATOR_TAU = 1e-12
+_REJECT_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,9 @@ class OracleVerdict:
 
     outcome "covered_at": every probe was reconstructed at horizon k_used.
     outcome "uncovered": the listed directions survived through k_max;
-    inconclusive without a certificate.
+    inconclusive without a certificate. ``lp_count`` is the number of
+    membership questions the sweep settled, by an LP or by a stored
+    separating hyperplane; fewer LPs than that actually run.
     """
 
     outcome: str  # "covered_at" | "uncovered"
@@ -120,10 +135,13 @@ def enumerate_supports(m: int, s: int) -> list[tuple[int, ...]]:
 
 
 def _powers_times_b(sys: SystemPair, k: int) -> list[np.ndarray]:
-    """[A^j B for j = 0..k-1]."""
+    """[A^j B for j = 0..k-1]; NumericError when a power overflows."""
     blocks = [sys.B]
-    for _ in range(k - 1):
-        blocks.append(sys.A @ blocks[-1])
+    for j in range(1, k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks.append(sys.A @ blocks[-1])
+        if not np.all(np.isfinite(blocks[-1])):
+            raise NumericError(f"A^{j} B overflows")
     return blocks
 
 
@@ -220,13 +238,54 @@ def _probe_directions(sys: SystemPair, cfg: OracleConfig) -> list[np.ndarray]:
     return probes
 
 
+class _SeparatorPool:
+    """The Farkas separators of one sweep's non-member LPs (the third
+    shortcut above), and the probe that the next questions are about."""
+
+    def __init__(self, n: int, tol: Tolerances) -> None:
+        self.tol = tol
+        self.separators = np.zeros((0, n))
+        self.probe = np.zeros(n)
+        self.cut = 0.0
+        self.near = self.separators  # the separators with w^T probe < cut
+
+    def focus(self, probe: np.ndarray) -> None:
+        self.probe = probe
+        self.cut = -_REJECT_FACTOR * membership_tol(probe, self.tol)
+        self.near = self.separators[self.separators @ probe < self.cut]
+
+    def member(self, generators: np.ndarray) -> bool:
+        """Whether the probe lies in cone(generators), by a stored separator or by LP."""
+        if len(self.near) and (
+            generators.shape[1] == 0
+            or np.any((self.near @ generators).min(axis=1) >= _separator_floor(generators))
+        ):
+            return False
+        result = feasible_nonneg_solution(generators, self.probe, self.tol)
+        if result.member:
+            return True
+        w = result.separator / np.abs(result.separator).max()
+        if float((w @ generators).min(initial=np.inf)) >= _separator_floor(generators):
+            self.separators = np.vstack([self.separators, w])
+            if w @ self.probe < self.cut:
+                self.near = np.vstack([self.near, w])
+        return False
+
+
+def _separator_floor(generators: np.ndarray) -> float:
+    """The least w^T g a unit-scaled separator may give a generator: -tau max|G|."""
+    return -_SEPARATOR_TAU * float(np.abs(generators).max(initial=0.0))
+
+
 def _sweep_coverage(
     sys: SystemPair, s: int, probes: list[np.ndarray], k_max: int, tol: Tolerances
 ) -> tuple[int | None, list[int], int]:
     """Core loop: (first covering horizon or None, surviving probe indices, LP count).
 
     Zero inputs are admissible, so per-probe coverage is monotone in the
-    horizon and only still-uncovered probes are retested as K grows.
+    horizon and only still-uncovered probes are retested as K grows. The
+    count is of membership questions, whether an LP or a stored separator
+    settled them.
     """
     supports = enumerate_supports(sys.m, s)
     uncovered = list(range(len(probes)))
@@ -234,6 +293,7 @@ def _sweep_coverage(
     blocks = _powers_times_b(sys, k_max)
     ladder = _sequence_cone_ladder(sys, supports, blocks)
     cones: list[dict[frozenset[bytes], np.ndarray]] = []  # cones[k-1]: horizon k
+    pool = _SeparatorPool(sys.n, tol)
     # Known-outside (probe, key set) pairs. Key sets recur across horizons
     # when powers of A repeat directions (nilpotent or low-rank A).
     outside: set[tuple[int, frozenset[bytes]]] = set()
@@ -241,9 +301,9 @@ def _sweep_coverage(
         relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
         survivors = []
         for idx in uncovered:
-            probe = probes[idx]
+            pool.focus(probes[idx])
             lp_count += 1
-            if not feasible_nonneg_solution(relaxation, probe, tol).member:
+            if not pool.member(relaxation):
                 survivors.append(idx)
                 continue
             if s == sys.m:
@@ -255,7 +315,7 @@ def _sweep_coverage(
                 if (idx, key) in outside:
                     continue
                 lp_count += 1
-                if feasible_nonneg_solution(generators, probe, tol).member:
+                if pool.member(generators):
                     break
                 outside.add((idx, key))
             else:

@@ -104,6 +104,15 @@ class TestOracle:
         assert code == 1
         assert "sparsity" in err
 
+    def test_overflowing_power_exits_two(self, capsys, tmp_path):
+        # A valid system whose A^2 B overflows: a numeric failure, not an input error.
+        path = tmp_path / "sys.json"
+        path.write_text('{"A": [[1e200, 0], [0, 1]], "B": [[1, 0], [0, 1]], "s": 1}')
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "numeric failure: A^2 B overflows\n"
+
 
 class TestDecompose:
     def test_cob_structure(self, capsys):

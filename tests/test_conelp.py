@@ -16,6 +16,7 @@ from nnscontrol import (
     rank,
     sparsify_positive_combination,
 )
+from nnscontrol.conelp import _PIVOT_TOL, _pivot
 
 # Minimal positive basis of R^2: e1, e2 and -(e1+e2).
 Z_MPB = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
@@ -106,6 +107,111 @@ class TestFeasibleNonnegSolution:
         gain = float(x @ witness.rho)
         if gain > 1e-6:
             assert not res.member
+
+
+def reference_membership(m, x, tol=DEFAULT_TOL):
+    """Reference: the membership path before separators were returned, as
+    (member, coefficients, residual)."""
+    scale = 1.0 + float(np.abs(x).max(initial=0.0))
+    feas_tol = tol.ineq_tol * scale
+    if m.shape[1] == 0:
+        residual = float(np.abs(x).max(initial=0.0))
+        return residual <= feas_tol, (np.zeros(0) if residual <= feas_tol else None), residual
+    rows, n = m.shape
+    a, b = m.copy(), x.copy()
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    tableau = np.hstack([a, np.eye(rows), b[:, None]])
+    basis = list(range(n, n + rows))
+    cost = np.concatenate([np.zeros(n), np.ones(rows)])
+    while True:
+        reduced = cost - cost[basis] @ tableau[:, : n + rows]
+        eligible = np.nonzero(reduced < -_PIVOT_TOL)[0]
+        if eligible.size == 0:
+            break
+        j = int(eligible[0])
+        col = tableau[:, j]
+        positive = np.nonzero(col > _PIVOT_TOL)[0]
+        ratios = np.maximum(tableau[positive, -1], 0.0) / col[positive]
+        ties = positive[ratios <= ratios.min() + _PIVOT_TOL]
+        _pivot(tableau, basis, int(min(ties, key=lambda r: basis[r])), j)
+    infeasibility = float(cost[basis] @ tableau[:, -1])
+    if infeasibility > feas_tol:
+        return False, None, infeasibility
+    for i in range(rows):
+        if basis[i] >= n:
+            candidates = np.nonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)[0]
+            if candidates.size:
+                _pivot(tableau, basis, i, int(candidates[0]))
+    u = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            u[var] = max(tableau[i, -1], 0.0)
+    return True, u, float(np.abs(m @ u - x).max(initial=0.0))
+
+
+def degenerate_cone_cases(seed, count):
+    """Cones with 1-4 rows and 0-8 columns, with duplicate, zero and opposite
+    columns, and targets inside, outside and on their boundary."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows = int(rng.integers(1, 5))
+        cols = int(rng.integers(0, 9))
+        if rng.uniform() < 0.5:
+            g = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+        else:
+            g = rng.standard_normal((rows, cols))
+        for j in range(1, cols):
+            pick = rng.uniform()
+            if pick < 0.15:
+                g[:, j] = g[:, rng.integers(0, j)]
+            elif pick < 0.25:
+                g[:, j] = 0.0
+            elif pick < 0.4:
+                g[:, j] = -g[:, rng.integers(0, j)]
+        pick = rng.uniform()
+        if pick < 0.3 and cols:
+            x = g @ (rng.uniform(0.0, 1.0, cols) * (rng.uniform(size=cols) < 0.5))
+        elif pick < 0.6:
+            x = rng.integers(-3, 4, size=rows).astype(float)
+        else:
+            x = rng.standard_normal(rows)
+        yield g, x
+
+
+class TestSeparator:
+    def test_outside_orthant(self):
+        res = feasible_nonneg_solution(np.eye(2), [1.0, -1.0])
+        np.testing.assert_allclose(res.separator, [0.0, 1.0], atol=1e-12)
+
+    def test_empty_cone(self):
+        res = feasible_nonneg_solution(np.zeros((2, 0)), [1.0, -2.0])
+        assert not res.member
+        assert res.separator @ np.array([1.0, -2.0]) < 0
+
+    def test_member_has_none(self):
+        assert feasible_nonneg_solution(Z_MPB, [1.0, 2.0]).separator is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_separator_is_a_certificate(self, seed):
+        outside = 0
+        for g, x in degenerate_cone_cases(seed, 150):
+            res = feasible_nonneg_solution(g, x)
+            member, coefficients, residual = reference_membership(g, x)
+            assert res.member == member
+            assert res.residual == residual
+            if member:
+                assert np.array_equal(res.coefficients, coefficients)
+                assert res.separator is None
+                continue
+            outside += 1
+            assert res.coefficients is None
+            w = res.separator
+            assert w @ x < 0
+            floor = -1e-12 * np.abs(g).max(initial=0.0) * np.abs(w).max()
+            assert (w @ g).min(initial=np.inf) >= floor
+        assert outside > 20
 
 
 class TestHomogeneousNonzero:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import planted_structure_matrix as planted_matrix
 
-from nnscontrol import InputError
+from nnscontrol import InputError, NumericError
 from nnscontrol.jordan import (
     RowSplitDecomposition,
     build_decomposition,
@@ -49,7 +49,8 @@ class TestZeroStructure:
 
     def test_overflowing_power_is_refused(self):
         # A^2 overflows; an SVD of it would return a rank instead of failing.
-        with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+        # The input is valid, so this is a numeric failure, not an input error.
+        with pytest.raises(NumericError, match=r"A\^2 overflows"):
             zero_structure([[1e200, 1.0], [0.0, 0.0]])
 
     def test_integer_identities_on_planted_matrices(self):

@@ -1,19 +1,30 @@
 import itertools
+import json
+import warnings
 
 import numpy as np
 import pytest
 
-from nnscontrol import InputError
-from nnscontrol.controllability import SystemPair, check_nonneg_sparse
+from nnscontrol import DEFAULT_TOL, InputError, NumericError, oracle
+from nnscontrol.controllability import (
+    SystemPair,
+    certificate_direction,
+    check_nonneg_sparse,
+)
+from nnscontrol.conelp import feasible_nonneg_solution
 from nnscontrol.fixtures import change_of_basis_system, change_of_basis_transformed
-from nnscontrol.generators import generate_system
+from nnscontrol.generators import KINDS, generate_system
 from nnscontrol.oracle import (
     OracleConfig,
     OracleVerdict,
     _canonical_column,
+    _guard_sequences,
     _powers_times_b,
+    _probe_directions,
     _sequence_cone_ladder,
+    _sweep_coverage,
     coverage_probe,
+    direction_uncovered,
     enumerate_supports,
     random_rollout,
     reachable_membership,
@@ -248,3 +259,130 @@ class TestSequenceConeLadder:
         verdict = coverage_probe(sys, 1, OracleConfig(k_max=3))
         assert verdict.outcome == "uncovered"
         assert verdict.lp_count == 207
+
+
+def lp_sweep_coverage(sys, s, probes, k_max, tol=DEFAULT_TOL):
+    """Reference: the coverage sweep that settles every membership question
+    with an LP, as (first covering horizon or None, survivors, LP count)."""
+    supports = enumerate_supports(sys.m, s)
+    uncovered = list(range(len(probes)))
+    lp_count = 0
+    blocks = _powers_times_b(sys, k_max)
+    ladder = _sequence_cone_ladder(sys, supports, blocks)
+    cones = []
+    outside = set()
+    for k in range(1, k_max + 1):
+        relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
+        survivors = []
+        for idx in uncovered:
+            probe = probes[idx]
+            lp_count += 1
+            if not feasible_nonneg_solution(relaxation, probe, tol).member:
+                survivors.append(idx)
+                continue
+            if s == sys.m:
+                continue
+            if len(cones) < k:
+                _guard_sequences(supports, k)
+                cones.extend(itertools.islice(ladder, k - len(cones)))
+            for key, generators in cones[k - 1].items():
+                if (idx, key) in outside:
+                    continue
+                lp_count += 1
+                if feasible_nonneg_solution(generators, probe, tol).member:
+                    break
+                outside.add((idx, key))
+            else:
+                survivors.append(idx)
+        uncovered = survivors
+        if not uncovered:
+            return k, [], lp_count
+    return None, uncovered, lp_count
+
+
+def lp_coverage_probe(sys, s, cfg):
+    probes = _probe_directions(sys, cfg)
+    covered_at, uncovered, lp_count = lp_sweep_coverage(sys, s, probes, cfg.k_max)
+    if covered_at is not None:
+        return OracleVerdict(outcome="covered_at", k_used=covered_at, lp_count=lp_count)
+    return OracleVerdict(
+        outcome="uncovered",
+        k_used=cfg.k_max,
+        lp_count=lp_count,
+        uncovered_directions=tuple(probes[idx] for idx in uncovered),
+    )
+
+
+def assert_sweep_matches_lp_reference(sys, s, cfg):
+    verdict = coverage_probe(sys, s, cfg)
+    expected = lp_coverage_probe(sys, s, cfg)
+    assert json.dumps(verdict.to_dict()) == json.dumps(expected.to_dict())
+    directions = [np.eye(sys.n)[0], -np.ones(sys.n) / np.sqrt(sys.n)]
+    report = check_nonneg_sparse(sys, s)
+    if report.certificate is not None:
+        directions.append(certificate_direction(report.certificate))
+    for direction in directions:
+        expected_uncovered = lp_sweep_coverage(sys, s, [direction], 6)[0] is None
+        assert direction_uncovered(sys, s, direction) == expected_uncovered
+
+
+SWEEP_CONFIG = OracleConfig(n_directions=16, seed=2024)
+
+
+class TestSeparatorReuse:
+    """Stored Farkas hyperplanes settle questions exactly as the LP would."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_systems(self, kind, n, m, seed):
+        sys = generate_system(kind, n, m, seed).system
+        for s in range(1, m + 1):
+            assert_sweep_matches_lp_reference(sys, s, SWEEP_CONFIG)
+
+    @pytest.mark.parametrize(
+        "sys", [COB, COB_T, SCALAR_FLIP, SHIFT], ids=["cob", "cob_t", "scalar_flip", "shift"]
+    )
+    def test_fixtures(self, sys):
+        for s in range(1, sys.m + 1):
+            assert_sweep_matches_lp_reference(sys, s, OracleConfig(seed=1))
+
+    def test_member_within_feas_tol_is_not_rejected(self):
+        # A flat cone in R^3 spanned by two nearly opposite generators. The
+        # first probe's LP yields the separator w = e3, and the second probe
+        # has w^T p < 0 but is a member within the LP's feas_tol.
+        sys = SystemPair(A=np.eye(3), B=np.array([[1.0, -1.0], [0.0, 1e-3], [0.0, 0.0]]))
+        below = np.array([0.0, 0.0, -1.0])
+        edge = np.array([1.0, 0.0, -5e-9])
+        w = feasible_nonneg_solution(sys.B, below).separator
+        assert w @ edge < 0
+        assert feasible_nonneg_solution(sys.B, edge).member
+        for s in (1, 2):
+            result = _sweep_coverage(sys, s, [below, edge], 3, DEFAULT_TOL)
+            assert result == lp_sweep_coverage(sys, s, [below, edge], 3)
+            assert result[1] == [0]
+
+    def test_heavy_tail_lp_guard(self, monkeypatch):
+        # The acceptance suite's costliest system: 11,598 membership
+        # questions, nearly all settled by reused hyperplanes.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return feasible_nonneg_solution(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
+        sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
+        verdict = coverage_probe(sys, 1, OracleConfig(seed=2024))
+        assert verdict.lp_count == 11598
+        assert len(calls) < 1000
+
+
+class TestPowerOverflow:
+    def test_overflowing_power_is_numeric_failure(self):
+        sys = SystemPair(A=np.array([[1e200, 0.0], [0.0, 1.0]]), B=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"A\^2 B overflows"):
+                coverage_probe(sys, 1)
