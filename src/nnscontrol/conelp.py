@@ -1,10 +1,14 @@
-"""Polyhedral-cone primitives built on a dense two-phase simplex.
+"""Polyhedral-cone primitives built on one non-negative least-squares solve.
 
 Membership in finitely generated cones, nonzero solutions of homogeneous
 inequality systems, and basic-feasible sparsification of positive
-combinations. The simplex is intentionally small: dense tableau, Bland's
-rule for anti-cycling, determinism over speed. Problems here are desk
-scale (tens of variables), so no effort is spent on sparsity or pricing.
+combinations all reduce to one question, "is x in cone(G)?", answered by
+the Lawson-Hanson active-set method (Lawson & Hanson, *Solving Least
+Squares Problems*, 1974, ch. 23). It minimises ||x - G u||_2 over u >= 0;
+its residual is either within tolerance of zero (a member, with at most
+rank(G) positive coefficients) or a Farkas separator. Problems here are
+desk scale (tens of variables), so each step re-solves a dense least
+squares problem rather than updating a factorisation.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ __all__ = [
     "is_positive_spanning_subspace",
 ]
 
-_PIVOT_TOL = 1e-11
+# A column may enter the active set only when its dual G^T r exceeds
+# _DUAL_RTOL ||r||_inf max|G|; below that the residual is optimal.
+_DUAL_RTOL = 1e-13
+# The columns that carry weight must keep sigma_min > _BLOCK_RCOND sigma_max.
+_BLOCK_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -34,11 +42,12 @@ class ConeMembershipResult:
 
     ``coefficients`` is a basic feasible solution (at most rank(M) strict
     positives) and is None when not a member. ``residual`` is the infinity
-    norm of M u - x for members, and the phase-one infeasibility gap
-    otherwise. ``separator`` is None for members; for non-members it is a
-    Farkas certificate w with w^T M >= 0 and w^T x < 0 up to rounding, a
-    hyperplane through the origin with the cone on one side and x on the
-    other (the phase-one duals of the simplex, or -x for an empty M).
+    norm of x - M u at the least-squares u >= 0: at most ``membership_tol``
+    for members, the distance to the cone otherwise. ``separator`` is None
+    for members; for non-members it is a Farkas certificate w with
+    w^T M >= 0 and w^T x < 0 up to rounding, a hyperplane through the
+    origin with the cone on one side and x on the other (the negated
+    residual, orthogonal to the columns that carry weight).
     """
 
     member: bool
@@ -54,100 +63,59 @@ class HomogeneousWitness:
     rho: np.ndarray
 
 
-@dataclass
-class _LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray
-    objective: float
-    separator: np.ndarray | None = None  # set when status is "infeasible"
+def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, list[int]]:
+    """Lawson-Hanson: u >= 0 minimising ||x - g u||_2, and its positive columns.
 
-
-def _pivot(tableau: np.ndarray, basis: list[int], i: int, j: int) -> None:
-    """Make column j basic in row i: scale the row, eliminate the column
-    from every other row and record j in the basis."""
-    tableau[i] /= tableau[i, j]
-    other = np.arange(tableau.shape[0]) != i
-    tableau[other] -= np.outer(tableau[other, j], tableau[i])
-    basis[i] = j
-
-
-def _solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, feas_tol: float) -> _LPResult:
-    """Minimize c @ y subject to a y = b, y >= 0.
-
-    Dense two-phase simplex with Bland's rule (entering: lowest eligible
-    column index; leaving: lowest basic variable index among ratio ties).
-    Bland's rule makes cycling impossible; the iteration cap is a guard
-    against implementation bugs, not a tuning knob.
+    Stops early once ||x - g u||_inf <= feas_tol. The positive columns stay
+    linearly independent: a column that would make them rank-deficient, or
+    whose coefficient is not positive on entry, is blocked until u changes,
+    which also rules out cycling on degenerate cones. The iteration cap is a
+    guard against numerical trouble, not a tuning knob.
     """
-    rows, n = a.shape
-    if rows == 0:
-        if np.all(c >= -_PIVOT_TOL):
-            return _LPResult("optimal", np.zeros(n), 0.0)
-        return _LPResult("unbounded", np.zeros(n), -np.inf)
-
-    a = a.copy()
-    b = b.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    tableau = np.hstack([a, np.eye(rows), b[:, None]])
-    basis = list(range(n, n + rows))
-    total = n + rows
-    max_iter = 1000 + 200 * total
-
-    def run(cost: np.ndarray, enter_limit: int) -> str:
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > max_iter:
-                raise NumericError("simplex iteration guard exceeded")
-            reduced = cost[:enter_limit] - cost[basis] @ tableau[:, :enter_limit]
-            eligible = np.nonzero(reduced < -_PIVOT_TOL)[0]
-            if eligible.size == 0:
-                return "optimal"
-            j = int(eligible[0])
-            col = tableau[:, j]
-            positive = np.nonzero(col > _PIVOT_TOL)[0]
-            if positive.size == 0:
-                return "unbounded"
-            ratios = np.maximum(tableau[positive, -1], 0.0) / col[positive]
-            best = ratios.min()
-            ties = positive[ratios <= best + _PIVOT_TOL]
-            i = int(min(ties, key=lambda r: basis[r]))
-            _pivot(tableau, basis, i, j)
-
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(rows)])
-    run(phase1_cost, total)
-    infeasibility = float(phase1_cost[basis] @ tableau[:, -1])
-    if infeasibility > feas_tol:
-        # The artificial columns hold B^-1, so pi = c_B B^-1 are the duals.
-        # Optimality gives pi a_j <= 0 for every column and pi b > 0 on the
-        # sign-flipped rows; w = -pi with the flips undone separates b.
-        separator = -(phase1_cost[basis] @ tableau[:, n:total])
-        separator[neg] *= -1.0
-        return _LPResult("infeasible", np.zeros(n), infeasibility, separator)
-
-    # Drive zero-level artificials out so phase two can never reuse them.
-    for i in range(rows):
-        if basis[i] >= n:
-            candidates = np.nonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)[0]
-            if candidates.size:
-                _pivot(tableau, basis, i, int(candidates[0]))
-
-    phase2_cost = np.concatenate([c, np.zeros(rows)])
-    status = run(phase2_cost, n)
-    x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = max(tableau[i, -1], 0.0)
-    if status == "unbounded":
-        return _LPResult("unbounded", x, -np.inf)
-    return _LPResult("optimal", x, float(c @ x))
+    cols = g.shape[1]
+    u = np.zeros(cols)
+    passive: list[int] = []
+    blocked = np.zeros(cols, dtype=bool)
+    dual_cut = _DUAL_RTOL * float(np.abs(g).max(initial=0.0))
+    r = x.copy()
+    for _ in range(100 + 10 * cols):
+        size = float(np.abs(r).max(initial=0.0))
+        if size <= feas_tol or cols == 0:
+            return u, passive
+        dual = g.T @ r
+        dual[passive] = -np.inf
+        dual[blocked] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] <= dual_cut * size:
+            return u, passive
+        trial = passive + [j]
+        z, _, trial_rank, _ = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)
+        if trial_rank < len(trial) or z[-1] <= 0.0:
+            blocked[j] = True
+            continue
+        new_u = u.copy()
+        while np.any(z <= 0.0):
+            # Step from u towards z until the first coefficient reaches 0.
+            current = new_u[trial]
+            bad = np.flatnonzero(z <= 0.0)
+            ratios = current[bad] / (current[bad] - z[bad])
+            step = current + ratios.min() * (z - current)
+            step[bad[np.argmin(ratios)]] = 0.0
+            new_u[trial] = np.maximum(step, 0.0)
+            trial = [c for c in trial if new_u[c] > 0.0]
+            z = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)[0]
+        new_u[:] = 0.0
+        new_u[trial] = z
+        if not np.array_equal(new_u, u):
+            blocked[:] = False
+        blocked[j] = j not in trial
+        u, passive = new_u, trial
+        r = x - g @ u
+    raise NumericError("non-negative least squares iteration guard exceeded")
 
 
 def membership_tol(x: np.ndarray, tol: Tolerances) -> float:
-    """The phase-one gap above which x counts as outside a cone:
+    """The residual ||x - M u||_inf above which x counts as outside a cone:
     ``ineq_tol`` scaled by 1 + ||x||_inf."""
     return tol.ineq_tol * (1.0 + float(np.abs(x).max(initial=0.0)))
 
@@ -163,19 +131,29 @@ def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembers
     if m.shape[0] != x.size:
         raise InputError(f"M has {m.shape[0]} rows but x has {x.size} entries")
     feas_tol = membership_tol(x, tol)
-    if m.shape[1] == 0:
-        residual = float(np.abs(x).max(initial=0.0))
-        if residual <= feas_tol:
-            return ConeMembershipResult(True, np.zeros(0), residual)
-        return ConeMembershipResult(False, None, residual, -x)
-    result = _solve_lp(m, x, np.zeros(m.shape[1]), feas_tol)
-    if result.status == "infeasible":
-        return ConeMembershipResult(False, None, result.objective, result.separator)
-    u = result.x
-    residual = float(np.abs(m @ u - x).max(initial=0.0))
-    if residual > feas_tol:
-        raise NumericError(f"simplex returned an infeasible vertex, residual {residual:.3e}")
-    return ConeMembershipResult(True, u, residual)
+    u, passive = _nnls(m, x, feas_tol)
+    r = x - m @ u
+    residual = float(np.abs(r).max(initial=0.0))
+    if residual <= feas_tol:
+        return ConeMembershipResult(True, u, residual)
+    # Optimality leaves r orthogonal to the positive columns; projecting
+    # them out removes the rounding. When they are ill-conditioned, a column
+    # refused as dependent on them can still see w^T g < 0 beyond rounding;
+    # then the subspace that best fits both is tried too, and the separator
+    # that leaves its worst generator least far below zero is kept.
+    w = _separator(r, np.linalg.qr(m[:, passive])[0])
+    stuck = m.T @ r > _DUAL_RTOL * float(np.abs(m).max(initial=0.0)) * residual
+    stuck[passive] = False
+    if stuck.any():
+        near = m[:, passive + list(np.flatnonzero(stuck))]
+        fit = _separator(r, np.linalg.svd(near, full_matrices=False)[0][:, : len(passive)])
+        w = max(w, fit, key=lambda v: float((v @ m).min()) / float(np.abs(v).max()))
+    return ConeMembershipResult(False, None, residual, w)
+
+
+def _separator(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """-r without its component along the orthonormal columns of ``basis``."""
+    return basis @ (basis.T @ r) - r
 
 
 def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness | None:
@@ -183,13 +161,13 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness 
 
     With one column the cone is a sign test: rho = +1 when every entry of M
     is at most ``ineq_tol``, else rho = -1 when every entry of -M is, else
-    {0}. With g > 1 columns it solves the 2g box LPs of ``_box_lp_ray``.
+    {0}. With g > 1 columns it asks one membership question (``_stiemke_ray``).
     """
     m = as_matrix(m, "M")
     if m.shape[1] < 1:
         raise InputError("M must have at least one column")
     if m.shape[1] > 1:
-        rho = _box_lp_ray(m, tol)
+        rho = _stiemke_ray(m, tol)
     elif m.max(initial=0.0) <= tol.ineq_tol:
         rho = np.ones(1)
     elif (-m).max(initial=0.0) <= tol.ineq_tol:
@@ -204,45 +182,28 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness 
     return HomogeneousWitness(rho=rho)
 
 
-def _box_lp_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     """A nonzero rho with M rho <= 0 scaled to unit max modulus, or None.
 
-    Solves the 2g box LPs max +/-rho_i subject to M rho <= 0, -1 <= rho <= 1.
-    The cone is scale invariant, so whenever it contains any nonzero ray one
-    of the LPs attains an optimum of 1; all optima near zero certify that
-    the cone is trivial.
+    When M (rows x g) is numerically rank-deficient, its last right singular
+    vector is the witness: at unit max modulus ||M rho||_inf <= sigma_min
+    sqrt(g) <= ``ineq_tol``. Otherwise M rho != 0 for every rho != 0, and by
+    Stiemke's lemma (Schrijver, *Theory of Linear and Integer Programming*,
+    1986, 7.8) no rho has M rho <= 0 exactly when some y > 0 has M^T y = 0.
+    One membership question decides that: is -M^T 1 in cone(M^T)? A member
+    gives y = u + 1 >= 1; a non-member's separator w has M w >= 0 and
+    1^T M w > 0, so rho = -w.
     """
     rows, g = m.shape
-    # Shift t = rho + 1 in [0, 2]: M rho <= 0 becomes M t <= M 1.
-    ones = np.ones(g)
-    a = np.zeros((rows + g, g + rows + g))
-    a[:rows, :g] = m
-    a[:rows, g : g + rows] = np.eye(rows)
-    a[rows:, :g] = np.eye(g)
-    a[rows:, g + rows :] = np.eye(g)
-    b = np.concatenate([m @ ones, 2.0 * ones])
-
-    best_value = 0.0
-    best_rho: np.ndarray | None = None
-    for i in range(g):
-        for sign in (1.0, -1.0):
-            c = np.zeros(g + rows + g)
-            c[i] = -sign
-            result = _solve_lp(a, b, c, feas_tol=tol.ineq_tol)
-            if result.status != "optimal":
-                raise NumericError(f"box LP ended with status {result.status}")
-            value = -result.objective - sign  # optimal sign * rho_i with rho = t - 1
-            if value > best_value:
-                best_value = value
-                best_rho = result.x[:g] - 1.0
-            if best_value >= 1.0 - 1e-9:
-                break
-        if best_value >= 1.0 - 1e-9:
-            break
-
-    if best_rho is None or best_value <= tol.ineq_tol:
-        return None
-    return best_rho / np.abs(best_rho).max()
+    _, sigma, vh = np.linalg.svd(m)
+    if rows < g or sigma[-1] * np.sqrt(g) <= tol.ineq_tol:
+        rho = vh[-1]
+    else:
+        result = feasible_nonneg_solution(m.T, -m.T @ np.ones(rows), tol)
+        if result.member:
+            return None
+        rho = -result.separator
+    return rho / np.abs(rho).max()
 
 
 def sparsify_positive_combination(z_mat, z, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -261,7 +222,7 @@ def sparsify_positive_combination(z_mat, z, tol: Tolerances = DEFAULT_TOL) -> np
     result = feasible_nonneg_solution(z_mat[:, keep], z, tol)
     if not result.member:
         raise NotInConeError(
-            f"target is not in the positive span (phase-one gap {result.residual:.3e})"
+            f"target is not in the positive span (distance {result.residual:.3e})"
         )
     alpha = np.zeros(z_mat.shape[1])
     alpha[keep] = result.coefficients
@@ -276,10 +237,8 @@ def is_positive_spanning_subspace(z_mat, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the positive span of Z's columns equals their linear span.
 
     Classic criterion: a finitely generated cone is a subspace exactly when
-    it contains the negation of every generator.
+    it contains the negation of every generator, that is, when Z y = 0 for
+    some y > 0. One membership question decides it: is -Z 1 in cone(Z)?
     """
     z_mat = as_matrix(z_mat, "Z")
-    for j in range(z_mat.shape[1]):
-        if not feasible_nonneg_solution(z_mat, -z_mat[:, j], tol).member:
-            return False
-    return True
+    return feasible_nonneg_solution(z_mat, -z_mat.sum(axis=1), tol).member

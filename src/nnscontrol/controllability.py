@@ -351,7 +351,8 @@ def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Condit
 
     For each such eigenvalue the left eigenspace basis Z is assembled and
     a nonzero rho with B^T Z rho <= 0 is searched: by the sign of B^T z when
-    Z is one vector z, by linear programming otherwise. The pass is vacuous
+    Z is one vector z, by one cone-membership question otherwise (Stiemke's
+    lemma, ``conelp.homogeneous_nonzero``). The pass is vacuous
     when A has no real nonnegative eigenvalue.
     """
     return _condition_ii(sys, left_eigensystem(sys.A, tol), tol)

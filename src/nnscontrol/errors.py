@@ -16,8 +16,9 @@ class InputError(NNSControlError, ValueError):
 
 
 class NumericError(NNSControlError, RuntimeError):
-    """A numerical procedure failed: eigenvalue iteration, simplex cycling
-    guard, inconsistent rank sequences. Results are not trustworthy."""
+    """A numerical procedure failed: eigenvalue iteration, the cone solver's
+    iteration guard, inconsistent rank sequences. Results are not
+    trustworthy."""
 
 
 class NotInConeError(NNSControlError):

@@ -3,8 +3,10 @@
 The reachable set from the origin at horizon K is the union, over all
 per-step support choices, of the positive spans of
 [A^{K-1} B_{S_1} | ... | B_{S_K}]. The oracle enumerates support
-sequences and settles each membership question with the cone LP, probing
-a seeded set of directions on the unit sphere. A covered verdict is
+sequences and settles each membership question with the cone solver
+(``conelp.feasible_nonneg_solution``, a non-negative least-squares
+solve; ``lp_count`` keeps its historical name), probing a seeded set of
+directions on the unit sphere. A covered verdict is
 positive evidence of controllability; an uncovered one is inconclusive on
 its own (no horizon bound exists) and gains meaning when paired with an
 uncontrollability certificate.
@@ -12,20 +14,22 @@ uncontrollability certificate.
 Three semantics-preserving shortcuts keep the enumeration tractable:
 
   * a probe outside the convex relaxation (all supports merged) is outside
-    every sequence cone, costing one LP instead of the full sweep;
+    every sequence cone, costing one solve instead of the full sweep;
   * sequences whose generator sets coincide after dropping zero columns
     and rescaling each column to unit norm define the same cone, so each
     distinct set is solved once per probe. The distinct sets of horizon k
     are built from those of horizon k-1, keying each A^j B column once;
-  * every LP that finds a probe outside a cone G returns a Farkas
+  * every solve that finds a probe outside a cone G returns a Farkas
     separator w (w^T G >= 0 > w^T p), scaled to unit max modulus and kept
     when w^T G >= -1e-12 max|G| holds. One sweep shares them across every
     cone and probe, and answers a question "p in cone(G)?" with "outside"
-    without an LP when a stored w has w^T p < -10^3 feas_tol (the LP's
-    own threshold) and w^T G >= -1e-12 max|G| on this G. Since
-    ||p - G u||_1 >= -w^T p - 1e-12 max|G| ||u||_1 for every u >= 0, the
-    LP would find a phase-one gap about 10^3 times over its threshold.
-    Nothing is kept from one sweep to the next.
+    without a solve when a stored w has w^T p < -10^3 feas_tol (feas_tol
+    is the solver's own threshold on ||p - G u||_inf) and
+    w^T G >= -1e-12 max|G| on this G. For every u >= 0,
+    ||p - G u||_inf >= (-w^T p - 1e-12 max|G| ||u||_1) / ||w||_1, and
+    ||w||_1 <= N, so the residual exceeds feas_tol for every u with
+    1e-12 max|G| ||u||_1 < (10^3 - N) feas_tol: the shortcut stays sound
+    while N < 10^3. Nothing is kept from one sweep to the next.
 """
 
 from __future__ import annotations
@@ -95,8 +99,8 @@ class OracleVerdict:
     outcome "covered_at": every probe was reconstructed at horizon k_used.
     outcome "uncovered": the listed directions survived through k_max;
     inconclusive without a certificate. ``lp_count`` is the number of
-    membership questions the sweep settled, by an LP or by a stored
-    separating hyperplane; fewer LPs than that actually run.
+    membership questions the sweep settled, by a cone solve or by a stored
+    separating hyperplane; fewer solves than that actually run.
     """
 
     outcome: str  # "covered_at" | "uncovered"
@@ -239,7 +243,7 @@ def _probe_directions(sys: SystemPair, cfg: OracleConfig) -> list[np.ndarray]:
 
 
 class _SeparatorPool:
-    """The Farkas separators of one sweep's non-member LPs (the third
+    """The Farkas separators of one sweep's non-member solves (the third
     shortcut above), and the probe that the next questions are about."""
 
     def __init__(self, n: int, tol: Tolerances) -> None:
@@ -255,7 +259,7 @@ class _SeparatorPool:
         self.near = self.separators[self.separators @ probe < self.cut]
 
     def member(self, generators: np.ndarray) -> bool:
-        """Whether the probe lies in cone(generators), by a stored separator or by LP."""
+        """Whether the probe lies in cone(generators), by a stored separator or a solve."""
         if len(self.near) and (
             generators.shape[1] == 0
             or np.any((self.near @ generators).min(axis=1) >= _separator_floor(generators))
@@ -280,12 +284,12 @@ def _separator_floor(generators: np.ndarray) -> float:
 def _sweep_coverage(
     sys: SystemPair, s: int, probes: list[np.ndarray], k_max: int, tol: Tolerances
 ) -> tuple[int | None, list[int], int]:
-    """Core loop: (first covering horizon or None, surviving probe indices, LP count).
+    """Core loop: (first covering horizon or None, surviving probe indices, question count).
 
     Zero inputs are admissible, so per-probe coverage is monotone in the
     horizon and only still-uncovered probes are retested as K grows. The
-    count is of membership questions, whether an LP or a stored separator
-    settled them.
+    count is of membership questions, whether a cone solve or a stored
+    separator settled them.
     """
     supports = enumerate_supports(sys.m, s)
     uncovered = list(range(len(probes)))

@@ -33,7 +33,7 @@ from nnscontrol import (
     zero_structure,
 )
 from nnscontrol.cli import run_command
-from nnscontrol.conelp import _box_lp_ray
+from nnscontrol.conelp import _stiemke_ray
 from nnscontrol.fixtures import fixture_path
 from nnscontrol.jordan import build_decomposition
 from nnscontrol.systemio import parse_system_file
@@ -281,7 +281,7 @@ def test_acceptance_7_nonsingular_sparsity_irrelevance():
 
 
 def test_acceptance_8_sign_test_cross_check():
-    label = "LP solver agrees with the direct sign test on simple eigenvalues"
+    label = "cone solver agrees with the direct sign test on simple eigenvalues"
     ok = True
     try:
         rng = np.random.default_rng(77)
@@ -308,8 +308,8 @@ def test_acceptance_8_sign_test_cross_check():
                 zb = z @ b
                 expected = bool(np.all(zb <= 1e-8) or np.all(-zb <= 1e-8))
                 # homogeneous_nonzero itself takes the sign test for one
-                # column, so the box LPs are called directly.
-                ray = _box_lp_ray(b.T @ g.basis, DEFAULT_TOL)
+                # column, so the multi-column routine is called directly.
+                ray = _stiemke_ray(b.T @ g.basis, DEFAULT_TOL)
                 if (ray is not None) != expected:
                     consistent = False
             assert consistent

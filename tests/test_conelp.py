@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from helpers import _box_lp_ray, _solve_lp
 
 from nnscontrol import (
     DEFAULT_TOL,
@@ -16,7 +17,9 @@ from nnscontrol import (
     rank,
     sparsify_positive_combination,
 )
-from nnscontrol.conelp import _PIVOT_TOL, _pivot
+from nnscontrol.conelp import membership_tol
+from nnscontrol.generators import generate_system
+from nnscontrol.oracle import _powers_times_b, _sequence_cone_ladder, enumerate_supports
 
 # Minimal positive basis of R^2: e1, e2 and -(e1+e2).
 Z_MPB = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
@@ -110,45 +113,12 @@ class TestFeasibleNonnegSolution:
 
 
 def reference_membership(m, x, tol=DEFAULT_TOL):
-    """Reference: the membership path before separators were returned, as
-    (member, coefficients, residual)."""
-    scale = 1.0 + float(np.abs(x).max(initial=0.0))
-    feas_tol = tol.ineq_tol * scale
-    if m.shape[1] == 0:
-        residual = float(np.abs(x).max(initial=0.0))
-        return residual <= feas_tol, (np.zeros(0) if residual <= feas_tol else None), residual
-    rows, n = m.shape
-    a, b = m.copy(), x.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    tableau = np.hstack([a, np.eye(rows), b[:, None]])
-    basis = list(range(n, n + rows))
-    cost = np.concatenate([np.zeros(n), np.ones(rows)])
-    while True:
-        reduced = cost - cost[basis] @ tableau[:, : n + rows]
-        eligible = np.nonzero(reduced < -_PIVOT_TOL)[0]
-        if eligible.size == 0:
-            break
-        j = int(eligible[0])
-        col = tableau[:, j]
-        positive = np.nonzero(col > _PIVOT_TOL)[0]
-        ratios = np.maximum(tableau[positive, -1], 0.0) / col[positive]
-        ties = positive[ratios <= ratios.min() + _PIVOT_TOL]
-        _pivot(tableau, basis, int(min(ties, key=lambda r: basis[r])), j)
-    infeasibility = float(cost[basis] @ tableau[:, -1])
-    if infeasibility > feas_tol:
-        return False, None, infeasibility
-    for i in range(rows):
-        if basis[i] >= n:
-            candidates = np.nonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)[0]
-            if candidates.size:
-                _pivot(tableau, basis, i, int(candidates[0]))
-    u = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            u[var] = max(tableau[i, -1], 0.0)
-    return True, u, float(np.abs(m @ u - x).max(initial=0.0))
+    """Reference: phase one of the dense simplex, as (member, coefficients,
+    residual)."""
+    result = _solve_lp(m, x, np.zeros(m.shape[1]), membership_tol(x, tol))
+    if result.status == "infeasible":
+        return False, None, result.objective
+    return True, result.x, float(np.abs(m @ result.x - x).max(initial=0.0))
 
 
 def degenerate_cone_cases(seed, count):
@@ -180,6 +150,30 @@ def degenerate_cone_cases(seed, count):
         yield g, x
 
 
+def assert_basic_member(g, x, res):
+    """A member's coefficients are nonnegative, basic and reconstruct x."""
+    assert res.member
+    assert res.separator is None
+    u = res.coefficients
+    assert np.all(u >= 0.0)
+    assert np.abs(g @ u - x).max(initial=0.0) <= membership_tol(x, DEFAULT_TOL)
+    assert np.count_nonzero(u > DEFAULT_TOL.ineq_tol) <= rank(g)
+
+
+def assert_separates(g, x, res):
+    """A non-member's separator has w^T x < 0 and w^T G >= -1e-12 max|G| max|w|."""
+    assert not res.member
+    assert res.coefficients is None
+    w = res.separator
+    assert w @ x < 0
+    floor = -1e-12 * np.abs(g).max(initial=0.0) * np.abs(w).max()
+    assert (w @ g).min(initial=np.inf) >= floor
+
+
+def degenerate_cone_case(seed, index):
+    return next(itertools.islice(degenerate_cone_cases(seed, index + 1), index, None))
+
+
 class TestSeparator:
     def test_outside_orthant(self):
         res = feasible_nonneg_solution(np.eye(2), [1.0, -1.0])
@@ -193,25 +187,85 @@ class TestSeparator:
     def test_member_has_none(self):
         assert feasible_nonneg_solution(Z_MPB, [1.0, 2.0]).separator is None
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 29, 91, 153, 176])
     def test_separator_is_a_certificate(self, seed):
         outside = 0
         for g, x in degenerate_cone_cases(seed, 150):
             res = feasible_nonneg_solution(g, x)
-            member, coefficients, residual = reference_membership(g, x)
-            assert res.member == member
-            assert res.residual == residual
-            if member:
-                assert np.array_equal(res.coefficients, coefficients)
-                assert res.separator is None
-                continue
-            outside += 1
-            assert res.coefficients is None
-            w = res.separator
-            assert w @ x < 0
-            floor = -1e-12 * np.abs(g).max(initial=0.0) * np.abs(w).max()
-            assert (w @ g).min(initial=np.inf) >= floor
+            assert res.member == reference_membership(g, x)[0]
+            if res.member:
+                assert_basic_member(g, x, res)
+            else:
+                outside += 1
+                assert_separates(g, x, res)
         assert outside > 20
+
+    @pytest.mark.parametrize("seed, index", [(37, 125), (126, 74), (128, 49), (153, 61), (176, 46)])
+    def test_edge_cones(self, seed, index):
+        # Cones with duplicate or opposite columns. In the first three the
+        # NNLS must refuse a column that leaves its positive block
+        # rank-deficient. In (153, 61) the raw residual misses the floor
+        # (-2.5e-12 max|G| max|w|) until its component along the positive
+        # columns is projected out; (176, 46) is within 6x of it (-1.6e-13).
+        g, x = degenerate_cone_case(seed, index)
+        res = feasible_nonneg_solution(g, x)
+        assert res.member == reference_membership(g, x)[0]
+        if res.member:
+            assert_basic_member(g, x, res)
+        else:
+            assert_separates(g, x, res)
+
+
+class TestNearBoundary:
+    """Points within tolerance of a cone's boundary, and Stiemke queries
+    "-G 1 in cone(G)?" on sequence cones, where phase one of a simplex
+    ended at a vertex outside the tolerance."""
+
+    @pytest.mark.parametrize(
+        "g, x",
+        [
+            ([[1.0, -1.0], [0.0, 1e-3]], [1.0, -5e-9]),
+            ([[1.0, -1.0], [1e-9, 1e-9]], [1.0, -4e-9]),
+        ],
+    )
+    def test_member_within_tolerance(self, g, x):
+        g, x = np.array(g), np.array(x)
+        assert_basic_member(g, x, feasible_nonneg_solution(g, x))
+
+    @staticmethod
+    def assert_consistent(g):
+        x = -g.sum(axis=1)
+        res = feasible_nonneg_solution(g, x)
+        if res.member:
+            assert_basic_member(g, x, res)
+        else:
+            assert_separates(g, x, res)
+
+    @pytest.mark.parametrize(
+        "kind, m, s, k, count",
+        [("random_nonsingular_paired", 3, 2, 5, 243), ("planted_rank_deficient", 4, 1, 4, 256)],
+    )
+    def test_stiemke_queries(self, kind, m, s, k, count):
+        # Every horizon-k cone; 3 and 4 of them end the simplex at an
+        # infeasible vertex. In the planted_rank_deficient cones the
+        # positive columns are nearly opposite, and the separator meets the
+        # floor only when fitted to the column they refuse as dependent.
+        sys = generate_system(kind, 3, m, 2).system
+        ladder = _sequence_cone_ladder(sys, enumerate_supports(m, s), _powers_times_b(sys, k))
+        cones = list(itertools.islice(ladder, k))[-1]
+        assert len(cones) == count
+        for g in cones.values():
+            self.assert_consistent(g)
+
+    def test_separator_choice(self):
+        # Horizon-6 cones in a plane of ten columns that deviate from it by
+        # about 1e-12: for the first two only the fitted separator meets
+        # the floor, for the last two only the plain projection does.
+        sys = generate_system("planted_rank_deficient", 3, 4, 2).system
+        ladder = _sequence_cone_ladder(sys, enumerate_supports(4, 2), _powers_times_b(sys, 6))
+        cones = list(list(itertools.islice(ladder, 6))[-1].values())
+        for index in (72, 84, 2111, 40332):
+            self.assert_consistent(cones[index])
 
 
 class TestHomogeneousNonzero:
@@ -249,6 +303,36 @@ class TestHomogeneousNonzero:
         assert (witness is not None) == expected
         if witness is not None:
             assert (m @ witness.rho).max(initial=0.0) <= DEFAULT_TOL.ineq_tol
+
+
+def random_ray_cases(seed, count):
+    """M with 2-6 columns and at least as many rows: integer, Gaussian, or
+    with a planted ray rho (M rho <= 0) that some rows hold at equality."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = int(rng.integers(2, 7))
+        rows = int(rng.integers(g, 12))
+        pick = rng.uniform()
+        if pick < 0.3:
+            m = rng.integers(-3, 4, size=(rows, g)).astype(float)
+        else:
+            m = rng.standard_normal((rows, g))
+        if pick > 0.65:
+            rho = rng.standard_normal(g)
+            m[m @ rho > 0] *= -1.0
+            edge = rng.uniform(size=rows) < 0.3
+            m[edge] -= np.outer(m[edge] @ rho, rho) / (rho @ rho)
+        yield m
+
+
+class TestMatchesBoxLPs:
+    def test_witness_or_none(self):
+        witnesses = 0
+        for m in random_ray_cases(5, 500):
+            witness = homogeneous_nonzero(m)
+            assert (witness is None) == (_box_lp_ray(m, DEFAULT_TOL) is None)
+            witnesses += witness is not None
+        assert 100 < witnesses < 450
 
 
 class TestSparsifyPositiveCombination:
@@ -299,3 +383,11 @@ class TestIsPositiveSpanningSubspace:
 
     def test_symmetric_pair_spans_a_line(self):
         assert is_positive_spanning_subspace(np.array([[1.0, -1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_column_criterion(self, seed):
+        for z_mat, _ in degenerate_cone_cases(seed, 150):
+            each = all(
+                feasible_nonneg_solution(z_mat, -z_mat[:, j]).member for j in range(z_mat.shape[1])
+            )
+            assert is_positive_spanning_subspace(z_mat) == each
