@@ -275,7 +275,8 @@ def _pretty(report: dict, command: str) -> str:
     elif command == "oracle":
         lines.append(
             f"  outcome: {result['outcome']} at K = {result['k_used']} "
-            f"({result['lp_count']} LPs, {len(result['uncovered_directions'])} uncovered)"
+            f"({result['lp_count']} membership questions, "
+            f"{len(result['uncovered_directions'])} uncovered)"
         )
     elif command == "decompose":
         st = result["structure"]

@@ -29,6 +29,7 @@ from .conelp import homogeneous_nonzero
 from .errors import InputError, NoFeasibleSparsityError
 from .matrixcore import (
     DEFAULT_TOL,
+    EigenGroup,
     LeftEigenSystem,
     Tolerances,
     as_matrix,
@@ -255,28 +256,32 @@ def _eig_residual(sys: SystemPair, lam: complex, z: np.ndarray) -> float:
 
 
 def _annihilates_b(b: np.ndarray, basis: np.ndarray, cutoff: float) -> bool:
-    """True when some unit z in the span of ``basis`` has |z^T B| <= cutoff.
+    """True when some unit z in the span of ``basis`` (two or more columns)
+    has |z^T B| <= cutoff.
 
     The basis is orthonormal, so that minimum is the smallest singular value
     of B^T Z, and it is zero when Z has more columns than B.
     """
     if basis.shape[1] > b.shape[1]:
         return True
-    zb = b.T @ basis
-    if zb.shape[1] == 1:
-        return float(np.linalg.norm(zb)) <= cutoff
-    return float(np.linalg.svd(zb, compute_uv=False)[-1]) <= cutoff
+    return float(np.linalg.svd(b.T @ basis, compute_uv=False)[-1]) <= cutoff
 
 
 def _condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
     # rank(B^T Z) < dim Z on each left eigenbasis Z. |lambda| + |A|_F + |B|_F
     # bounds sigma_max([lambda I - A | B]), the scale the pencil test cuts at.
+    # A one-column basis z fails when |B^T z| is below the cut; all of them
+    # are stacked into one product B^T [z_1 ... z_k].
     scale = float(np.linalg.norm(sys.A)) + float(np.linalg.norm(sys.B))
-    violations = []
-    for group in eig.groups:
-        lam = group.eigenvalue
-        if _annihilates_b(sys.B, group.basis, tol.rank_rtol * (abs(lam) + scale)):
-            violations.append(lam)
+
+    def cut(group: EigenGroup) -> float:
+        return tol.rank_rtol * (abs(group.eigenvalue) + scale)
+
+    lines = [g for g in eig.groups if g.basis.shape[1] == 1]
+    planes = [g for g in eig.groups if g.basis.shape[1] > 1]
+    norms = np.linalg.norm(sys.B.T @ np.hstack([g.basis for g in lines]), axis=0) if lines else ()
+    violations = [g.eigenvalue for g, norm in zip(lines, norms) if norm <= cut(g)]
+    violations += [g.eigenvalue for g in planes if _annihilates_b(sys.B, g.basis, cut(g))]
     if not violations:
         return ConditionResult(passed=True)
     violations.sort(key=lambda v: (-abs(v), v.real, v.imag))

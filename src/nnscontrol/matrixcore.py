@@ -5,8 +5,10 @@ the zero-eigenvalue decomposition) funnels through the thresholds defined
 here, so identical inputs and tolerances always give identical answers.
 The eigen-analysis costs O(N^3) when the eigenvalues are well separated:
 one eigenvalue solve fixes the clustering, one eigenvector solve supplies
-the left eigenvectors, and only repeated or closely spaced eigenvalues need
-a null-space SVD.
+the left eigenvectors, one comparison matrix matches the two solves'
+eigenvalues, and only repeated or closely spaced eigenvalues need a
+null-space SVD. Each group shifts the diagonal of a copy of A^T shared by
+all groups instead of building A^T - lambda I afresh.
 Correctness is promised for well-conditioned, small matrices (N <= 8);
 larger or ill-conditioned inputs get best-effort results with residuals
 reported rather than hidden.
@@ -14,6 +16,7 @@ reported rather than hidden.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +173,9 @@ class LeftEigenSystem:
 def _cluster(close: np.ndarray) -> list[np.ndarray]:
     """Index groups chained together by the symmetric boolean matrix ``close``."""
     n = close.shape[0]
+    rows, cols = np.nonzero(np.triu(close, 1))
+    if rows.size == 0:
+        return list(np.arange(n)[:, None])
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -178,7 +184,6 @@ def _cluster(close: np.ndarray) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    rows, cols = np.nonzero(np.triu(close, 1))
     for i, j in zip(rows.tolist(), cols.tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
@@ -203,25 +208,18 @@ def _cluster(close: np.ndarray) -> list[np.ndarray]:
 _CROWDING_FACTOR = 1e3
 
 
-def _eig_column(
-    value: complex, w: np.ndarray, vectors: np.ndarray, radius: float, is_real: bool
-) -> np.ndarray | None:
-    """The unit eigenvector of an isolated eigenvalue, as an N x 1 basis.
+def _shift_entries(lam: complex, is_real: bool) -> tuple[complex | float, complex | float]:
+    """The off-diagonal and diagonal entries of ``lam * I`` as numpy forms them.
 
-    None when not exactly one eigenvalue ``w[j]`` of the eigenvector solve
-    lies within ``radius`` of ``value``, or when a real group's value or
-    ``w[j]`` carries an imaginary part.
+    A complex product is (lr*e - li*0) + (lr*0 + li*e)j for e in {0, 1}, so
+    the zeros carry signs. Subtracting them from A^T gives A^T - lam I bit
+    for bit, signed zeros included (a negative zero of A turns positive
+    when the off-diagonal zero is negative).
     """
-    (match,) = np.nonzero(np.abs(w - value) <= radius)
-    if match.size != 1:
-        return None
-    j = int(match[0])
-    column = vectors[:, j : j + 1]
-    if not is_real:
-        return column.astype(np.complex128)
-    if value.imag != 0.0 or w[j].imag != 0.0:
-        return None
-    return column.real
+    lr, li = lam.real, lam.imag
+    if is_real:
+        return lr * 0.0, lr
+    return complex(lr * 0.0 - li * 0.0, lr * 0.0 + li * 0.0), complex(lr - li * 0.0, lr * 0.0 + li)
 
 
 def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
@@ -235,14 +233,23 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     The groups come from ``eigvals(A)``. One ``eig(A^T)`` solve runs when a
     group has one member; its eigenvalues are not used for the grouping,
     because they differ from ``eigvals(A)`` at rounding level and would
-    move the cluster boundaries. A one-member group that no other
-    eigenvalue crowds (see ``_CROWDING_FACTOR``) takes as its basis the
-    unit ``eig(A^T)`` eigenvector matched to it by eigenvalue. Every other
-    group (several members, a crowded one-member group, which may be a
-    split copy of a defective eigenvalue, or one that matches no single
-    ``eig(A^T)`` eigenvalue) takes the kernel of A^T - lambda I from an
-    SVD. A is real, so a complex group whose exact conjugate group was
-    already solved takes the conjugate of that basis.
+    move the cluster boundaries. One comparison matrix matches every
+    ``eigvals(A)`` value to the ``eig(A^T)`` eigenvalues within the radius.
+    A one-member group that no other eigenvalue crowds (see
+    ``_CROWDING_FACTOR``) and that matches exactly one of them takes that
+    unit eigenvector as its basis (a real group only when both eigenvalues
+    are exactly real). Every other group (several members, a crowded
+    one-member group, which may be a split copy of a defective eigenvalue,
+    or an unmatched one) takes the kernel of A^T - lambda I from an SVD. A
+    is real, so a complex group whose exact conjugate group was already
+    solved takes the conjugate of that basis.
+
+    A^T - lambda I is not built per group: each group overwrites the
+    diagonal of a C-ordered copy of A^T shared by the groups (a real copy,
+    a complex one once a complex group appears, and a second of either
+    kind when the off-diagonal zero of lambda I changes sign, see
+    ``_shift_entries``), which also serves the residual product. The C
+    layout keeps the residual's summation order.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
@@ -257,31 +264,49 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         isolated = np.count_nonzero(gaps <= radius, axis=1) == 1
         if isolated.any():
             w, vectors = np.linalg.eig(a.T)
-            bars = np.maximum(radius, np.abs(values[:, None] - w[None, :]).min(axis=1))
+            dist = np.abs(values[:, None] - w[None, :])
+            bars = np.maximum(radius, dist.min(axis=1))
             reach = _CROWDING_FACTOR * np.maximum.outer(bars, bars)
+            near = dist <= radius
+            match = near.argmax(axis=1)
             isolated &= np.count_nonzero(gaps <= reach, axis=1) == 1
+            isolated &= np.count_nonzero(near, axis=1) == 1  # one eig(A^T) match
+            exactly_real = (values.imag == 0.0) & (w.imag[match] == 0.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
 
+    diagonal = a.diagonal()
+    shifts: dict[tuple[bool, bool], np.ndarray] = {}
     groups = []
     complex_bases: dict[tuple[complex, int], np.ndarray] = {}
     for idx in _cluster(gaps <= radius):
-        members = values[idx]
-        center = complex(members.mean())
-        spread = float(np.abs(members - center).max())
+        i = int(idx[0])
+        if idx.size == 1:
+            center = complex(values[i]) + 0.0  # members.mean() also clears -0.0
+            spread = 0.0
+        else:
+            members = values[idx]
+            center = complex(members.mean())
+            spread = float(np.abs(members - center).max())
         is_real = abs(center.imag) <= tol.eig_imag_tol
         lam: complex = complex(center.real) if is_real else center
-        if is_real:
-            shifted = a.T - lam.real * np.eye(n)
-        else:
-            shifted = a.T.astype(np.complex128) - lam * np.eye(n)
-        mirror = complex_bases.get((lam.conjugate(), members.size))
+        off, on = _shift_entries(lam, is_real)
+        key = (is_real, math.copysign(1.0, off.real) < 0.0)
+        shifted = shifts.get(key)
+        if shifted is None:
+            shifted = shifts[key] = np.subtract(a.T, off, order="C")
+        shifted.reshape(-1)[:: n + 1] = diagonal - on
+        mirror = complex_bases.get((lam.conjugate(), idx.size))
         if mirror is not None:
             basis = mirror.conj()
         else:
             basis = None
-            if isolated[idx[0]]:
-                basis = _eig_column(members[0], w, vectors, radius, is_real)
+            if isolated[i]:
+                column = vectors[:, match[i] : match[i] + 1]
+                if not is_real:
+                    basis = column.astype(np.complex128)
+                elif exactly_real[i]:
+                    basis = column.real
             if basis is None:
                 basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
             if basis.shape[1] == 0:
@@ -291,12 +316,12 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
                 _, _, vh = np.linalg.svd(shifted)
                 basis = vh[-1:].conj().T
             if not is_real:
-                complex_bases[(lam, members.size)] = basis
+                complex_bases[(lam, idx.size)] = basis
         residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))
         groups.append(
             EigenGroup(
                 eigenvalue=lam,
-                algebraic_multiplicity=int(members.size),
+                algebraic_multiplicity=int(idx.size),
                 geometric_multiplicity=int(basis.shape[1]),
                 is_real=is_real,
                 basis=basis,

@@ -1,13 +1,30 @@
-"""Shared construction helpers for the test suite, and the dense two-phase
-simplex that the cone primitives replaced, kept as their reference."""
+"""Shared construction helpers for the test suite, and the code that faster
+paths replaced, kept as their reference: the dense two-phase simplex of
+the cone primitives, and the per-group eigen-analysis and condition-i
+loops."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from nnscontrol import SystemPair
-from nnscontrol.errors import NumericError
-from nnscontrol.matrixcore import Tolerances
+from nnscontrol.controllability import (
+    VIOLATES_CONDITION_I,
+    Certificate,
+    ConditionResult,
+    _eig_residual,
+    _normalize_max,
+)
+from nnscontrol.errors import InputError, NumericError
+from nnscontrol.matrixcore import (
+    _CROWDING_FACTOR,
+    DEFAULT_TOL,
+    EigenGroup,
+    LeftEigenSystem,
+    Tolerances,
+    as_matrix,
+    null_space_basis,
+)
 
 
 def planted_structure_matrix(rng, max_n=6):
@@ -192,3 +209,186 @@ def _box_lp_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     if best_rho is None or best_value <= tol.ineq_tol:
         return None
     return best_rho / np.abs(best_rho).max()
+
+
+# The eigen-analysis and condition i as one Python step per eigenvalue group:
+# a fresh A^T - lambda I, a scan of eig(A^T) and a B^T z product per group.
+
+
+def _reference_cluster(close: np.ndarray) -> list[np.ndarray]:
+    """Index groups chained together by the symmetric boolean matrix ``close``."""
+    n = close.shape[0]
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows, cols = np.nonzero(np.triu(close, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    buckets: dict[int, list[int]] = {}
+    for i in range(n):
+        buckets.setdefault(find(i), []).append(i)
+    return [np.array(idx) for idx in buckets.values()]
+
+
+def _reference_eig_column(
+    value: complex, w: np.ndarray, vectors: np.ndarray, radius: float, is_real: bool
+) -> np.ndarray | None:
+    """The unit eigenvector of an isolated eigenvalue, as an N x 1 basis.
+
+    None when not exactly one eigenvalue ``w[j]`` of the eigenvector solve
+    lies within ``radius`` of ``value``, or when a real group's value or
+    ``w[j]`` carries an imaginary part.
+    """
+    (match,) = np.nonzero(np.abs(w - value) <= radius)
+    if match.size != 1:
+        return None
+    j = int(match[0])
+    column = vectors[:, j : j + 1]
+    if not is_real:
+        return column.astype(np.complex128)
+    if value.imag != 0.0 or w[j].imag != 0.0:
+        return None
+    return column.real
+
+
+def reference_left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
+    """Eigenvalues of A with orthonormal left-eigenvector bases per group.
+
+    Left vectors satisfy z^T A = lambda z^T, i.e. they span the kernel of
+    A^T - lambda I. Eigenvalues within ``eig_imag_tol * (1 + spectral
+    radius)`` of each other are merged into one group, since repeated
+    eigenvalues of non-normal matrices split numerically.
+
+    The groups come from ``eigvals(A)``. One ``eig(A^T)`` solve runs when a
+    group has one member; its eigenvalues are not used for the grouping,
+    because they differ from ``eigvals(A)`` at rounding level and would
+    move the cluster boundaries. A one-member group that no other
+    eigenvalue crowds (see ``_CROWDING_FACTOR``) takes as its basis the
+    unit ``eig(A^T)`` eigenvector matched to it by eigenvalue. Every other
+    group (several members, a crowded one-member group, which may be a
+    split copy of a defective eigenvalue, or one that matches no single
+    ``eig(A^T)`` eigenvalue) takes the kernel of A^T - lambda I from an
+    SVD. A is real, so a complex group whose exact conjugate group was
+    already solved takes the conjugate of that basis.
+    """
+    a = as_matrix(a, "A")
+    n, cols = a.shape
+    if n != cols:
+        raise InputError(f"A must be square, got shape {a.shape}")
+    if n == 0:
+        return LeftEigenSystem(groups=(), cluster_radius=0.0)
+    try:
+        values = np.linalg.eigvals(a)
+        radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
+        gaps = np.abs(values[:, None] - values[None, :])
+        isolated = np.count_nonzero(gaps <= radius, axis=1) == 1
+        if isolated.any():
+            w, vectors = np.linalg.eig(a.T)
+            bars = np.maximum(radius, np.abs(values[:, None] - w[None, :]).min(axis=1))
+            reach = _CROWDING_FACTOR * np.maximum.outer(bars, bars)
+            isolated &= np.count_nonzero(gaps <= reach, axis=1) == 1
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
+
+    groups = []
+    complex_bases: dict[tuple[complex, int], np.ndarray] = {}
+    for idx in _reference_cluster(gaps <= radius):
+        members = values[idx]
+        center = complex(members.mean())
+        spread = float(np.abs(members - center).max())
+        is_real = abs(center.imag) <= tol.eig_imag_tol
+        lam: complex = complex(center.real) if is_real else center
+        if is_real:
+            shifted = a.T - lam.real * np.eye(n)
+        else:
+            shifted = a.T.astype(np.complex128) - lam * np.eye(n)
+        mirror = complex_bases.get((lam.conjugate(), members.size))
+        if mirror is not None:
+            basis = mirror.conj()
+        else:
+            basis = None
+            if isolated[idx[0]]:
+                basis = _reference_eig_column(members[0], w, vectors, radius, is_real)
+            if basis is None:
+                basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
+            if basis.shape[1] == 0:
+                # The cluster center is within `radius` of a true eigenvalue, so
+                # sigma_min <= radius; if rounding pushed it past the cutoff,
+                # keep the closest singular direction and report its residual.
+                _, _, vh = np.linalg.svd(shifted)
+                basis = vh[-1:].conj().T
+            if not is_real:
+                complex_bases[(lam, members.size)] = basis
+        residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))
+        groups.append(
+            EigenGroup(
+                eigenvalue=lam,
+                algebraic_multiplicity=int(members.size),
+                geometric_multiplicity=int(basis.shape[1]),
+                is_real=is_real,
+                basis=basis,
+                spread=spread,
+                max_residual=residual,
+            )
+        )
+    groups.sort(key=lambda g: (g.eigenvalue.real, g.eigenvalue.imag))
+    return LeftEigenSystem(groups=tuple(groups), cluster_radius=radius)
+
+
+def _reference_annihilates_b(b: np.ndarray, basis: np.ndarray, cutoff: float) -> bool:
+    """True when some unit z in the span of ``basis`` has |z^T B| <= cutoff.
+
+    The basis is orthonormal, so that minimum is the smallest singular value
+    of B^T Z, and it is zero when Z has more columns than B.
+    """
+    if basis.shape[1] > b.shape[1]:
+        return True
+    zb = b.T @ basis
+    if zb.shape[1] == 1:
+        return float(np.linalg.norm(zb)) <= cutoff
+    return float(np.linalg.svd(zb, compute_uv=False)[-1]) <= cutoff
+
+
+def reference_condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
+    # rank(B^T Z) < dim Z on each left eigenbasis Z. |lambda| + |A|_F + |B|_F
+    # bounds sigma_max([lambda I - A | B]), the scale the pencil test cuts at.
+    scale = float(np.linalg.norm(sys.A)) + float(np.linalg.norm(sys.B))
+    violations = []
+    for group in eig.groups:
+        lam = group.eigenvalue
+        if _reference_annihilates_b(sys.B, group.basis, tol.rank_rtol * (abs(lam) + scale)):
+            violations.append(lam)
+    if not violations:
+        return ConditionResult(passed=True)
+    violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
+    lam = violations[0]
+    pencil = np.hstack(
+        [
+            (lam * np.eye(sys.n) - sys.A.astype(np.complex128))
+            if lam.imag
+            else (lam.real * np.eye(sys.n) - sys.A),
+            sys.B,
+        ]
+    )
+    left_null = null_space_basis(pencil.T, tol)
+    if left_null.shape[1] == 0:
+        _, _, vh = np.linalg.svd(pencil.T)
+        left_null = vh[-1:].conj().T
+    z = _normalize_max(left_null[:, 0])
+    if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= tol.eig_imag_tol:
+        z = z.real
+    cert = Certificate(
+        kind=VIOLATES_CONDITION_I,
+        eigenvalue=lam,
+        z=z,
+        residual_eig=_eig_residual(sys, lam, z),
+        max_zb=float(np.abs(z @ sys.B).max()),
+    )
+    return ConditionResult(passed=False, certificate=cert, other_violations=tuple(violations[1:]))

@@ -97,6 +97,15 @@ class TestOracle:
         assert result["outcome"] == "covered_at"
         assert result["k_used"] <= 6
 
+    def test_pretty_counts_membership_questions(self, capsys):
+        code, out, err = run(capsys, "oracle", COB, "--samples", "16", "--seed", "3", "--pretty")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert err.splitlines()[-1] == (
+            f"  outcome: covered_at at K = {result['k_used']} "
+            f"({result['lp_count']} membership questions, 0 uncovered)"
+        )
+
     def test_requires_sparsity(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text('{"A": [[1.0]], "B": [[1.0]]}')

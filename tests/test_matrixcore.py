@@ -1,3 +1,9 @@
+import dis
+import inspect
+import json
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +22,11 @@ from nnscontrol import (
     pbh_rank,
     rank,
 )
+from nnscontrol import controllability
+from nnscontrol.controllability import SystemPair, check_nonneg_sparse
 from nnscontrol.matrixcore import _CROWDING_FACTOR
+
+from helpers import reference_condition_i, reference_left_eigensystem
 
 # The rank-deficient diagonal state matrix of the bundled change-of-basis
 # example; used throughout as a small fixture with a zero eigenvalue.
@@ -294,6 +304,160 @@ class TestLeftEigensystemAgainstNullSpace:
         for lam, space in spaces.items():
             near = [g for g in eig.groups if abs(g.eigenvalue - lam) < 1e-2]
             assert min(_outside(space, g.basis) for g in near) <= 1e-6
+
+
+def _ring_matrix(c=0.5, count=8):
+    """Normal A whose eigenvalues c + R e^(2 pi i k / count) chain into one
+    cluster (neighbours 0.9 radius apart) while R exceeds the radius, so the
+    kernel of A^T - c I at the cluster center is empty."""
+    radius = DEFAULT_TOL.eig_imag_tol * (1.0 + c)
+    r = 0.9 * radius / (2.0 * math.sin(math.pi / count))
+    a = np.zeros((count, count))
+    a[0, 0], a[1, 1] = c + r, c - r
+    for k in range(1, count // 2):
+        re, im = c + r * math.cos(2 * math.pi * k / count), r * math.sin(2 * math.pi * k / count)
+        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[re, im], [-im, re]]
+    return a
+
+
+# 0.5 +/- 0.9e-8 i: farther apart than the radius 1.5e-8, so two one-member
+# groups, each real because its imaginary part is at most eig_imag_tol.
+NEAR_REAL_PAIR = np.array([[0.5, 0.9e-8], [-0.9e-8, 0.5]])
+
+
+def _signed_zero_matrices(count=60, seed=5):
+    """Small integer matrices of which about half the entries are -0.0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        a = rng.integers(-2, 3, size=(n, n)).astype(float)
+        a[rng.uniform(size=(n, n)) < 0.5] = -0.0
+        yield a
+
+
+def _reference_systems():
+    for kind in KINDS:
+        for n in (2, 3, 8, 40, 64):
+            for seed in range(3):
+                yield generate_system(kind, n, 3, seed).system
+    rng = np.random.default_rng(0)
+    matrices = [_defective_state_matrix(seed) for seed in range(3)]
+    for blocks in (((0.0, 2), (0.0, 1)), ((0.7, 3), (0.7, 1)), ((0.0, 5), (0.0, 1))):
+        matrices.append(_similar_jordan_matrix(blocks, 16, seed=16)[0])
+    matrices += [_ring_matrix(), NEAR_REAL_PAIR, *_signed_zero_matrices()]
+    for a in matrices:
+        yield SystemPair(A=a, B=rng.integers(-1, 2, size=(a.shape[0], 2)).astype(float))
+
+
+def _assert_same_eigensystem(got, want):
+    assert got.cluster_radius == want.cluster_radius
+    assert len(got.groups) == len(want.groups)
+    for g, h in zip(got.groups, want.groups):
+        for field in ("eigenvalue", "spread", "max_residual"):
+            assert np.array(getattr(g, field)).tobytes() == np.array(getattr(h, field)).tobytes()
+        for field in ("algebraic_multiplicity", "geometric_multiplicity", "is_real"):
+            assert getattr(g, field) == getattr(h, field)
+        assert g.basis.dtype == h.basis.dtype
+        assert g.basis.shape == h.basis.shape
+        assert g.basis.tobytes() == h.basis.tobytes()
+
+
+def _lines_run(func, call):
+    """Line numbers of ``func`` executed while ``call()`` runs."""
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+class TestLeftEigensystemAgainstReference:
+    """The shared shift buffer, the single eigenvector match and the stacked
+    B^T Z product give the bytes of the per-group loops in ``helpers``."""
+
+    def test_byte_identical_to_per_group_loops(self, monkeypatch):
+        systems = list(_reference_systems())
+        for sys_ in systems:
+            _assert_same_eigensystem(left_eigensystem(sys_.A), reference_left_eigensystem(sys_.A))
+        reports = [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
+        monkeypatch.setattr(controllability, "left_eigensystem", reference_left_eigensystem)
+        monkeypatch.setattr(controllability, "_condition_i", reference_condition_i)
+        assert reports == [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
+
+    def test_every_group_path_is_taken(self):
+        # Real and complex eig(A^T) columns, conjugate mirrors, crowded and
+        # unmatched one-member groups, multi-member clusters and the
+        # empty-kernel fallback: every line of the group loop runs.
+        systems = list(_reference_systems())
+        seen = _lines_run(left_eigensystem, lambda: [left_eigensystem(s.A) for s in systems])
+        source, first = inspect.getsourcelines(left_eigensystem)
+        start = first + next(i for i, text in enumerate(source) if "for idx in _cluster(" in text)
+        end = first + next(i for i, text in enumerate(source) if "groups.sort(" in text)
+        lines = {line for _, line in dis.findlinestarts(left_eigensystem.__code__) if line}
+        assert {line for line in lines if start <= line <= end} <= seen
+
+    def test_near_real_pair_is_two_real_groups(self):
+        values = np.linalg.eigvals(NEAR_REAL_PAIR)
+        assert 0.0 < np.abs(values.imag).min() <= DEFAULT_TOL.eig_imag_tol
+        groups = left_eigensystem(NEAR_REAL_PAIR).groups
+        assert [(g.eigenvalue, g.algebraic_multiplicity, g.is_real) for g in groups] == [
+            (0.5, 1, True),
+            (0.5, 1, True),
+        ]
+
+    def test_ring_takes_the_closest_singular_direction(self):
+        eig = left_eigensystem(_ring_matrix())
+        (group,) = eig.groups
+        assert group.algebraic_multiplicity == 8
+        assert group.geometric_multiplicity == 1
+        assert group.max_residual > eig.cluster_radius * (1.0 + 1e-6)
+
+
+def _count_calls(monkeypatch, names=("eigvals", "eig", "svd")):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestLeftEigensystemCost:
+    """One eigvals, one eig and one SVD per multi-member cluster."""
+
+    def _similar(self, diagonal, seed=3):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(diagonal),) * 2))
+        return q @ np.diag(diagonal) @ q.T
+
+    def test_well_separated_system_needs_no_svd(self, monkeypatch):
+        a = np.random.default_rng(11).standard_normal((16, 16))
+        counts = _count_calls(monkeypatch)
+        groups = left_eigensystem(a).groups
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 0}
+        assert {g.is_real for g in groups} == {True, False}
+        assert all(g.geometric_multiplicity == 1 for g in groups)
+
+    def test_one_cluster_costs_one_svd(self, monkeypatch):
+        a = self._similar([2.0, 2.0, 1.0, 3.0, -1.0, 5.0])
+        counts = _count_calls(monkeypatch)
+        groups = left_eigensystem(a).groups
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+        assert [g.algebraic_multiplicity for g in groups] == [1, 1, 2, 1, 1]
 
 
 class TestPbhRank:
