@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .controllability import (
     Certificate,
+    _analysis,
     check_nonneg,
     check_nonneg_sparse,
     check_sparse,
@@ -36,7 +37,7 @@ from .controllability import (
 from .errors import InputError, NoFeasibleSparsityError, NumericError
 from .generators import KINDS, generate_system
 from .jordan import build_decomposition, verify_decomposition
-from .matrixcore import DEFAULT_TOL, Tolerances, rank
+from .matrixcore import DEFAULT_TOL, Tolerances
 from .oracle import OracleConfig, coverage_probe
 from .systemio import dump_system_file, parse_system_file, read_text
 
@@ -166,7 +167,7 @@ def _cmd_min_sparsity(args, parsed, tol: Tolerances) -> dict:
                 "min_sparsity": level,
                 "feasible": True,
                 "nonneg_controllable": True,
-                "required": sys_pair.n - rank(sys_pair.A, tol),
+                "required": sys_pair.n - _analysis(sys_pair.A, tol).rank_a,
             }
     return result
 

@@ -17,11 +17,20 @@ dropping condition ii gives the unsigned sparse-input test. Failures of
 conditions i and ii are returned as machine-checkable certificates: an
 eigenpair (lambda, z) that pins the reachable set inside a hyperplane or
 half-space.
+
+The work that depends only on A and the tolerances (the left eigensystem
+and rank(A)) is one analysis, shared by every entry point: consecutive
+calls on the same A and tol, such as ``check_nonneg_sparse`` then
+``min_sparsity``, run one eigen-analysis and one rank(A) SVD. The memo
+holds one entry, keyed bit for bit on A (``SystemPair`` stores A C-ordered
+with no negative zeros, so equal values give equal keys) and on tol; B is
+not part of it, and conditions i and ii always read the caller's B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,14 +73,20 @@ VIOLATES_CONDITION_II = "violates_condition_ii"
 
 @dataclass(frozen=True)
 class SystemPair:
-    """The matrix pair (A, B) of x_k = A x_{k-1} + B u_k."""
+    """The matrix pair (A, B) of x_k = A x_{k-1} + B u_k.
+
+    A and B are stored C-ordered with every -0.0 made +0.0, so the reports
+    depend only on the values of the entries, not on memory layout or the
+    sign of a zero.
+    """
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
+        for name in ("A", "B"):
+            value = np.add(as_matrix(getattr(self, name), name), 0.0, order="C")
+            object.__setattr__(self, name, value)
         if self.A.shape[0] != self.A.shape[1]:
             raise InputError(f"A must be square, got shape {self.A.shape}")
         if self.A.shape[0] < 1:
@@ -241,6 +256,38 @@ class ControllabilityReport:
         }
 
 
+class _Analysis:
+    """The work on one system that depends only on A and tol: its left
+    eigensystem and rank(A), each computed on first use."""
+
+    def __init__(self, a: np.ndarray, tol: Tolerances) -> None:
+        self._a = a
+        self._tol = tol
+
+    @cached_property
+    def eig(self) -> LeftEigenSystem:
+        return left_eigensystem(self._a, self._tol)
+
+    @cached_property
+    def rank_a(self) -> int:
+        return rank(self._a, self._tol)
+
+
+# The last analysis made, with its key: (shape, bytes of A, tol).
+_last_analysis: tuple[tuple, _Analysis] | None = None
+
+
+def _analysis(a: np.ndarray, tol: Tolerances) -> _Analysis:
+    """The analysis of A under tol, reused when the previous call had the
+    same A (bit for bit) and the same tol."""
+    global _last_analysis
+    key = (a.shape, a.tobytes(), tol)
+    entry = _last_analysis  # read once: another thread may replace it
+    if entry is None or entry[0] != key:
+        entry = _last_analysis = (key, _Analysis(a.copy(), tol))
+    return entry[1]
+
+
 def _normalize_max(z: np.ndarray) -> np.ndarray:
     """Scale to unit max modulus. Real vectors keep their sign pattern
     (positive scaling only); complex vectors are rotated so the largest
@@ -348,7 +395,7 @@ def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Conditi
     the violation of largest modulus. ``matrixcore.pbh_rank`` is the
     equivalent pencil test, kept as the reference.
     """
-    return _condition_i(sys, left_eigensystem(sys.A, tol), tol)
+    return _condition_i(sys, _analysis(sys.A, tol).eig, tol)
 
 
 def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
@@ -360,7 +407,7 @@ def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Condit
     lemma, ``conelp.homogeneous_nonzero``). The pass is vacuous
     when A has no real nonnegative eigenvalue.
     """
-    return _condition_ii(sys, left_eigensystem(sys.A, tol), tol)
+    return _condition_ii(sys, _analysis(sys.A, tol).eig, tol)
 
 
 def check_condition_iii(
@@ -368,7 +415,7 @@ def check_condition_iii(
 ) -> SparsityConditionResult:
     """Sparsity test: s >= N - rank(A)."""
     s = validate_sparsity(s, sys.m)
-    rank_a = rank(sys.A, tol)
+    rank_a = _analysis(sys.A, tol).rank_a
     return SparsityConditionResult(
         passed=s >= sys.n - rank_a, s=s, n_states=sys.n, rank_a=rank_a
     )
@@ -385,7 +432,7 @@ def _check(
     ``nonneg`` and condition iii when ``s`` is given."""
     if s is not None:
         s = validate_sparsity(s, sys.m)
-    eig = left_eigensystem(sys.A, tol)
+    eig = _analysis(sys.A, tol).eig
     cond_i = _condition_i(sys, eig, tol)
     cond_ii = _condition_ii(sys, eig, tol) if nonneg else None
     cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
@@ -437,7 +484,7 @@ def min_sparsity(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """
     if not check_nonneg(sys, tol).controllable:
         return None
-    required = sys.n - rank(sys.A, tol)
+    required = sys.n - _analysis(sys.A, tol).rank_a
     if required > sys.m:
         raise NoFeasibleSparsityError(
             f"N - rank(A) = {required} exceeds the input dimension m = {sys.m}"

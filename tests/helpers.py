@@ -27,6 +27,20 @@ from nnscontrol.matrixcore import (
 )
 
 
+def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd")):
+    """Wrap each named ``numpy.linalg`` function to count its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def planted_structure_matrix(rng, max_n=6):
     """Random integer matrix with known zero-eigenvalue block structure.
 

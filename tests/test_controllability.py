@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from nnscontrol import (
     DEFAULT_TOL,
     KINDS,
     InputError,
+    Tolerances,
+    controllability,
     generate_system,
     left_eigensystem,
     pbh_rank,
@@ -31,7 +35,7 @@ from nnscontrol.fixtures import (
     change_of_basis_transformed,
 )
 
-from helpers import rank_cut_disagreement
+from helpers import count_linalg_calls, rank_cut_disagreement
 
 COB = change_of_basis_system()
 COB_T = change_of_basis_transformed()
@@ -58,6 +62,45 @@ class TestSystemPair:
     def test_rejects_empty_state_space(self):
         with pytest.raises(InputError):
             SystemPair(A=np.zeros((0, 0)), B=np.zeros((0, 1)))
+
+    def test_stores_c_ordered_arrays_without_negative_zeros(self):
+        a = np.asfortranarray([[-0.0, 1.0], [2.0, 0.0]])
+        sys = SystemPair(A=a, B=np.array([[-0.0], [1.0]]))
+        for stored in (sys.A, sys.B):
+            assert stored.flags.c_contiguous
+            assert not np.signbit(stored[stored == 0.0]).any()
+        np.testing.assert_array_equal(sys.A, a)
+
+
+def _negate_zeros(x: np.ndarray) -> np.ndarray:
+    return np.where(x == 0.0, -0.0, x)
+
+
+class TestReportsDependOnValuesOnly:
+    """A C-ordered A, its Fortran-ordered copy and A with every zero
+    negated are the same system and get the same report bytes."""
+
+    @staticmethod
+    def _reports(a: np.ndarray, b: np.ndarray) -> set[str]:
+        reports = set()
+        for variant in (np.ascontiguousarray(a), np.asfortranarray(a), _negate_zeros(a)):
+            controllability._last_analysis = None
+            reports.add(json.dumps(check_nonneg_sparse(SystemPair(variant, b), 2).to_dict()))
+        return reports
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_generated_systems(self, kind, n):
+        for seed in range(3):
+            sys = generate_system(kind, n, 4, seed).system
+            assert len(self._reports(sys.A, sys.B)) == 1
+
+    def test_integer_systems_with_zeros(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.integers(-2, 3, size=(4, 4)).astype(float)
+            b = rng.integers(-2, 3, size=(4, 2)).astype(float)
+            assert len(self._reports(a, b) | self._reports(a, _negate_zeros(b))) == 1
 
 
 class TestConditionI:
@@ -294,6 +337,122 @@ class TestMinSparsity:
 
     def test_none_when_not_nonneg_controllable(self):
         assert min_sparsity(SystemPair(A=np.eye(1), B=np.array([[1.0]]))) is None
+
+
+def _paired_system(seed: int, n: int = 16) -> SystemPair:
+    """A random A with B = [C | -C]: nonnegative controllable, rank(A) = n."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, 4))
+    return SystemPair(A=rng.standard_normal((n, n)), B=np.hstack([c, -c]))
+
+
+def _memoized_reports(calls) -> list[str]:
+    """check_nonneg_sparse at s = 1 and min_sparsity for each (system, tol), in order."""
+    return [
+        json.dumps([check_nonneg_sparse(sys, 1, tol).to_dict(), min_sparsity(sys, tol)])
+        for sys, tol in calls
+    ]
+
+
+def _fresh_reports(calls) -> list[str]:
+    reports = []
+    for sys, tol in calls:
+        controllability._last_analysis = None
+        report = check_nonneg_sparse(sys, 1, tol).to_dict()
+        controllability._last_analysis = None
+        reports.append(json.dumps([report, min_sparsity(sys, tol)]))
+    return reports
+
+
+class TestSharedAnalysis:
+    """Consecutive calls on the same A and tol share one eigen-analysis and
+    one rank(A); anything else gets a fresh analysis."""
+
+    def test_check_then_min_sparsity_analyses_once(self, monkeypatch):
+        sys = _paired_system(5)
+        counts = count_linalg_calls(monkeypatch)
+        report = check_nonneg_sparse(sys, 2)
+        assert min_sparsity(sys) == 1
+        assert report.controllable
+        # One eigvals and one eig for the eigen-analysis (well separated
+        # eigenvalues, one-column eigenspaces); the one SVD is rank(A).
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+
+    def test_every_entry_point_reads_the_analysis(self, monkeypatch):
+        sys = _paired_system(6)
+        counts = count_linalg_calls(monkeypatch)
+        check_condition_i(sys)
+        check_condition_ii(sys)
+        check_condition_iii(sys, 1)
+        check_nonneg(sys)
+        check_sparse(sys, 1)
+        input_count_bound_check(sys)
+        min_sparsity(sys)
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+
+    def test_interleaved_systems_match_fresh_calls(self, monkeypatch):
+        a1, a2 = _paired_system(1), _paired_system(2)
+        calls = [(a1, DEFAULT_TOL), (a2, DEFAULT_TOL), (a1, DEFAULT_TOL)]
+        counts = count_linalg_calls(monkeypatch, ("eigvals",))
+        memoized = _memoized_reports(calls)
+        assert counts["eigvals"] == 3
+        assert memoized == _fresh_reports(calls)
+
+    def test_changed_tolerances_get_a_fresh_analysis(self, monkeypatch):
+        # rank(A) is 2 under the default rank_rtol and 1 under 1e-3.
+        sys = SystemPair(A=np.diag([1.0, 1e-5]), B=np.array([[1.0, -1.0], [1.0, -1.0]]))
+        loose = Tolerances(rank_rtol=1e-3)
+        calls = [(sys, DEFAULT_TOL), (sys, loose), (sys, DEFAULT_TOL)]
+        counts = count_linalg_calls(monkeypatch, ("eigvals",))
+        memoized = _memoized_reports(calls)
+        assert counts["eigvals"] == 3
+        assert memoized == _fresh_reports(calls)
+        ranks = [json.loads(r)[0]["condition_iii"]["rank_a"] for r in memoized]
+        assert ranks == [2, 1, 2]
+
+    def test_one_bit_of_a_gives_a_fresh_analysis(self, monkeypatch):
+        sys = _paired_system(3)
+        a = sys.A.copy()
+        a[0, 0] = np.nextafter(a[0, 0], np.inf)
+        calls = [(sys, DEFAULT_TOL), (SystemPair(A=a, B=sys.B), DEFAULT_TOL)]
+        counts = count_linalg_calls(monkeypatch, ("eigvals",))
+        memoized = _memoized_reports(calls)
+        assert counts["eigvals"] == 2
+        assert memoized == _fresh_reports(calls)
+
+    def test_same_a_different_b(self, monkeypatch):
+        # diag(1, -2): left eigenvectors e1 and e2; condition ii looks at 1 only.
+        a = np.diag([1.0, -2.0])
+        inputs = {
+            "both pass": np.hstack([np.eye(2), -np.eye(2)]),
+            "i fails at -2": np.array([[1.0, -1.0], [0.0, 0.0]]),
+            "ii fails": np.eye(2),
+        }
+        counts = count_linalg_calls(monkeypatch, ("eigvals",))
+        results = {label: check_nonneg(SystemPair(A=a, B=b)) for label, b in inputs.items()}
+        assert counts["eigvals"] == 1
+        passed = {
+            label: (report.condition_i.passed, report.condition_ii.passed)
+            for label, report in results.items()
+        }
+        assert passed == {
+            "both pass": (True, True),
+            "i fails at -2": (False, True),
+            "ii fails": (True, False),
+        }
+        assert results["i fails at -2"].certificate.eigenvalue == -2.0
+        for label, b in inputs.items():
+            controllability._last_analysis = None
+            assert results[label].to_dict() == check_nonneg(SystemPair(A=a, B=b)).to_dict()
+
+    def test_mutating_a_after_a_check_does_not_reach_the_memo(self):
+        # rank(A) is computed on first use, after A has been zeroed in place;
+        # the memo keeps its own copy of the A it was keyed on.
+        sys = _paired_system(4)
+        saved = sys.A.copy()
+        check_condition_i(sys)
+        sys.A[:] = 0.0
+        assert check_condition_iii(SystemPair(A=saved, B=sys.B), 1).rank_a == 16
 
 
 class TestInputCountBound:

@@ -26,7 +26,7 @@ from nnscontrol import controllability
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
 from nnscontrol.matrixcore import _CROWDING_FACTOR
 
-from helpers import reference_condition_i, reference_left_eigensystem
+from helpers import count_linalg_calls, reference_condition_i, reference_left_eigensystem
 
 # The rank-deficient diagonal state matrix of the bundled change-of-basis
 # example; used throughout as a small fixture with a zero eigenvalue.
@@ -388,11 +388,13 @@ class TestLeftEigensystemAgainstReference:
 
     def test_byte_identical_to_per_group_loops(self, monkeypatch):
         systems = list(_reference_systems())
-        for sys_ in systems:
-            _assert_same_eigensystem(left_eigensystem(sys_.A), reference_left_eigensystem(sys_.A))
+        # SystemPair clears negative zeros; the raw matrices keep them.
+        for a in [sys_.A for sys_ in systems] + list(_signed_zero_matrices()):
+            _assert_same_eigensystem(left_eigensystem(a), reference_left_eigensystem(a))
         reports = [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
         monkeypatch.setattr(controllability, "left_eigensystem", reference_left_eigensystem)
         monkeypatch.setattr(controllability, "_condition_i", reference_condition_i)
+        controllability._last_analysis = None  # the next check runs the reference
         assert reports == [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
 
     def test_every_group_path_is_taken(self):
@@ -424,19 +426,6 @@ class TestLeftEigensystemAgainstReference:
         assert group.max_residual > eig.cluster_radius * (1.0 + 1e-6)
 
 
-def _count_calls(monkeypatch, names=("eigvals", "eig", "svd")):
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 class TestLeftEigensystemCost:
     """One eigvals, one eig and one SVD per multi-member cluster."""
 
@@ -446,7 +435,7 @@ class TestLeftEigensystemCost:
 
     def test_well_separated_system_needs_no_svd(self, monkeypatch):
         a = np.random.default_rng(11).standard_normal((16, 16))
-        counts = _count_calls(monkeypatch)
+        counts = count_linalg_calls(monkeypatch)
         groups = left_eigensystem(a).groups
         assert counts == {"eigvals": 1, "eig": 1, "svd": 0}
         assert {g.is_real for g in groups} == {True, False}
@@ -454,7 +443,7 @@ class TestLeftEigensystemCost:
 
     def test_one_cluster_costs_one_svd(self, monkeypatch):
         a = self._similar([2.0, 2.0, 1.0, 3.0, -1.0, 5.0])
-        counts = _count_calls(monkeypatch)
+        counts = count_linalg_calls(monkeypatch)
         groups = left_eigensystem(a).groups
         assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
         assert [g.algebraic_multiplicity for g in groups] == [1, 1, 2, 1, 1]
