@@ -22,15 +22,16 @@ The work that depends only on A and the tolerances (the left eigensystem
 and rank(A)) is one analysis, shared by every entry point: consecutive
 calls on the same A and tol, such as ``check_nonneg_sparse`` then
 ``min_sparsity``, run one eigen-analysis and one rank(A) SVD. The memo
-holds one entry, keyed bit for bit on A (``SystemPair`` stores A C-ordered
-with no negative zeros, so equal values give equal keys) and on tol; B is
-not part of it, and conditions i and ii always read the caller's B.
+holds one entry, keyed bit for bit on A and on tol; A comes through
+``matrixcore.as_matrix`` in canonical form, so equal values give equal
+keys. B is not part of it, and conditions i and ii always read the
+caller's B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,9 +76,8 @@ VIOLATES_CONDITION_II = "violates_condition_ii"
 class SystemPair:
     """The matrix pair (A, B) of x_k = A x_{k-1} + B u_k.
 
-    A and B are stored C-ordered with every -0.0 made +0.0, so the reports
-    depend only on the values of the entries, not on memory layout or the
-    sign of a zero.
+    A and B are stored in the canonical form of ``matrixcore.as_matrix``,
+    so the reports depend only on the values of the entries.
     """
 
     A: np.ndarray
@@ -85,8 +85,7 @@ class SystemPair:
 
     def __post_init__(self) -> None:
         for name in ("A", "B"):
-            value = np.add(as_matrix(getattr(self, name), name), 0.0, order="C")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
         if self.A.shape[0] != self.A.shape[1]:
             raise InputError(f"A must be square, got shape {self.A.shape}")
         if self.A.shape[0] < 1:
@@ -109,7 +108,7 @@ class SystemPair:
 
 def validate_sparsity(s, m: int) -> int:
     """Check 1 <= s <= m; zero is rejected because zero inputs cannot steer."""
-    if not isinstance(s, (int, np.integer)):
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
         raise InputError(f"sparsity level must be an integer, got {s!r}")
     s = int(s)
     if not 1 <= s <= m:
@@ -273,19 +272,17 @@ class _Analysis:
         return rank(self._a, self._tol)
 
 
-# The last analysis made, with its key: (shape, bytes of A, tol).
-_last_analysis: tuple[tuple, _Analysis] | None = None
+@lru_cache(maxsize=1)
+def _analysis_of(shape: tuple[int, ...], data: bytes, tol: Tolerances) -> _Analysis:
+    """The one-entry memo. A is a read-only view of the key's bytes, so no
+    later write to the caller's array can reach it."""
+    return _Analysis(np.frombuffer(data).reshape(shape), tol)
 
 
 def _analysis(a: np.ndarray, tol: Tolerances) -> _Analysis:
     """The analysis of A under tol, reused when the previous call had the
     same A (bit for bit) and the same tol."""
-    global _last_analysis
-    key = (a.shape, a.tobytes(), tol)
-    entry = _last_analysis  # read once: another thread may replace it
-    if entry is None or entry[0] != key:
-        entry = _last_analysis = (key, _Analysis(a.copy(), tol))
-    return entry[1]
+    return _analysis_of(a.shape, a.tobytes(), tol)
 
 
 def _normalize_max(z: np.ndarray) -> np.ndarray:

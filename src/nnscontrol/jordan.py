@@ -163,14 +163,11 @@ def _zero_chains(
     """
     n_dim = a.shape[0]
     chains: list[list[np.ndarray]] = []
-    inherited: list[np.ndarray] = []  # chain vectors currently at height k
-    inherited_owner: list[int] = []
     for k in range(structure.n, 0, -1):
-        qk = structure.q_sizes[k - 1]
-        avoid = _orth(list(kernels[k - 1].T) + inherited, n_dim)
-        new_heads: list[np.ndarray] = []
+        # Every chain from a longer block is at height k: chain[-1] is inherited.
+        avoid = _orth(list(kernels[k - 1].T) + [chain[-1] for chain in chains], n_dim)
         projected = _project_out(kernels[k], avoid)
-        for _ in range(qk):
+        for _ in range(structure.q_sizes[k - 1]):
             norms = np.linalg.norm(projected, axis=0) if projected.shape[1] else np.zeros(0)
             if norms.size == 0 or norms.max() <= 1e-8:
                 raise NumericError(
@@ -178,20 +175,12 @@ def _zero_chains(
                 )
             pick = int(np.argmax(norms))
             head = projected[:, pick] / norms[pick]
-            new_heads.append(head)
-            projected = _project_out(projected, head[:, None])
-        for head in new_heads:
             chains.append([head])
-            inherited.append(head)
-            inherited_owner.append(len(chains) - 1)
-        # Push every vector at this height one level down for the next pass.
+            projected = _project_out(projected, head[:, None])
+        # Push every chain one level down for the next pass.
         if k > 1:
-            lowered = []
-            for vec, owner in zip(inherited, inherited_owner):
-                nxt = a @ vec
-                chains[owner].append(nxt)
-                lowered.append(nxt)
-            inherited = lowered
+            for chain in chains:
+                chain.append(a @ chain[-1])
     return chains
 
 
@@ -207,7 +196,7 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     n_dim = a.shape[0]
     if structure.n == 0:
         return RowSplitDecomposition(
-            P=np.eye(n_dim), J=a.copy(), P0=np.eye(n_dim), parts=(), structure=structure
+            P=np.eye(n_dim), J=a, P0=np.eye(n_dim), parts=(), structure=structure
         )
 
     q = structure.q
@@ -327,7 +316,6 @@ def verify_decomposition(
         )
 
     # Annihilation and rank preservation for each part.
-    nullity = n_dim - st.rank_sequence[1] if len(st.rank_sequence) > 1 else 0
     for i, part in enumerate(dec.parts, start=1):
         scale_part = max(1.0, float(np.abs(part).max(initial=0.0)))
         rank_part = rank(part, tol)
@@ -335,7 +323,7 @@ def verify_decomposition(
         checks.append(
             DecompositionCheck(
                 name=f"part{i}_rank_preserved",
-                passed=rank_part == rank_shifted and rank_part <= nullity,
+                passed=rank_part == rank_shifted and rank_part <= st.nullity,
                 residual=float(abs(rank_part - rank_shifted)),
             )
         )

@@ -7,8 +7,7 @@ The eigen-analysis costs O(N^3) when the eigenvalues are well separated:
 one eigenvalue solve fixes the clustering, one eigenvector solve supplies
 the left eigenvectors, one comparison matrix matches the two solves'
 eigenvalues, and only repeated or closely spaced eigenvalues need a
-null-space SVD. Each group shifts the diagonal of a copy of A^T shared by
-all groups instead of building A^T - lambda I afresh.
+null-space SVD.
 Correctness is promised for well-conditioned, small matrices (N <= 8);
 larger or ill-conditioned inputs get best-effort results with residuals
 reported rather than hidden.
@@ -16,7 +15,6 @@ reported rather than hidden.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +68,29 @@ DEFAULT_TOL = Tolerances()
 
 
 def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarray:
-    """Validate and return a 2-D finite array (float64, or complex128 if allowed)."""
+    """Validate a 2-D finite array and return it in canonical form.
+
+    The canonical form is a fresh C-ordered float64 array (complex128 when
+    ``allow_complex`` and ``a`` is complex) with every -0.0 made +0.0. Every
+    module takes its matrices through here, so every result depends only on
+    the values of the entries, not on memory layout or the sign of a zero.
+    """
     arr = np.asarray(a)
     if np.iscomplexobj(arr):
         if not allow_complex:
             raise InputError(f"{name} must be real")
-        arr = arr.astype(np.complex128)
+        arr = arr.astype(np.complex128, order="C")
     else:
         try:
-            arr = arr.astype(np.float64)
+            arr = arr.astype(np.float64, order="C")
         except (TypeError, ValueError) as exc:
             raise InputError(f"{name} has non-numeric entries: {exc}") from exc
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise InputError(f"{name} has a non-finite entry at row {bad[0]}, column {bad[1]}")
+    arr += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
     return arr
 
 
@@ -105,8 +110,6 @@ def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
 
 
@@ -208,20 +211,6 @@ def _cluster(close: np.ndarray) -> list[np.ndarray]:
 _CROWDING_FACTOR = 1e3
 
 
-def _shift_entries(lam: complex, is_real: bool) -> tuple[complex | float, complex | float]:
-    """The off-diagonal and diagonal entries of ``lam * I`` as numpy forms them.
-
-    A complex product is (lr*e - li*0) + (lr*0 + li*e)j for e in {0, 1}, so
-    the zeros carry signs. Subtracting them from A^T gives A^T - lam I bit
-    for bit, signed zeros included (a negative zero of A turns positive
-    when the off-diagonal zero is negative).
-    """
-    lr, li = lam.real, lam.imag
-    if is_real:
-        return lr * 0.0, lr
-    return complex(lr * 0.0 - li * 0.0, lr * 0.0 + li * 0.0), complex(lr - li * 0.0, lr * 0.0 + li)
-
-
 def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     """Eigenvalues of A with orthonormal left-eigenvector bases per group.
 
@@ -245,11 +234,9 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     solved takes the conjugate of that basis.
 
     A^T - lambda I is not built per group: each group overwrites the
-    diagonal of a C-ordered copy of A^T shared by the groups (a real copy,
-    a complex one once a complex group appears, and a second of either
-    kind when the off-diagonal zero of lambda I changes sign, see
-    ``_shift_entries``), which also serves the residual product. The C
-    layout keeps the residual's summation order.
+    diagonal of a C-ordered copy of A^T shared by the groups (one real
+    copy, and one complex copy once a complex group appears), which also
+    serves the residual product.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
@@ -276,7 +263,7 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
 
     diagonal = a.diagonal()
-    shifts: dict[tuple[bool, bool], np.ndarray] = {}
+    shifts: dict[bool, np.ndarray] = {}  # keyed by is_real
     groups = []
     complex_bases: dict[tuple[complex, int], np.ndarray] = {}
     for idx in _cluster(gaps <= radius):
@@ -290,12 +277,11 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
             spread = float(np.abs(members - center).max())
         is_real = abs(center.imag) <= tol.eig_imag_tol
         lam: complex = complex(center.real) if is_real else center
-        off, on = _shift_entries(lam, is_real)
-        key = (is_real, math.copysign(1.0, off.real) < 0.0)
-        shifted = shifts.get(key)
+        shifted = shifts.get(is_real)
         if shifted is None:
-            shifted = shifts[key] = np.subtract(a.T, off, order="C")
-        shifted.reshape(-1)[:: n + 1] = diagonal - on
+            dtype = np.float64 if is_real else np.complex128
+            shifted = shifts[is_real] = a.T.astype(dtype, order="C")
+        shifted.reshape(-1)[:: n + 1] = diagonal - (lam.real if is_real else lam)
         mirror = complex_bases.get((lam.conjugate(), idx.size))
         if mirror is not None:
             basis = mirror.conj()

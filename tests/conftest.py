@@ -7,6 +7,6 @@ from nnscontrol import controllability
 def fresh_analysis_memo():
     """Start and end every test with no memoized analysis, so call counts
     and monkeypatched eigen-solvers never see an earlier test's A."""
-    controllability._last_analysis = None
+    controllability._analysis_of.cache_clear()
     yield
-    controllability._last_analysis = None
+    controllability._analysis_of.cache_clear()

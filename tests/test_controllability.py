@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,10 +9,14 @@ from nnscontrol import (
     KINDS,
     InputError,
     Tolerances,
+    build_decomposition,
     controllability,
+    feasible_nonneg_solution,
     generate_system,
     left_eigensystem,
+    null_space_basis,
     pbh_rank,
+    rank,
 )
 from nnscontrol.controllability import (
     Certificate,
@@ -76,15 +81,28 @@ def _negate_zeros(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0.0, -0.0, x)
 
 
+def _value_bytes(obj):
+    """Every array's dtype, shape and bytes and every scalar's repr (which
+    tells -0.0 from 0.0) inside a result, dataclasses and tuples included."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(_value_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (tuple, list)):
+        return tuple(_value_bytes(v) for v in obj)
+    return repr(obj)
+
+
 class TestReportsDependOnValuesOnly:
     """A C-ordered A, its Fortran-ordered copy and A with every zero
-    negated are the same system and get the same report bytes."""
+    negated are the same system and get the same report bytes, and the
+    same bytes from every public primitive."""
 
     @staticmethod
     def _reports(a: np.ndarray, b: np.ndarray) -> set[str]:
         reports = set()
         for variant in (np.ascontiguousarray(a), np.asfortranarray(a), _negate_zeros(a)):
-            controllability._last_analysis = None
+            controllability._analysis_of.cache_clear()
             reports.add(json.dumps(check_nonneg_sparse(SystemPair(variant, b), 2).to_dict()))
         return reports
 
@@ -101,6 +119,30 @@ class TestReportsDependOnValuesOnly:
             a = rng.integers(-2, 3, size=(4, 4)).astype(float)
             b = rng.integers(-2, 3, size=(4, 2)).astype(float)
             assert len(self._reports(a, b) | self._reports(a, _negate_zeros(b))) == 1
+
+    def test_public_primitives(self):
+        matrices = [
+            generate_system(kind, n, 4, seed).system.A
+            for kind in KINDS
+            for n in (3, 8)
+            for seed in range(2)
+        ]
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            matrices.append(rng.integers(-1, 2, size=(n, n)).astype(float))
+        primitives = {
+            "left_eigensystem": left_eigensystem,
+            "rank": rank,
+            "null_space_basis": null_space_basis,
+            "feasible_nonneg_solution": lambda m: feasible_nonneg_solution(m, np.ones(len(m))),
+            "build_decomposition": build_decomposition,
+        }
+        for a in matrices:
+            variants = (np.ascontiguousarray(a), np.asfortranarray(a), _negate_zeros(a))
+            for name, primitive in primitives.items():
+                outputs = {_value_bytes(primitive(variant)) for variant in variants}
+                assert len(outputs) == 1, name
 
 
 class TestConditionI:
@@ -265,6 +307,12 @@ class TestConditionIII:
         with pytest.raises(InputError):
             check_condition_iii(COB, bad_s)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_boolean_sparsity(self, flag):
+        for check in (check_condition_iii, check_nonneg_sparse, check_sparse):
+            with pytest.raises(InputError, match="must be an integer"):
+                check(COB, flag)
+
 
 class TestFullChecks:
     def test_cob_controllable_at_s1(self):
@@ -357,9 +405,9 @@ def _memoized_reports(calls) -> list[str]:
 def _fresh_reports(calls) -> list[str]:
     reports = []
     for sys, tol in calls:
-        controllability._last_analysis = None
+        controllability._analysis_of.cache_clear()
         report = check_nonneg_sparse(sys, 1, tol).to_dict()
-        controllability._last_analysis = None
+        controllability._analysis_of.cache_clear()
         reports.append(json.dumps([report, min_sparsity(sys, tol)]))
     return reports
 
@@ -442,12 +490,12 @@ class TestSharedAnalysis:
         }
         assert results["i fails at -2"].certificate.eigenvalue == -2.0
         for label, b in inputs.items():
-            controllability._last_analysis = None
+            controllability._analysis_of.cache_clear()
             assert results[label].to_dict() == check_nonneg(SystemPair(A=a, B=b)).to_dict()
 
     def test_mutating_a_after_a_check_does_not_reach_the_memo(self):
         # rank(A) is computed on first use, after A has been zeroed in place;
-        # the memo keeps its own copy of the A it was keyed on.
+        # the memo reads A from the bytes it was keyed on.
         sys = _paired_system(4)
         saved = sys.A.copy()
         check_condition_i(sys)

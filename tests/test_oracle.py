@@ -99,6 +99,11 @@ class TestReachableMembership:
 
 
 class TestCoverageProbe:
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_boolean_sparsity(self, flag):
+        with pytest.raises(InputError, match="must be an integer"):
+            coverage_probe(COB, flag)
+
     def test_scalar_flip_covered_at_two(self):
         verdict = coverage_probe(SCALAR_FLIP, 1, OracleConfig(seed=1))
         assert verdict.covered
