@@ -11,7 +11,7 @@ positive evidence of controllability; an uncovered one is inconclusive on
 its own (no horizon bound exists) and gains meaning when paired with an
 uncontrollability certificate.
 
-Three semantics-preserving shortcuts keep the enumeration tractable:
+Four semantics-preserving shortcuts keep the enumeration tractable:
 
   * a probe outside the convex relaxation (all supports merged) is outside
     every sequence cone, costing one solve instead of the full sweep;
@@ -29,14 +29,24 @@ Three semantics-preserving shortcuts keep the enumeration tractable:
     ||p - G u||_inf >= (-w^T p - 1e-12 max|G| ||u||_1) / ||w||_1, and
     ||w||_1 <= N, so the residual exceeds feas_tol for every u with
     1e-12 max|G| ||u||_1 < (10^3 - N) feas_tol: the shortcut stays sound
-    while N < 10^3. Nothing is kept from one sweep to the next.
+    while N < 10^3;
+  * every solve that finds a probe inside a cone with exactly N positive
+    coefficients, on columns P, leaves the simplicial basis G_P of that
+    cone (a relaxation, or one key set of a horizon) with its inverse.
+    Before any other test, a stored basis of the cone asked about answers
+    "member" when c = G_P^{-1} p has c >= 0 and ||p - G_P c||_inf <=
+    feas_tol. That is the solver's own member test, applied to the u >= 0
+    that is c on P and 0 elsewhere, so the answer carries a witness that
+    the solver would accept.
+
+Nothing is kept from one sweep to the next.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +88,8 @@ class OracleConfig:
     include_axes: bool = True
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise InputError(f"k_max must be >= 1, got {self.k_max}")
-        if self.n_directions < 1:
-            raise InputError(f"n_directions must be >= 1, got {self.n_directions}")
+        for name, least in (("k_max", 1), ("n_directions", 1), ("seed", 0)):
+            object.__setattr__(self, name, _validate_count(getattr(self, name), name, least))
 
     def to_dict(self) -> dict:
         return {
@@ -99,8 +107,9 @@ class OracleVerdict:
     outcome "covered_at": every probe was reconstructed at horizon k_used.
     outcome "uncovered": the listed directions survived through k_max;
     inconclusive without a certificate. ``lp_count`` is the number of
-    membership questions the sweep settled, by a cone solve or by a stored
-    separating hyperplane; fewer solves than that actually run.
+    membership questions the sweep settled, by a cone solve, a stored
+    separating hyperplane or a stored basis; fewer solves than that
+    actually run.
     """
 
     outcome: str  # "covered_at" | "uncovered"
@@ -121,6 +130,15 @@ class OracleVerdict:
                 [float(v) for v in d] for d in self.uncovered_directions
             ],
         }
+
+
+def _validate_count(value, name: str, least: int) -> int:
+    """Check that value is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def enumerate_supports(m: int, s: int) -> list[tuple[int, ...]]:
@@ -167,8 +185,7 @@ def reachable_membership(
     where inputs[j] is the nonnegative m-vector applied at step j+1, or
     None when no sequence admits one.
     """
-    if k < 1:
-        raise InputError(f"horizon must be >= 1, got {k}")
+    k = _validate_count(k, "horizon", 1)
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise InputError(f"x must have length {sys.n}, got shape {x.shape}")
@@ -242,24 +259,40 @@ def _probe_directions(sys: SystemPair, cfg: OracleConfig) -> list[np.ndarray]:
     return probes
 
 
-class _SeparatorPool:
-    """The Farkas separators of one sweep's non-member solves (the third
-    shortcut above), and the probe that the next questions are about."""
+class _WitnessPool:
+    """The witnesses of one sweep's solves (the third and fourth shortcuts
+    above): the Farkas separators of non-member solves, shared by every
+    cone, the simplicial bases of member solves, kept per cone, and the
+    probe that the next questions are about."""
 
     def __init__(self, n: int, tol: Tolerances) -> None:
         self.tol = tol
         self.separators = np.zeros((0, n))
+        self.bases: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}  # (inverses, bases)
         self.probe = np.zeros(n)
+        self.feas_tol = 0.0
         self.cut = 0.0
         self.near = self.separators  # the separators with w^T probe < cut
 
     def focus(self, probe: np.ndarray) -> None:
         self.probe = probe
-        self.cut = -_REJECT_FACTOR * membership_tol(probe, self.tol)
+        self.feas_tol = membership_tol(probe, self.tol)
+        self.cut = -_REJECT_FACTOR * self.feas_tol
         self.near = self.separators[self.separators @ probe < self.cut]
 
-    def member(self, generators: np.ndarray) -> bool:
-        """Whether the probe lies in cone(generators), by a stored separator or a solve."""
+    def member(self, cone: Hashable, generators: np.ndarray) -> bool:
+        """Whether the probe lies in cone(generators), by a stored basis of this
+        cone, a stored separator or a solve."""
+        stored = self.bases.get(cone)
+        if stored is not None:
+            inverses, bases = stored
+            coefficients = inverses @ self.probe
+            residuals = self.probe - (bases @ coefficients[:, :, None])[:, :, 0]
+            if np.any(
+                (coefficients.min(axis=1) >= 0.0)
+                & (np.abs(residuals).max(axis=1) <= self.feas_tol)
+            ):
+                return True
         if len(self.near) and (
             generators.shape[1] == 0
             or np.any((self.near @ generators).min(axis=1) >= _separator_floor(generators))
@@ -267,6 +300,12 @@ class _SeparatorPool:
             return False
         result = feasible_nonneg_solution(generators, self.probe, self.tol)
         if result.member:
+            positive = np.flatnonzero(result.coefficients > 0.0)
+            if len(positive) == len(self.probe):
+                stack = generators[:, positive][None]
+                if stored is not None:
+                    stack = np.concatenate([bases, stack])
+                self.bases[cone] = (np.linalg.inv(stack), stack)
             return True
         w = result.separator / np.abs(result.separator).max()
         if float((w @ generators).min(initial=np.inf)) >= _separator_floor(generators):
@@ -288,8 +327,8 @@ def _sweep_coverage(
 
     Zero inputs are admissible, so per-probe coverage is monotone in the
     horizon and only still-uncovered probes are retested as K grows. The
-    count is of membership questions, whether a cone solve or a stored
-    separator settled them.
+    count is of membership questions, whether a cone solve, a stored
+    separator or a stored basis settled them.
     """
     supports = enumerate_supports(sys.m, s)
     uncovered = list(range(len(probes)))
@@ -297,7 +336,7 @@ def _sweep_coverage(
     blocks = _powers_times_b(sys, k_max)
     ladder = _sequence_cone_ladder(sys, supports, blocks)
     cones: list[dict[frozenset[bytes], np.ndarray]] = []  # cones[k-1]: horizon k
-    pool = _SeparatorPool(sys.n, tol)
+    pool = _WitnessPool(sys.n, tol)
     # Known-outside (probe, key set) pairs. Key sets recur across horizons
     # when powers of A repeat directions (nilpotent or low-rank A).
     outside: set[tuple[int, frozenset[bytes]]] = set()
@@ -307,7 +346,7 @@ def _sweep_coverage(
         for idx in uncovered:
             pool.focus(probes[idx])
             lp_count += 1
-            if not pool.member(relaxation):
+            if not pool.member(k, relaxation):
                 survivors.append(idx)
                 continue
             if s == sys.m:
@@ -319,7 +358,7 @@ def _sweep_coverage(
                 if (idx, key) in outside:
                     continue
                 lp_count += 1
-                if pool.member(generators):
+                if pool.member(key, generators):
                     break
                 outside.add((idx, key))
             else:
@@ -359,6 +398,7 @@ def direction_uncovered(
     witness promises its direction can never be reached, at any horizon.
     """
     s = validate_sparsity(s, sys.m)
+    k_max = _validate_count(k_max, "horizon", 1)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (sys.n,):
         raise InputError(f"direction must have length {sys.n}, got shape {direction.shape}")
@@ -376,8 +416,7 @@ def random_rollout(
     corner). Deterministic per seed.
     """
     s = validate_sparsity(s, sys.m)
-    if k < 1:
-        raise InputError(f"horizon must be >= 1, got {k}")
+    k = _validate_count(k, "horizon", 1)
     rng = np.random.default_rng(seed)
     x = np.zeros(sys.n)
     for _ in range(k):

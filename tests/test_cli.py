@@ -373,8 +373,17 @@ class TestExitCodeContract:
             ["zzz"],
             ["check", COB, "--variant", "zzz"],
             ["check", COB, "--bogus"],
+            ["oracle", COB, "--s", "1", "--seed", "-1"],
         ],
-        ids=["no-command", "no-file", "bad-int", "unknown-command", "bad-choice", "unknown-option"],
+        ids=[
+            "no-command",
+            "no-file",
+            "bad-int",
+            "unknown-command",
+            "bad-choice",
+            "unknown-option",
+            "negative-seed",
+        ],
     )
     def test_usage_error_exits_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)

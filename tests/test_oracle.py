@@ -173,6 +173,58 @@ class TestRandomRollout:
         np.testing.assert_array_equal(a, b)
 
 
+HORIZON_CALLS = {
+    "reachable_membership": lambda k: reachable_membership(COB, 1, k, [1.0, 1.0, 0.0]),
+    "random_rollout": lambda k: random_rollout(COB, 2, k, seed=5),
+    "direction_uncovered": lambda k: direction_uncovered(COB_T, 1, [0.0, 0.0, 1.0], k_max=k),
+}
+
+
+class TestIntegerParameters:
+    """Counts and horizons must be integers: numpy integers are accepted,
+    bools and floats are refused with an InputError."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k_max", True, "k_max must be an integer, got True"),
+            ("k_max", 2.5, "k_max must be an integer, got 2.5"),
+            ("k_max", 0, "k_max must be >= 1, got 0"),
+            ("n_directions", 3.0, "n_directions must be an integer, got 3.0"),
+            ("n_directions", 0, "n_directions must be >= 1, got 0"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_config_rejects(self, field, value, message):
+        with pytest.raises(InputError) as excinfo:
+            OracleConfig(**{field: value})
+        assert str(excinfo.value) == message
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = OracleConfig(k_max=np.int64(3), n_directions=np.int32(4), seed=np.uint8(7))
+        assert cfg == OracleConfig(k_max=3, n_directions=4, seed=7)
+        assert json.dumps(cfg.to_dict()) == json.dumps(OracleConfig(3, 4, 7).to_dict())
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (2.5, "horizon must be an integer, got 2.5"),
+            (True, "horizon must be an integer, got True"),
+            (0, "horizon must be >= 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("call", HORIZON_CALLS.values(), ids=HORIZON_CALLS)
+    def test_horizon_rejects(self, call, k, message):
+        with pytest.raises(InputError) as excinfo:
+            call(k)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("call", HORIZON_CALLS.values(), ids=HORIZON_CALLS)
+    def test_horizon_accepts_numpy_integer(self, call):
+        np.testing.assert_equal(call(np.int64(3)), call(3))
+
+
 class TestAgreementWithVerdicts:
     def test_oracle_never_contradicts_certificates(self):
         rng = np.random.default_rng(21)
@@ -334,8 +386,21 @@ def assert_sweep_matches_lp_reference(sys, s, cfg):
 SWEEP_CONFIG = OracleConfig(n_directions=16, seed=2024)
 
 
+def counted_solves(monkeypatch):
+    """Replace the oracle's cone solver with a wrapper; returns its call list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return feasible_nonneg_solution(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
+    return calls
+
+
 class TestSeparatorReuse:
-    """Stored Farkas hyperplanes settle questions exactly as the LP would."""
+    """Stored Farkas hyperplanes and simplicial bases settle questions
+    exactly as the LP would."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("m", (2, 3, 4))
@@ -345,6 +410,13 @@ class TestSeparatorReuse:
         sys = generate_system(kind, n, m, seed).system
         for s in range(1, m + 1):
             assert_sweep_matches_lp_reference(sys, s, SWEEP_CONFIG)
+
+    @pytest.mark.parametrize("n", (4, 5))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_larger_systems(self, kind, n):
+        sys = generate_system(kind, n, 3, 0).system
+        for s in range(1, 4):
+            assert_sweep_matches_lp_reference(sys, s, OracleConfig(n_directions=4, seed=2024))
 
     @pytest.mark.parametrize(
         "sys", [COB, COB_T, SCALAR_FLIP, SHIFT], ids=["cob", "cob_t", "scalar_flip", "shift"]
@@ -368,6 +440,38 @@ class TestSeparatorReuse:
             assert result == lp_sweep_coverage(sys, s, [below, edge], 3)
             assert result[1] == [0]
 
+    def test_basis_settles_probes_in_its_simplicial_cone(self, monkeypatch):
+        # cone(B) is the upper half-plane. The first probe's solve ends on
+        # the basis {e1, e2}, which then settles the probe on its face
+        # (coefficients (0, 1), one exactly 0) without a solve. The others
+        # have a negative coefficient on every stored basis, so each is
+        # solved: one just outside {e1, e2} but inside cone(B), one outside
+        # cone(B) within feas_tol (a member), one outside by more.
+        sys = SystemPair(A=np.eye(2), B=np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]]))
+        probes = [
+            np.array([1.0, 1.0]) / np.sqrt(2.0),
+            np.array([0.0, 1.0]),
+            np.array([-1e-9, 1.0]),
+            np.array([1.0, -1e-9]),
+            np.array([1.0, -1e-6]),
+        ]
+        expected = lp_sweep_coverage(sys, 3, probes, 1)
+        calls = counted_solves(monkeypatch)
+        assert _sweep_coverage(sys, 3, probes, 1, DEFAULT_TOL) == expected
+        assert expected == (None, [4], 5)
+        assert len(calls) == 4
+
+    def test_no_basis_below_full_rank(self, monkeypatch):
+        # A flat cone in R^3: every member has at most two positive
+        # coefficients, so no basis is stored and every question is solved.
+        sys = SystemPair(A=np.eye(3), B=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        probes = [np.array([1.0, t, 0.0]) / np.hypot(1.0, t) for t in (0.0, 0.5, 1.0, 2.0)]
+        expected = lp_sweep_coverage(sys, 2, probes, 2)
+        calls = counted_solves(monkeypatch)
+        assert _sweep_coverage(sys, 2, probes, 2, DEFAULT_TOL) == expected
+        assert expected == (1, [], 4)
+        assert len(calls) == 4
+
     def test_heavy_tail_lp_guard(self, monkeypatch):
         # The acceptance suite's costliest system: 11,598 membership
         # questions, nearly all settled by reused hyperplanes.
@@ -382,6 +486,16 @@ class TestSeparatorReuse:
         verdict = coverage_probe(sys, 1, OracleConfig(seed=2024))
         assert verdict.lp_count == 11598
         assert len(calls) < 1000
+
+    def test_controllable_solve_guard(self, monkeypatch):
+        # A covered system: 210 membership questions, most of them members
+        # settled by a stored basis (14 solves; 142 before bases were kept).
+        sys = generate_system("random_nonsingular_paired", 3, 4, 0).system
+        expected = lp_coverage_probe(sys, 2, OracleConfig(seed=2024))
+        calls = counted_solves(monkeypatch)
+        verdict = coverage_probe(sys, 2, OracleConfig(seed=2024))
+        assert verdict.lp_count == expected.lp_count == 210
+        assert len(calls) < 30
 
 
 class TestPowerOverflow:
