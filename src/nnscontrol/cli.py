@@ -4,8 +4,8 @@ Commands: check, min-sparsity, oracle, decompose, verify-cert, gen.
 ``run_command`` is the one front door: a parser built once per process
 reads argv, and for every command but gen it loads and digests the system
 file and wraps the command's result in the report envelope. Every command
-writes a JSON report to stdout (gen writes the generated system file
-itself) and, with --pretty, a human summary to stderr. Exit codes: 0 for
+but gen writes a JSON report to stdout and, with --pretty, a human summary
+to stderr; gen writes the generated system file itself. Exit codes: 0 for
 a completed analysis regardless of verdict, 1 for input and usage errors
 and unreadable paths (stdout empty, one "error:" line on stderr), 2 for
 numeric failures. Reports embed the tolerance policy and, except for the
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .controllability import (
     Certificate,
-    _analysis,
+    check_condition_iii,
     check_nonneg,
     check_nonneg_sparse,
     check_sparse,
@@ -60,9 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="system file (JSON with keys A, B, optional s, name)")
+    def add_common(p):
+        p.add_argument("file", help="system file (JSON with keys A, B, optional s, name)")
         p.add_argument(
             "--tol",
             type=float,
@@ -103,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cert", required=True, help="certificate JSON file")
 
     p_gen = sub.add_parser("gen", help="generate a planted test system")
-    add_common(p_gen, needs_file=False)
     p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--n", type=int, required=True, help="state dimension")
     p_gen.add_argument("--m", type=int, required=True, help="input dimension")
@@ -167,7 +165,7 @@ def _cmd_min_sparsity(args, parsed, tol: Tolerances) -> dict:
                 "min_sparsity": level,
                 "feasible": True,
                 "nonneg_controllable": True,
-                "required": sys_pair.n - _analysis(sys_pair.A, tol).rank_a,
+                "required": check_condition_iii(sys_pair, level, tol).required,
             }
     return result
 
@@ -231,10 +229,10 @@ def run_command(argv: list[str]) -> tuple[dict, int]:
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
-    tol = _tolerances(args)
     if args.command == "gen":
         generated = generate_system(args.kind, args.n, args.m, args.seed, args.deficiency)
         return {"system_file": generated.to_file_dict()}, 0
+    tol = _tolerances(args)
     started = time.perf_counter()
     parsed = parse_system_file(Path(args.file))  # a path, even when it starts with "{"
     digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()

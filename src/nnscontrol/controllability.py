@@ -16,7 +16,10 @@ all three hold. Dropping condition iii gives the nonnegative-input test,
 dropping condition ii gives the unsigned sparse-input test. Failures of
 conditions i and ii are returned as machine-checkable certificates: an
 eigenpair (lambda, z) that pins the reachable set inside a hyperplane or
-half-space.
+half-space. Condition ii's z is the eigenspace vector that decided the
+violation; condition i's comes from the left null space of the pencil
+[lambda I - A | B], which stays close to z^T B = 0 where a defective
+eigenvalue splits into copies whose eigenvectors do not.
 
 The work that depends only on A and the tolerances (the left eigensystem
 and rank(A)) is one analysis, shared by every entry point: consecutive
@@ -106,11 +109,19 @@ class SystemPair:
         return self.B.shape[1]
 
 
+def validate_count(value, name: str, least: int | None = None) -> int:
+    """Check that value is an integer (not a bool), of at least ``least``
+    when given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def validate_sparsity(s, m: int) -> int:
     """Check 1 <= s <= m; zero is rejected because zero inputs cannot steer."""
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-        raise InputError(f"sparsity level must be an integer, got {s!r}")
-    s = int(s)
+    s = validate_count(s, "sparsity level")
     if not 1 <= s <= m:
         raise InputError(f"sparsity level must lie in [1, {m}], got {s}")
     return s
@@ -299,6 +310,25 @@ def _eig_residual(sys: SystemPair, lam: complex, z: np.ndarray) -> float:
     return float(np.abs(z @ sys.A - lam * z).max())
 
 
+def _failed(
+    sys: SystemPair, kind: str, lam: complex, z: np.ndarray, others: list, tol: Tolerances
+) -> ConditionResult:
+    """A failed condition with its certificate (lam, z); a z whose imaginary
+    part is at most ``eig_imag_tol`` after max-normalization is made real."""
+    z = _normalize_max(z)
+    if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= tol.eig_imag_tol:
+        z = z.real
+    zb = z @ sys.B
+    cert = Certificate(
+        kind=kind,
+        eigenvalue=lam,
+        z=z,
+        residual_eig=_eig_residual(sys, lam, z),
+        max_zb=float(np.abs(zb).max() if kind == VIOLATES_CONDITION_I else zb.max()),
+    )
+    return ConditionResult(passed=False, certificate=cert, other_violations=tuple(others))
+
+
 def _annihilates_b(b: np.ndarray, basis: np.ndarray, cutoff: float) -> bool:
     """True when some unit z in the span of ``basis`` (two or more columns)
     has |z^T B| <= cutoff.
@@ -330,58 +360,24 @@ def _condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> Cond
         return ConditionResult(passed=True)
     violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
     lam = violations[0]
-    pencil = np.hstack(
-        [
-            (lam * np.eye(sys.n) - sys.A.astype(np.complex128))
-            if lam.imag
-            else (lam.real * np.eye(sys.n) - sys.A),
-            sys.B,
-        ]
-    )
-    left_null = null_space_basis(pencil.T, tol)
-    if left_null.shape[1] == 0:
-        _, _, vh = np.linalg.svd(pencil.T)
-        left_null = vh[-1:].conj().T
-    z = _normalize_max(left_null[:, 0])
-    if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= tol.eig_imag_tol:
-        z = z.real
-    cert = Certificate(
-        kind=VIOLATES_CONDITION_I,
-        eigenvalue=lam,
-        z=z,
-        residual_eig=_eig_residual(sys, lam, z),
-        max_zb=float(np.abs(z @ sys.B).max()),
-    )
-    return ConditionResult(passed=False, certificate=cert, other_violations=tuple(violations[1:]))
+    pencil = np.hstack([(lam if lam.imag else lam.real) * np.eye(sys.n) - sys.A, sys.B])
+    z = null_space_basis(pencil.T, tol, closest=True)[:, 0]
+    return _failed(sys, VIOLATES_CONDITION_I, lam, z, violations[1:], tol)
 
 
 def _condition_ii(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
-    violations: list[tuple[complex, Certificate]] = []
+    pairs = []
     for group in eig.groups:
         if not group.is_real or group.eigenvalue.real < -tol.eig_imag_tol:
             continue
-        lam = complex(group.eigenvalue.real)
-        z_basis = group.basis
-        witness = homogeneous_nonzero(sys.B.T @ z_basis, tol)
-        if witness is None:
-            continue
-        z = _normalize_max(z_basis @ witness.rho)
-        cert = Certificate(
-            kind=VIOLATES_CONDITION_II,
-            eigenvalue=lam,
-            z=z,
-            residual_eig=_eig_residual(sys, lam, z),
-            max_zb=float((z @ sys.B).max()),
-        )
-        violations.append((lam, cert))
-    if not violations:
+        witness = homogeneous_nonzero(sys.B.T @ group.basis, tol)
+        if witness is not None:
+            pairs.append((complex(group.eigenvalue.real), group.basis @ witness.rho))
+    if not pairs:
         return ConditionResult(passed=True)
-    violations.sort(key=lambda pair: (-abs(pair[0]), pair[0].real))
-    return ConditionResult(
-        passed=False,
-        certificate=violations[0][1],
-        other_violations=tuple(lam for lam, _ in violations[1:]),
-    )
+    pairs.sort(key=lambda pair: (-abs(pair[0]), pair[0].real))
+    (lam, z), others = pairs[0], [lam for lam, _ in pairs[1:]]
+    return _failed(sys, VIOLATES_CONDITION_II, lam, z, others, tol)
 
 
 def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
@@ -389,8 +385,9 @@ def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Conditi
 
     Fails at lambda when some z in the left eigenspace has z^T B = 0; the
     certificate is taken from the left null space of [lambda I - A | B] at
-    the violation of largest modulus. ``matrixcore.pbh_rank`` is the
-    equivalent pencil test, kept as the reference.
+    the violation of largest modulus, or from its closest singular
+    direction when the rank cutoff leaves none. ``matrixcore.pbh_rank`` is
+    the equivalent pencil test, kept as the reference.
     """
     return _condition_i(sys, _analysis(sys.A, tol).eig, tol)
 

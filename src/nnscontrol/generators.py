@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import SystemPair
+from .controllability import SystemPair, validate_count
 from .errors import InputError
 from .systemio import system_file_dict
 
@@ -132,10 +132,12 @@ def generate_system(
     """
     if kind not in KINDS:
         raise InputError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
-    if n < 1 or m < 1:
-        raise InputError(f"dimensions must be positive, got n={n}, m={m}")
-    if deficiency is not None and kind != "planted_rank_deficient":
-        raise InputError("deficiency only applies to planted_rank_deficient")
+    n, m = validate_count(n, "n", 1), validate_count(m, "m", 1)
+    seed = validate_count(seed, "seed", 0)
+    if deficiency is not None:
+        if kind != "planted_rank_deficient":
+            raise InputError("deficiency only applies to planted_rank_deficient")
+        deficiency = validate_count(deficiency, "deficiency")
     rng = np.random.default_rng([KINDS.index(kind), n, m, seed])
     suffix = ""
     if kind == "planted_uncontrollable_ii":

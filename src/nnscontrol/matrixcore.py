@@ -113,12 +113,17 @@ def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
 
 
-def null_space_basis(m, tol: Tolerances = DEFAULT_TOL, *, atol: float = 0.0) -> np.ndarray:
+def null_space_basis(
+    m, tol: Tolerances = DEFAULT_TOL, *, atol: float = 0.0, closest: bool = False
+) -> np.ndarray:
     """Orthonormal basis of the kernel of ``m`` as columns.
 
     Singular values below ``max(rank_rtol * sigma_max, atol)`` are treated
     as zero; ``atol`` lets callers widen the cutoff (used for eigenspace
     extraction, where the shift is only known to clustering accuracy).
+    With ``closest``, a kernel that the cutoff leaves empty is replaced by
+    the closest singular direction, the last right singular vector, from
+    the same SVD.
     """
     m = as_matrix(m, "matrix", allow_complex=True)
     rows, cols = m.shape
@@ -129,7 +134,7 @@ def null_space_basis(m, tol: Tolerances = DEFAULT_TOL, *, atol: float = 0.0) -> 
     _, s, vh = np.linalg.svd(m)
     cutoff = max(tol.rank_rtol * (s[0] if s.size else 0.0), atol)
     r = int(np.count_nonzero(s > cutoff))
-    basis = vh[r:].conj().T
+    basis = vh[min(r, cols - 1) if closest else r :].conj().T
     if np.iscomplexobj(basis) and np.abs(basis.imag).max(initial=0.0) == 0.0:
         basis = basis.real
     return basis
@@ -294,13 +299,11 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
                 elif exactly_real[i]:
                     basis = column.real
             if basis is None:
-                basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
-            if basis.shape[1] == 0:
-                # The cluster center is within `radius` of a true eigenvalue, so
-                # sigma_min <= radius; if rounding pushed it past the cutoff,
-                # keep the closest singular direction and report its residual.
-                _, _, vh = np.linalg.svd(shifted)
-                basis = vh[-1:].conj().T
+                # The cluster center is within `radius` of a true eigenvalue,
+                # so sigma_min <= radius; if rounding pushed it past the
+                # cutoff, keep the closest singular direction and report its
+                # residual.
+                basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6), closest=True)
             if not is_real:
                 complex_bases[(lam, idx.size)] = basis
         residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conelp import feasible_nonneg_solution, membership_tol
-from .controllability import SystemPair, validate_sparsity
+from .controllability import SystemPair, validate_count, validate_sparsity
 from .errors import InputError, NumericError
 from .matrixcore import DEFAULT_TOL, Tolerances
 
@@ -89,7 +89,7 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("k_max", 1), ("n_directions", 1), ("seed", 0)):
-            object.__setattr__(self, name, _validate_count(getattr(self, name), name, least))
+            object.__setattr__(self, name, validate_count(getattr(self, name), name, least))
 
     def to_dict(self) -> dict:
         return {
@@ -130,15 +130,6 @@ class OracleVerdict:
                 [float(v) for v in d] for d in self.uncovered_directions
             ],
         }
-
-
-def _validate_count(value, name: str, least: int) -> int:
-    """Check that value is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InputError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 def enumerate_supports(m: int, s: int) -> list[tuple[int, ...]]:
@@ -185,7 +176,7 @@ def reachable_membership(
     where inputs[j] is the nonnegative m-vector applied at step j+1, or
     None when no sequence admits one.
     """
-    k = _validate_count(k, "horizon", 1)
+    k = validate_count(k, "horizon", 1)
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise InputError(f"x must have length {sys.n}, got shape {x.shape}")
@@ -398,7 +389,7 @@ def direction_uncovered(
     witness promises its direction can never be reached, at any horizon.
     """
     s = validate_sparsity(s, sys.m)
-    k_max = _validate_count(k_max, "horizon", 1)
+    k_max = validate_count(k_max, "horizon", 1)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (sys.n,):
         raise InputError(f"direction must have length {sys.n}, got shape {direction.shape}")
@@ -416,8 +407,8 @@ def random_rollout(
     corner). Deterministic per seed.
     """
     s = validate_sparsity(s, sys.m)
-    k = _validate_count(k, "horizon", 1)
-    rng = np.random.default_rng(seed)
+    k = validate_count(k, "horizon", 1)
+    rng = np.random.default_rng(validate_count(seed, "seed", 0))
     x = np.zeros(sys.n)
     for _ in range(k):
         u = np.zeros(sys.m)

@@ -27,15 +27,18 @@ from nnscontrol.matrixcore import (
 )
 
 
-def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd")):
-    """Wrap each named ``numpy.linalg`` function to count its calls."""
+def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd"), shapes=None):
+    """Wrap each named ``numpy.linalg`` function to count its calls; when a
+    list ``shapes`` is given, each call also appends (name, argument shape)."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(a, *args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args, **kwargs)
+            if shapes is not None:
+                shapes.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts

@@ -88,6 +88,12 @@ class TestMinSparsity:
         assert result["min_sparsity"] is None
         assert result["feasible"] is False
 
+    def test_pretty_writes_summary_to_stderr(self, capsys):
+        code, out, err = run(capsys, "min-sparsity", COB, "--pretty")
+        assert code == 0
+        assert err.splitlines() == ["nnscontrol min-sparsity", "  min sparsity: 1 (feasible: True)"]
+        assert json.loads(out)["result"]["required"] == 1
+
 
 class TestOracle:
     def test_cob_covered(self, capsys):
@@ -132,6 +138,16 @@ class TestDecompose:
         assert result["structure"]["q"] == 2
         assert result["verification"]["all_passed"] is True
 
+    def test_pretty_writes_summary_to_stderr(self, capsys):
+        code, out, err = run(capsys, "decompose", COB, "--pretty")
+        assert code == 0
+        assert err.splitlines() == [
+            "nnscontrol decompose",
+            "  largest zero block n = 1, nonsingular part q = 2, block counts [1]",
+            "  verification: pass",
+        ]
+        json.loads(out)
+
 
 class TestVerifyCert:
     def test_roundtrip_from_check(self, capsys, tmp_path):
@@ -148,6 +164,12 @@ class TestVerifyCert:
         code, out, _ = run(capsys, "verify-cert", COB, "--cert", str(cert_path))
         assert code == 0
         assert json.loads(out)["result"]["check"]["valid"] is False
+
+    def test_pretty_writes_summary_to_stderr(self, capsys, cert_file):
+        code, out, err = run(capsys, "verify-cert", COB_T, "--cert", cert_file, "--pretty")
+        assert code == 0
+        assert err.splitlines() == ["nnscontrol verify-cert", "  certificate valid: True"]
+        json.loads(out)
 
 
 class TestGen:
@@ -374,6 +396,13 @@ class TestExitCodeContract:
             ["check", COB, "--variant", "zzz"],
             ["check", COB, "--bogus"],
             ["oracle", COB, "--s", "1", "--seed", "-1"],
+            ["gen", "--kind", "planted_rank_deficient", "--n", "3", "--m", "2", "--seed", "-1"],
+            ["gen", "--kind", "planted_rank_deficient", "--n", "3", "--m", "2", "--seed", "1",
+             "--pretty"],
+            ["gen", "--kind", "planted_rank_deficient", "--n", "3", "--m", "2", "--seed", "1",
+             "--tol", "0.5"],
+            ["gen", "--kind", "planted_rank_deficient", "--n", "3", "--m", "2", "--seed", "1",
+             "--rank-rtol", "0.1"],
         ],
         ids=[
             "no-command",
@@ -383,6 +412,10 @@ class TestExitCodeContract:
             "bad-choice",
             "unknown-option",
             "negative-seed",
+            "gen-negative-seed",
+            "gen-pretty",
+            "gen-tol",
+            "gen-rank-rtol",
         ],
     )
     def test_usage_error_exits_one(self, capsys, argv):

@@ -174,6 +174,22 @@ class TestConditionI:
         assert np.isreal(direction).all()
         assert np.linalg.norm(direction) == pytest.approx(1.0)
 
+    def test_nearly_real_witness_is_made_real(self):
+        # Eigenvalues +/- 1e-7 i, two complex groups. The pencil's closest
+        # singular direction at the first, scaled to unit max modulus, is e2
+        # up to an imaginary part within eig_imag_tol, so the certificate
+        # carries the real z = e2, and e2^T B = 0.
+        sys = SystemPair(A=np.array([[0.0, 100.0], [-1e-16, 0.0]]), B=np.array([[1.0], [0.0]]))
+        res = check_condition_i(sys)
+        assert not res.passed
+        cert = res.certificate
+        assert cert.eigenvalue.imag == pytest.approx(-1e-7)
+        assert res.other_violations == (cert.eigenvalue.conjugate(),)
+        assert not np.iscomplexobj(cert.z)
+        np.testing.assert_array_equal(cert.z, [0.0, 1.0])
+        assert cert.max_zb == 0.0
+        assert verify_certificate(sys, cert).valid
+
     def test_shift_block_with_input_on_wrong_node(self):
         # z^T A = (0, z1) forces z = e2, and e2^T B = 0: certificate (0, e2).
         sys = SystemPair(A=np.array([[0.0, 1.0], [0.0, 0.0]]), B=np.array([[1.0], [0.0]]))
@@ -183,6 +199,53 @@ class TestConditionI:
         assert cert.eigenvalue == pytest.approx(0.0)
         np.testing.assert_allclose(np.abs(cert.z), [0.0, 1.0], atol=1e-10)
         assert verify_certificate(sys, cert).valid
+
+
+class TestConditionICertificateCost:
+    """Condition i is decided on the left eigenbases; only its certificate
+    reads the (N+m) x N pencil [lambda I - A | B]^T, in one SVD."""
+
+    def test_one_column_violation(self, monkeypatch):
+        sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.array([[1.0], [0.0]]))
+        shapes = []
+        counts = count_linalg_calls(monkeypatch, shapes=shapes)
+        res = check_condition_i(sys)
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+        assert shapes[-1] == ("svd", (3, 2))
+        assert res.certificate.eigenvalue == 2.0
+        np.testing.assert_array_equal(res.certificate.z, [0.0, 1.0])
+
+    def test_plane_violation(self, monkeypatch):
+        # A = I: one three-member cluster, whose kernel SVD gives Z = I; the
+        # SVD of the 3 x 3 product B^T Z of rank 2 decides, then one SVD of
+        # the pencil certifies.
+        b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        sys = SystemPair(A=np.eye(3), B=b)
+        shapes = []
+        count_linalg_calls(monkeypatch, names=("svd",), shapes=shapes)
+        res = check_condition_i(sys)
+        assert shapes == [("svd", (3, 3)), ("svd", (3, 3)), ("svd", (6, 3))]
+        assert verify_certificate(sys, res.certificate).valid
+
+    def test_empty_pencil_kernel_costs_one_svd(self, monkeypatch):
+        # |e2^T B| = 3e-9 is within the decision cut 1e-9 (2 + |A|_F + |B|_F)
+        # but above the pencil's rank cutoff 1e-9 sigma_1 ~ 1.4e-9, so the
+        # pencil has no kernel; its closest singular direction, close to e2,
+        # comes from the same SVD.
+        sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.array([[1.0], [3e-9]]))
+        counts = count_linalg_calls(monkeypatch)
+        res = check_condition_i(sys)
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+        cert = res.certificate
+        assert cert.eigenvalue == 2.0
+        assert abs(cert.z[0]) < 1e-8 and abs(cert.z[1]) == 1.0
+        assert verify_certificate(sys, cert).valid
+
+    def test_passing_check_runs_no_pencil_svd(self, monkeypatch):
+        sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.ones((2, 1)))
+        counts = count_linalg_calls(monkeypatch)
+        assert check_condition_i(sys).passed
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 0}
 
 
 def _pbh_violations(sys):
@@ -553,6 +616,58 @@ class TestVerifyCertificate:
         cert = check_nonneg_sparse(COB_T, 1).certificate
         restored = Certificate.from_dict(cert.to_dict())
         assert verify_certificate(COB_T, restored).valid
+
+    def _cert(self, z, kind="violates_condition_ii", eigenvalue=0.0):
+        return Certificate(
+            kind=kind, eigenvalue=eigenvalue, z=np.asarray(z), residual_eig=0.0, max_zb=0.0
+        )
+
+    def test_wrong_length_is_an_input_error(self):
+        with pytest.raises(InputError, match="length 3"):
+            verify_certificate(COB_T, self._cert([0.0, 1.0]))
+
+    def test_zero_z_is_invalid(self):
+        check = verify_certificate(COB_T, self._cert(np.zeros(3)))
+        assert not check.valid
+        assert check.residual_eig == np.inf and check.max_zb == np.inf
+
+    def test_complex_kind_ii_witness_is_invalid(self):
+        # The real part e3 is the planted witness, but a kind-ii z must be
+        # real: an imaginary part beyond eig_imag_tol makes it invalid.
+        check = verify_certificate(COB_T, self._cert([0.5j, 0.0, 1.0]))
+        assert not check.valid
+        assert not check.sign_ok and not check.lambda_ok
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"kind": "violates_condition_iv", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [1.0], "im": [0.0]}}, "unknown certificate kind"),
+            ({"kind": "violates_condition_i", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [], "im": []}}, "nonempty vector"),
+        ],
+        ids=["unknown-kind", "empty-z"],
+    )
+    def test_from_dict_rejects(self, data, message):
+        with pytest.raises(InputError, match=message):
+            Certificate.from_dict(data)
+
+
+class TestCertificateDirection:
+    def _cert(self, z):
+        return Certificate(
+            kind="violates_condition_i", eigenvalue=1j, z=np.asarray(z), residual_eig=0.0,
+            max_zb=0.0,
+        )
+
+    def test_purely_imaginary_z_uses_its_imaginary_part(self):
+        direction = certificate_direction(self._cert([0.0 + 3.0j, 0.0 - 4.0j]))
+        np.testing.assert_allclose(direction, [0.6, -0.8])
+        assert not np.iscomplexobj(direction)
+
+    def test_zero_z_is_an_input_error(self):
+        with pytest.raises(InputError, match="zero"):
+            certificate_direction(self._cert(np.zeros(2, dtype=complex)))
 
 
 class TestApplyInputBasis:

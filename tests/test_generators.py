@@ -85,3 +85,25 @@ class TestDeterminismAndValidation:
     def test_bad_dimensions(self):
         with pytest.raises(InputError):
             generate_system("random_nonsingular_paired", 0, 2, 0)
+
+    @pytest.mark.parametrize(
+        "kind, n, m, seed, deficiency, message",
+        [
+            ("random_nonsingular_paired", 3, 0, 0, None, "m must be >= 1, got 0"),
+            ("planted_rank_deficient", 3, 2, -1, None, "seed must be >= 0, got -1"),
+            ("planted_rank_deficient", 3, 2, 1.0, None, "seed must be an integer, got 1.0"),
+            ("planted_rank_deficient", 3, 2, 0, True, "deficiency must be an integer, got True"),
+            ("planted_rank_deficient", 3, 2, 0, 0, "deficiency must lie in [1, 3], got 0"),
+        ],
+    )
+    def test_bad_integer_parameters(self, kind, n, m, seed, deficiency, message):
+        # Each is refused before it reaches numpy's seeding.
+        with pytest.raises(InputError) as excinfo:
+            generate_system(kind, n, m, seed, deficiency)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integers_name_the_same_system(self):
+        a = generate_system("planted_rank_deficient", np.int64(3), np.int32(2), np.uint8(9))
+        b = generate_system("planted_rank_deficient", 3, 2, 9)
+        assert a.name == b.name
+        np.testing.assert_array_equal(a.system.A, b.system.A)

@@ -87,6 +87,18 @@ class TestNullSpaceBasis:
         assert basis.shape == (3, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0, 0, 1], atol=1e-12)
 
+    def test_closest_replaces_an_empty_kernel(self, monkeypatch):
+        # diag(3, 2, 1) has no kernel; the closest singular direction is e3,
+        # taken from the one SVD that found the kernel empty.
+        counts = count_linalg_calls(monkeypatch, names=("svd",))
+        basis = null_space_basis(np.diag([3.0, 2.0, 1.0]), closest=True)
+        assert counts == {"svd": 1}
+        np.testing.assert_array_equal(np.abs(basis), [[0.0], [0.0], [1.0]])
+
+    def test_closest_keeps_a_nonempty_kernel(self):
+        m = A_DIAG.T - 0.0 * np.eye(3)
+        np.testing.assert_array_equal(null_space_basis(m, closest=True), null_space_basis(m))
+
     def test_full_kernel(self):
         basis = null_space_basis(np.zeros((2, 2)))
         assert basis.shape == (2, 2)
@@ -441,6 +453,14 @@ class TestLeftEigensystemCost:
         assert counts == {"eigvals": 1, "eig": 1, "svd": 0}
         assert {g.is_real for g in groups} == {True, False}
         assert all(g.geometric_multiplicity == 1 for g in groups)
+
+    def test_empty_kernel_cluster_costs_one_svd(self, monkeypatch):
+        # The ring's kernel at the cluster center is empty; the closest
+        # singular direction comes from the same SVD.
+        counts = count_linalg_calls(monkeypatch)
+        (group,) = left_eigensystem(_ring_matrix()).groups
+        assert counts == {"eigvals": 1, "eig": 0, "svd": 1}
+        assert group.geometric_multiplicity == 1
 
     def test_one_cluster_costs_one_svd(self, monkeypatch):
         a = self._similar([2.0, 2.0, 1.0, 3.0, -1.0, 5.0])

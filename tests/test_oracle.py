@@ -172,6 +172,15 @@ class TestRandomRollout:
         b = random_rollout(COB, 2, 6, seed=123)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")],
+    )
+    def test_bad_seed_is_an_input_error(self, seed, message):
+        with pytest.raises(InputError) as excinfo:
+            random_rollout(COB, 1, 2, seed=seed)
+        assert str(excinfo.value) == message
+
 
 HORIZON_CALLS = {
     "reachable_membership": lambda k: reachable_membership(COB, 1, k, [1.0, 1.0, 0.0]),
