@@ -5,133 +5,25 @@ between arbitrary states using inputs with at most s nonzero entries, all
 nonnegative. Produces verdicts, machine-checkable uncontrollability
 certificates, minimum sparsity levels, the supporting zero-eigenvalue
 decomposition, and an independent brute-force oracle for cross-validation.
+
+The package exports exactly the ``__all__`` of its library modules.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    InputError,
-    NNSControlError,
-    NoFeasibleSparsityError,
-    NotInConeError,
-    NumericError,
-)
-from .matrixcore import (
-    DEFAULT_TOL,
-    EigenGroup,
-    LeftEigenSystem,
-    Tolerances,
-    left_eigensystem,
-    mat_pow,
-    null_space_basis,
-    pbh_rank,
-    rank,
-)
-from .conelp import (
-    ConeMembershipResult,
-    HomogeneousWitness,
-    feasible_nonneg_solution,
-    homogeneous_nonzero,
-    is_positive_spanning_subspace,
-    sparsify_positive_combination,
-)
-from .controllability import (
-    Certificate,
-    CertificateCheck,
-    ConditionResult,
-    ControllabilityReport,
-    SparsityConditionResult,
-    SystemPair,
-    apply_input_basis,
-    certificate_direction,
-    check_condition_i,
-    check_condition_ii,
-    check_condition_iii,
-    check_nonneg,
-    check_nonneg_sparse,
-    check_sparse,
-    input_count_bound_check,
-    min_sparsity,
-    verify_certificate,
-)
-from .jordan import (
-    DecompositionReport,
-    RowSplitDecomposition,
-    ZeroStructure,
-    build_decomposition,
-    verify_decomposition,
-    zero_structure,
-)
-from .oracle import (
-    OracleConfig,
-    OracleVerdict,
-    coverage_probe,
-    direction_uncovered,
-    enumerate_supports,
-    random_rollout,
-    reachable_membership,
-)
-from .generators import KINDS, GeneratedSystem, PlantedWitness, generate_system
-from .systemio import ParsedSystem, dump_system_file, parse_system_file, system_file_dict
+from .errors import *  # noqa: F401,F403
+from .matrixcore import *  # noqa: F401,F403
+from .conelp import *  # noqa: F401,F403
+from .controllability import *  # noqa: F401,F403
+from .jordan import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .systemio import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "NNSControlError",
-    "InputError",
-    "NumericError",
-    "NotInConeError",
-    "NoFeasibleSparsityError",
-    "Tolerances",
-    "DEFAULT_TOL",
-    "EigenGroup",
-    "LeftEigenSystem",
-    "rank",
-    "null_space_basis",
-    "left_eigensystem",
-    "pbh_rank",
-    "mat_pow",
-    "ConeMembershipResult",
-    "HomogeneousWitness",
-    "feasible_nonneg_solution",
-    "homogeneous_nonzero",
-    "sparsify_positive_combination",
-    "is_positive_spanning_subspace",
-    "SystemPair",
-    "Certificate",
-    "CertificateCheck",
-    "ConditionResult",
-    "SparsityConditionResult",
-    "ControllabilityReport",
-    "check_condition_i",
-    "check_condition_ii",
-    "check_condition_iii",
-    "check_nonneg_sparse",
-    "check_nonneg",
-    "check_sparse",
-    "min_sparsity",
-    "input_count_bound_check",
-    "verify_certificate",
-    "apply_input_basis",
-    "certificate_direction",
-    "ZeroStructure",
-    "RowSplitDecomposition",
-    "DecompositionReport",
-    "zero_structure",
-    "build_decomposition",
-    "verify_decomposition",
-    "OracleConfig",
-    "OracleVerdict",
-    "enumerate_supports",
-    "reachable_membership",
-    "coverage_probe",
-    "direction_uncovered",
-    "random_rollout",
-    "KINDS",
-    "GeneratedSystem",
-    "PlantedWitness",
-    "generate_system",
-    "ParsedSystem",
-    "parse_system_file",
-    "system_file_dict",
-    "dump_system_file",
+from . import conelp, controllability, errors, generators, jordan, matrixcore, oracle, systemio
+
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, matrixcore, conelp, controllability, jordan, oracle, generators, systemio)
+    for name in module.__all__
 ]

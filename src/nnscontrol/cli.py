@@ -16,7 +16,6 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -39,7 +38,7 @@ from .generators import KINDS, generate_system
 from .jordan import build_decomposition, verify_decomposition
 from .matrixcore import DEFAULT_TOL, Tolerances
 from .oracle import OracleConfig, coverage_probe
-from .systemio import dump_system_file, parse_system_file, read_text
+from .systemio import dump_system_file, parse_system_file, read_file
 
 __all__ = ["main", "run_command", "console_main"]
 
@@ -202,7 +201,7 @@ def _cmd_decompose(args, parsed, tol: Tolerances) -> dict:
 
 def _cmd_verify_cert(args, parsed, tol: Tolerances) -> dict:
     try:
-        cert_data = json.loads(read_text(args.cert, "certificate"))
+        cert_data = json.loads(read_file(args.cert, "certificate")[1])
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from exc
     cert = Certificate.from_dict(cert_data)
@@ -235,13 +234,12 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _tolerances(args)
     started = time.perf_counter()
     parsed = parse_system_file(Path(args.file))  # a path, even when it starts with "{"
-    digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
     result = _FILE_COMMANDS[args.command](args, parsed, tol)
     report = {
         "tool": "nnscontrol",
         "version": __version__,
         "command": args.command,
-        "input_digest": digest,
+        "input_digest": parsed.digest,  # of the very bytes parsed
         "name": parsed.name,
         "tolerances": tol.to_dict(),
         "result": result,

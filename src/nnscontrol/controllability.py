@@ -33,7 +33,7 @@ caller's B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -220,13 +220,7 @@ class SparsityConditionResult:
         return self.n_states - self.rank_a
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "s": self.s,
-            "n_states": self.n_states,
-            "rank_a": self.rank_a,
-            "required": self.required,
-        }
+        return {**asdict(self), "required": self.required}
 
 
 @dataclass(frozen=True)
@@ -510,14 +504,7 @@ class CertificateCheck:
     lambda_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "residual_eig": self.residual_eig,
-            "max_zb": self.max_zb,
-            "eig_ok": self.eig_ok,
-            "sign_ok": self.sign_ok,
-            "lambda_ok": self.lambda_ok,
-        }
+        return asdict(self)
 
 
 def verify_certificate(

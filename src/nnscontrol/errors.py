@@ -5,6 +5,14 @@ NumericError to exit code 2, while analysis outcomes (controllable or not,
 feasible or not) always exit 0.
 """
 
+__all__ = [
+    "NNSControlError",
+    "InputError",
+    "NumericError",
+    "NotInConeError",
+    "NoFeasibleSparsityError",
+]
+
 
 class NNSControlError(Exception):
     """Base class for all package errors."""

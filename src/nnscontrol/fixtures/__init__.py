@@ -15,6 +15,7 @@ from importlib.resources import files
 import numpy as np
 
 from ..controllability import SystemPair
+from ..systemio import parse_system_file
 
 __all__ = [
     "load_json",
@@ -37,8 +38,7 @@ def fixture_path(name: str) -> str:
 
 def change_of_basis_system() -> SystemPair:
     """The controllable pair (A, B) of the change-of-basis example."""
-    data = load_json("cob_system.json")
-    return SystemPair(A=np.array(data["A"], float), B=np.array(data["B"], float))
+    return parse_system_file(fixture_path("cob_system.json")).system
 
 
 def change_of_basis_matrix() -> np.ndarray:
@@ -48,5 +48,4 @@ def change_of_basis_matrix() -> np.ndarray:
 
 def change_of_basis_transformed() -> SystemPair:
     """The uncontrollable transformed pair (A, B Phi)."""
-    data = load_json("cob_transformed.json")
-    return SystemPair(A=np.array(data["A"], float), B=np.array(data["B"], float))
+    return parse_system_file(fixture_path("cob_transformed.json")).system

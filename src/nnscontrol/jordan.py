@@ -1,10 +1,11 @@
 """Zero-eigenvalue Jordan structure and the row-splitting decomposition.
 
 ``zero_structure`` reads the block sizes of the eigenvalue 0 off the rank
-sequence rank(A^k); one SVD of each power decides its rank and gives its
-kernel and range. ``build_decomposition`` constructs an invertible P,
-split row-wise into a part P0 intertwining with a nonsingular J
-(P0 A^k = J^k P0) and parts P_i that die under increasing powers of A
+sequence rank(A^k), which Kublanovskaya's staircase decides without forming
+a power of A. ``build_decomposition`` takes ker(A^k) and range(A^k) from one
+SVD of each power, cut at the rank the staircase decided, and constructs an
+invertible P, split row-wise into a part P0 intertwining with a nonsingular
+J (P0 A^k = J^k P0) and parts P_i that die under increasing powers of A
 (P_i A^k = 0 for k >= i, with rank(P_i) = rank(P_i A^{i-1})). Only the
 zero-eigenvalue chains are computed explicitly; the nonsingular part J is
 A restricted to range(A^n) in a computed orthonormal basis, because the
@@ -14,7 +15,7 @@ nothing downstream needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,35 +64,31 @@ class ZeroStructure:
         }
 
 
-def _power_ladder(a, tol: Tolerances) -> tuple[ZeroStructure, list[np.ndarray], np.ndarray]:
-    """The zero structure, kernels[k] = ker(A^k) for k = 0..n, and range(A^n).
+def _staircase(a, tol: Tolerances) -> tuple[ZeroStructure, np.ndarray, np.ndarray]:
+    """The zero structure by Kublanovskaya's staircase, with the factors U and
+    V^H of the SVD of A that its first step took.
 
-    One SVD of A^k = ``mat_pow(A, k)`` decides r = rank(A^k); its last N - r
-    rows of V^H span ker(A^k) and its first r columns of U span range(A^k).
-    The ranks fall from N at most N times, so the loop always breaks.
+    Every step cuts at the one scale ``rank_rtol * sigma_1(A)``. A block M of
+    rank r below its size deflates to V_r^T M V_r, with V_r its first r right
+    singular vectors (the complement of its kernel), so the k-th block has
+    rank(A^k). The blocks shrink until one has full rank, so the loop always
+    breaks, and no power of A is formed.
     """
     a = as_matrix(a, "A")
     n_dim = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise InputError(f"A must be square, got shape {a.shape}")
+    u, s, vh = np.linalg.svd(a)
+    cut = tol.rank_rtol * s[0] if s.size else 0.0
     ranks = [n_dim]
-    kernels = [np.zeros((n_dim, 0))]
-    range_basis = np.eye(n_dim)
-    for k in range(1, n_dim + 2):
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = mat_pow(a, k)
-        if not np.all(np.isfinite(power)):  # an SVD would rank it, not fail
-            raise NumericError(f"A^{k} overflows")
-        u, s, vh = np.linalg.svd(power)
-        ranks.append(int(np.count_nonzero(s > tol.rank_rtol * s[0])) if s.size else 0)
-        if ranks[-1] > ranks[-2]:
-            raise NumericError(
-                f"rank sequence increased at power {k}: {ranks[-2]} -> {ranks[-1]}"
-            )
+    block, values, rows = a, s, vh
+    while True:
+        ranks.append(int(np.count_nonzero(values > cut)))
         if ranks[-1] == ranks[-2]:
             break
-        kernels.append(vh[ranks[-1] :].copy().T)  # a copy, so V^H itself is not kept
-        range_basis = u[:, : ranks[-1]]
+        complement = rows[: ranks[-1]]
+        block = complement @ block @ complement.T
+        _, values, rows = np.linalg.svd(block)
 
     n = len(ranks) - 2  # first k with rank(A^k) == rank(A^{k+1})
     # Block counts from second differences of the rank sequence.
@@ -110,13 +107,13 @@ def _power_ladder(a, tol: Tolerances) -> tuple[ZeroStructure, list[np.ndarray], 
         r_tail=tuple(drops),
         rank_sequence=tuple(ranks),
     )
-    return structure, kernels, range_basis
+    return structure, u, vh
 
 
 def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
     """Block statistics of the eigenvalue 0 from the rank sequence rank(A^k),
-    one SVD per power deciding its rank and giving its kernel and range."""
-    return _power_ladder(a, tol)[0]
+    read off Kublanovskaya's staircase: no power of A is formed."""
+    return _staircase(a, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -189,21 +186,28 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
 
     The basis is [range(A^n) | zero chains], chains ordered by block size
     ascending and each chain listed bottom-up, so the change of basis block
-    diagonalizes A into the nonsingular J and shift blocks.
+    diagonalizes A into the nonsingular J and shift blocks. ker(A^k) and
+    range(A^n) come from the SVD of A^k (the staircase's at k = 1), cut at
+    the rank the staircase decided.
     """
     a = as_matrix(a, "A")
-    structure, kernels, range_basis = _power_ladder(a, tol)  # refuses a non-square A
+    structure, u, vh = _staircase(a, tol)  # refuses a non-square A
     n_dim = a.shape[0]
     if structure.n == 0:
         return RowSplitDecomposition(
             P=np.eye(n_dim), J=a, P0=np.eye(n_dim), parts=(), structure=structure
         )
 
+    kernels = [np.zeros((n_dim, 0))]
+    for k in range(1, structure.n + 1):
+        if k > 1:
+            u, _, vh = np.linalg.svd(mat_pow(a, k, "A"))
+        kernels.append(vh[structure.rank_sequence[k] :].copy().T)  # V^H itself is not kept
     q = structure.q
     chains = _zero_chains(a, structure, kernels)
     chains.sort(key=len)  # block sizes ascending, matching q_sizes order
 
-    columns = [range_basis[:, j] for j in range(q)]
+    columns = [u[:, j] for j in range(q)]
     # part_rows[i-1] = row indices of P belonging to part i.
     part_rows: list[list[int]] = [[] for _ in range(structure.n)]
     col_index = q
@@ -222,7 +226,7 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"assembled basis is singular: {exc}") from exc
     cond = np.linalg.cond(basis)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not cond <= 1e12:  # also refuses inf and nan
         raise NumericError(f"assembled basis is numerically singular (cond {cond:.2e})")
 
     transformed = p @ a @ basis
@@ -245,7 +249,7 @@ class DecompositionCheck:
     residual: float
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "residual": self.residual}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -304,11 +308,11 @@ def verify_decomposition(
     )
 
     # Intertwining P0 A^k = J^k P0 for k = 0..n+1.
-    powers = [mat_pow(a, k) for k in range(st.n + 2)]
+    powers = [mat_pow(a, k, "A") for k in range(st.n + 2)]
     scale_p0 = max(1.0, float(np.abs(dec.P0).max(initial=0.0)))
     for k in range(st.n + 2):
         lhs = dec.P0 @ powers[k]
-        rhs = mat_pow(dec.J, k) @ dec.P0 if st.q else lhs * 0.0
+        rhs = mat_pow(dec.J, k, "J") @ dec.P0 if st.q else lhs * 0.0
         add(
             f"intertwine_k{k}",
             float(np.abs(lhs - rhs).max(initial=0.0)) / scale_p0,

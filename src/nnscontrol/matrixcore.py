@@ -15,7 +15,7 @@ reported rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,11 +57,7 @@ class Tolerances:
                 raise InputError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "rank_rtol": self.rank_rtol,
-            "eig_imag_tol": self.eig_imag_tol,
-            "ineq_tol": self.ineq_tol,
-        }
+        return asdict(self)
 
 
 DEFAULT_TOL = Tolerances()
@@ -339,12 +335,20 @@ def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
     return rank(pencil, tol)
 
 
-def mat_pow(m, k: int) -> np.ndarray:
+def mat_pow(m, k: int, name: str = "matrix") -> np.ndarray:
     """M**k by ``np.linalg.matrix_power`` (squaring from k = 4), M**0 = I: the
-    one power convention of ``jordan``. Preserves nilpotent structure."""
-    m = as_matrix(m, "matrix")
+    one power convention of ``jordan``. Preserves nilpotent structure.
+
+    A power that overflows raises ``NumericError`` ("{name}^{k} overflows"):
+    the input is valid, and an SVD of the result would rank it, not fail.
+    """
+    m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
-        raise InputError(f"matrix must be square, got shape {m.shape}")
+        raise InputError(f"{name} must be square, got shape {m.shape}")
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise InputError(f"power must be a nonnegative integer, got {k!r}")
-    return np.linalg.matrix_power(m, int(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(m, int(k))
+    if not np.isfinite(power).all():
+        raise NumericError(f"{name}^{k} overflows")
+    return power

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Hashable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,12 +92,7 @@ class OracleConfig:
             object.__setattr__(self, name, validate_count(getattr(self, name), name, least))
 
     def to_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "n_directions": self.n_directions,
-            "seed": self.seed,
-            "include_axes": self.include_axes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ locations so malformed files are quick to fix.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -24,10 +25,14 @@ __all__ = ["ParsedSystem", "parse_system_file", "system_file_dict", "dump_system
 
 @dataclass(frozen=True)
 class ParsedSystem:
+    """A parsed system file; ``digest`` is the SHA-256 (hex) of the bytes
+    parsed: the file's, or the UTF-8 encoding of JSON text."""
+
     system: SystemPair
     s: int | None
     name: str | None
     extra: dict
+    digest: str
 
 
 def _rectangular(raw, key: str) -> np.ndarray:
@@ -57,26 +62,30 @@ def _rectangular(raw, key: str) -> np.ndarray:
     return np.asarray(raw, dtype=float)
 
 
-def read_text(path, what: str) -> str:
-    """Read a UTF-8 file; ``what`` ("system", "certificate") names it in errors."""
+def read_file(path, what: str) -> tuple[bytes, str]:
+    """The bytes of a UTF-8 file, read once, and their text with newlines
+    translated as ``Path.read_text`` does; ``what`` ("system",
+    "certificate") names the file in errors."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except FileNotFoundError:
         raise InputError(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    return data, text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_system_file(source) -> ParsedSystem:
     """Parse a system from a path, a Path object, or raw JSON text.
 
     A string starting with "{" (after whitespace) is treated as JSON text,
-    anything else as a filesystem path.
+    anything else as a filesystem path, read once.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
+        raw, text = source.encode("utf-8", "surrogatepass"), source
     elif isinstance(source, (str, Path, os.PathLike)):
-        text = read_text(source, "system")
+        raw, text = read_file(source, "system")
     else:
         raise InputError(f"unsupported system source type {type(source).__name__}")
 
@@ -89,15 +98,7 @@ def parse_system_file(source) -> ParsedSystem:
     for key in ("A", "B"):
         if key not in data:
             raise InputError(f'missing required key "{key}"')
-    a = _rectangular(data["A"], "A")
-    b = _rectangular(data["B"], "B")
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f'"A" must be square, got {a.shape[0]} x {a.shape[1]}')
-    if b.shape[0] != a.shape[0]:
-        raise InputError(
-            f'"B" must have {a.shape[0]} rows to match "A", got {b.shape[0]}'
-        )
-    system = SystemPair(A=a, B=b)
+    system = SystemPair(A=_rectangular(data["A"], "A"), B=_rectangular(data["B"], "B"))
 
     s = data.get("s")
     if s is not None:
@@ -109,7 +110,9 @@ def parse_system_file(source) -> ParsedSystem:
     if name is not None and not isinstance(name, str):
         raise InputError(f'"name" must be a string, got {name!r}')
     extra = {k: v for k, v in data.items() if k not in ("A", "B", "s", "name")}
-    return ParsedSystem(system=system, s=s, name=name, extra=extra)
+    return ParsedSystem(
+        system=system, s=s, name=name, extra=extra, digest=hashlib.sha256(raw).hexdigest()
+    )
 
 
 def system_file_dict(system: SystemPair, s: int | None = None, name: str | None = None) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,21 @@ class TestCheck:
         assert code == 0
         assert "verdict: controllable" in err
         json.loads(out)
+
+    def test_pretty_prints_the_certificate(self, capsys):
+        code, _, err = run(capsys, "check", COB_T, "--pretty")
+        assert code == 0
+        lines = err.splitlines()
+        assert "  condition_iii: pass" in lines
+        assert (
+            "  certificate: violates_condition_ii at lambda = +0+0j, z = [0.0, 0.0, 1.0]" in lines
+        )
+
+    def test_pretty_nonneg_has_no_condition_iii_line(self, capsys):
+        code, _, err = run(capsys, "check", COB_T, "--pretty", "--variant", "nonneg")
+        assert code == 0
+        assert "  condition_ii: FAIL" in err.splitlines()
+        assert "condition_iii" not in err
 
 
 class TestMinSparsity:
@@ -310,6 +326,27 @@ class TestEnvelope:
         assert report["input_digest"] == hashlib.sha256(data).hexdigest()
         assert report["name"] == json.loads(data)["name"]
         assert report["tolerances"] == Tolerances(**tolerances).to_dict()
+
+    def test_digest_names_the_bytes_parsed(self, tmp_path, monkeypatch):
+        # The system file is replaced as soon as it is opened: a second read
+        # would digest bytes that were never analysed.
+        path = tmp_path / "sys.json"
+        first = b'{"name": "first",\r\n "A": [[1.0]], "B": [[1.0]]}\r\n'
+        path.write_bytes(first)
+        (tmp_path / "next.json").write_bytes(b'{"name": "second", "A": [[2.0]], "B": [[1.0]]}')
+        original_open = Path.open
+
+        def open_then_replace(self, *args, **kwargs):
+            handle = original_open(self, *args, **kwargs)
+            if self == path and (tmp_path / "next.json").exists():
+                os.replace(tmp_path / "next.json", path)
+            return handle
+
+        monkeypatch.setattr(Path, "open", open_then_replace)
+        report, code = run_command(["check", str(path)])
+        assert code == 0
+        assert report["name"] == "first"
+        assert report["input_digest"] == hashlib.sha256(first).hexdigest()
 
     def test_gen_returns_only_the_system_file(self):
         report, code = run_command(

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from helpers import planted_structure_matrix as planted_matrix
 
 from nnscontrol import InputError, NumericError
+from nnscontrol.cli import main
 from nnscontrol.jordan import (
     RowSplitDecomposition,
     build_decomposition,
@@ -47,11 +50,22 @@ class TestZeroStructure:
         with pytest.raises(InputError):
             zero_structure(np.zeros((2, 3)))
 
-    def test_overflowing_power_is_refused(self):
-        # A^2 overflows; an SVD of it would return a rank instead of failing.
-        # The input is valid, so this is a numeric failure, not an input error.
+    def test_overflowing_power_is_refused(self, tmp_path, capsys):
+        # A has index 1, which the staircase decides without forming A^2.
+        a = [[1e200, 1.0], [0.0, 0.0]]
+        st = zero_structure(a)
+        assert (st.n, st.q, st.rank_sequence) == (1, 1, (2, 1, 1))
+        # verify_decomposition needs A^2, which overflows; an SVD of it would
+        # return a rank instead of failing. The input is valid, so this is a
+        # numeric failure (exit 2), not an input error.
         with pytest.raises(NumericError, match=r"A\^2 overflows"):
-            zero_structure([[1e200, 1.0], [0.0, 0.0]])
+            verify_decomposition(a, build_decomposition(a))
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"A": a, "B": [[1.0], [1.0]]}))
+        assert main(["decompose", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: A^2 overflows\n"
 
     def test_integer_identities_on_planted_matrices(self):
         rng = np.random.default_rng(7)
@@ -151,15 +165,31 @@ class TestLargeZeroBlocks:
     """Zero blocks of size 4 and 5 reach A^5 and A^6, where powers are formed
     by squaring rather than by a running product."""
 
-    @pytest.mark.parametrize("sizes", [(4, 1), (5,), (4, 2, 1), (5, 3)], ids=str)
-    def test_planted_structure_is_recovered(self, sizes):
-        seed = 100 * len(sizes) + sum(sizes)
-        nonsingular = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=3)
+    @staticmethod
+    def assert_planted_structure(sizes, nonsingular, seed):
         a = planted_blocks(sizes, nonsingular, seed)
         n = max(sizes)
         st = zero_structure(a)
         assert st.q_sizes == tuple(sizes.count(i) for i in range(1, n + 1))
         assert st.rank_sequence == tuple(
-            3 + sum(max(size - k, 0) for size in sizes) for k in range(n + 2)
+            len(nonsingular) + sum(max(size - k, 0) for size in sizes) for k in range(n + 2)
         )
         assert verify_decomposition(a, build_decomposition(a)).all_passed
+
+    @pytest.mark.parametrize("sizes", [(4, 1), (5,), (4, 2, 1), (5, 3)], ids=str)
+    def test_planted_structure_is_recovered(self, sizes):
+        seed = 100 * len(sizes) + sum(sizes)
+        nonsingular = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=3)
+        self.assert_planted_structure(sizes, nonsingular, seed)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (2,), (3,), (2, 1), (4, 1), (5,), (4, 2, 1), (5, 3), (3, 3), (2, 2, 1)],
+        ids=str,
+    )
+    def test_nilpotent_structure_is_recovered(self, sizes):
+        # With no nonsingular part, A^n is rounding noise; cut at its own
+        # sigma_max, all of it would count as rank. The staircase cuts every
+        # step at rank_rtol * sigma_1(A).
+        for seed in range(5):
+            self.assert_planted_structure(sizes, [], seed)

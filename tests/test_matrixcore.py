@@ -14,6 +14,7 @@ from nnscontrol import (
     DEFAULT_TOL,
     KINDS,
     InputError,
+    NumericError,
     Tolerances,
     generate_system,
     left_eigensystem,
@@ -505,6 +506,16 @@ class TestMatPow:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             mat_pow(np.eye(2), -1)
+
+    def test_names_the_matrix(self):
+        with pytest.raises(InputError, match=r"^J must be square, got shape \(1, 2\)$"):
+            mat_pow([[1.0, 2.0]], 2, "J")
+
+    def test_overflow_is_a_numeric_failure(self):
+        # Warnings are errors in this suite: the guard must not warn either.
+        with pytest.raises(NumericError, match=r"^A\^5 overflows$"):
+            mat_pow([[1e100, 0.0], [0.0, 1.0]], 5, "A")
+        np.testing.assert_array_equal(mat_pow([[2.0**300]], 3), [[2.0**900]])
 
     @settings(max_examples=40, deadline=None)
     @given(

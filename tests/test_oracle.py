@@ -434,6 +434,16 @@ class TestSeparatorReuse:
         for s in range(1, sys.m + 1):
             assert_sweep_matches_lp_reference(sys, s, OracleConfig(seed=1))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_column_gives_the_empty_cone(self, seed):
+        # At s = 1 the support {0} picks only the zero column, so the first
+        # horizon's cone for it has no generators.
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((3, 3))
+        b[:, 0] = 0.0
+        sys = SystemPair(A=rng.standard_normal((3, 3)), B=b)
+        assert_sweep_matches_lp_reference(sys, 1, OracleConfig(n_directions=8, seed=seed))
+
     def test_member_within_feas_tol_is_not_rejected(self):
         # A flat cone in R^3 spanned by two nearly opposite generators. The
         # first probe's LP yields the separator w = e3, and the second probe
