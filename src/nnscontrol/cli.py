@@ -224,13 +224,13 @@ def run_command(argv: list[str]) -> tuple[dict, int]:
     gen returns {"system_file": ...}. Any other command's result comes in the
     envelope the CLI prints, whose wall_time_s includes loading the file.
     """
-    return _run(_PARSER.parse_args(argv))
+    return _run(_PARSER.parse_args(argv)), 0
 
 
-def _run(args: argparse.Namespace) -> tuple[dict, int]:
+def _run(args: argparse.Namespace) -> dict:
     if args.command == "gen":
         generated = generate_system(args.kind, args.n, args.m, args.seed, args.deficiency)
-        return {"system_file": generated.to_file_dict()}, 0
+        return {"system_file": generated.to_file_dict()}
     tol = _tolerances(args)
     started = time.perf_counter()
     parsed = parse_system_file(Path(args.file))  # a path, even when it starts with "{"
@@ -245,7 +245,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         "result": result,
         "wall_time_s": time.perf_counter() - started,
     }
-    return report, 0
+    return report
 
 
 def _pretty(report: dict, command: str) -> str:
@@ -290,7 +290,7 @@ def _pretty(report: dict, command: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)  # None reads sys.argv
-        report, code = _run(args)
+        report = _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -299,11 +299,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if "system_file" in report:
         sys.stdout.write(dump_system_file(report["system_file"]))
-        return code
+        return 0
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     if args.pretty:
         print(_pretty(report, report.get("command", "")), file=sys.stderr)
-    return code
+    return 0
 
 
 def console_main() -> None:

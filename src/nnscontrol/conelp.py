@@ -22,7 +22,6 @@ from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_vector, rank
 
 __all__ = [
     "ConeMembershipResult",
-    "HomogeneousWitness",
     "feasible_nonneg_solution",
     "homogeneous_nonzero",
     "sparsify_positive_combination",
@@ -54,13 +53,6 @@ class ConeMembershipResult:
     coefficients: np.ndarray | None
     residual: float
     separator: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class HomogeneousWitness:
-    """A nonzero rho with M rho <= 0, scaled so its largest entry is 1 in modulus."""
-
-    rho: np.ndarray
 
 
 def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, list[int]]:
@@ -156,8 +148,10 @@ def _separator(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ (basis.T @ r) - r
 
 
-def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness | None:
-    """Find a nonzero rho with M rho <= 0, or None when the cone is {0}.
+def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """A nonzero rho with M rho <= 0, or None when the cone is {0}.
+
+    rho is scaled so that its largest entry is 1 in modulus.
 
     With one column the cone is a sign test: rho = +1 when every entry of M
     is at most ``ineq_tol``, else rho = -1 when every entry of -M is, else
@@ -179,7 +173,7 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> HomogeneousWitness 
     worst = float((m @ rho).max(initial=0.0))
     if worst > tol.ineq_tol:
         raise NumericError(f"homogeneous witness failed re-verification, violation {worst:.3e}")
-    return HomogeneousWitness(rho=rho)
+    return rho
 
 
 def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:

@@ -366,7 +366,7 @@ def _condition_ii(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> Con
             continue
         witness = homogeneous_nonzero(sys.B.T @ group.basis, tol)
         if witness is not None:
-            pairs.append((complex(group.eigenvalue.real), group.basis @ witness.rho))
+            pairs.append((complex(group.eigenvalue.real), group.basis @ witness))
     if not pairs:
         return ConditionResult(passed=True)
     pairs.sort(key=lambda pair: (-abs(pair[0]), pair[0].real))

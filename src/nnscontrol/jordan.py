@@ -282,11 +282,7 @@ def verify_decomposition(
     def add(name: str, residual: float, bound: float) -> None:
         checks.append(DecompositionCheck(name=name, passed=residual <= bound, residual=residual))
 
-    # P invertible.
-    p_rank = rank(dec.P, tol)
-    checks.append(
-        DecompositionCheck(name="P_invertible", passed=p_rank == n_dim, residual=float(n_dim - p_rank))
-    )
+    add("P_invertible", float(n_dim - rank(dec.P, tol)), 0.0)
 
     # Row-splitting identity: P = [P0; 0] + sum of parts.
     assembled = np.zeros((n_dim, n_dim))
@@ -302,10 +298,7 @@ def verify_decomposition(
             name="P0_full_row_rank", passed=rank(dec.P0, tol) == st.q, residual=0.0
         )
     )
-    j_rank = rank(dec.J, tol)
-    checks.append(
-        DecompositionCheck(name="J_nonsingular", passed=j_rank == st.q, residual=float(st.q - j_rank))
-    )
+    add("J_nonsingular", float(st.q - rank(dec.J, tol)), 0.0)
 
     # Intertwining P0 A^k = J^k P0 for k = 0..n+1.
     powers = [mat_pow(a, k, "A") for k in range(st.n + 2)]

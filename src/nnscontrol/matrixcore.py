@@ -1,13 +1,13 @@
 """Dense matrix primitives with an explicit tolerance policy.
 
-Every floating-point decision made downstream (cone feasibility, verdicts,
-the zero-eigenvalue decomposition) funnels through the thresholds defined
-here, so identical inputs and tolerances always give identical answers.
-The eigen-analysis costs O(N^3) when the eigenvalues are well separated:
-one eigenvalue solve fixes the clustering, one eigenvector solve supplies
-the left eigenvectors, one comparison matrix matches the two solves'
-eigenvalues, and only repeated or closely spaced eigenvalues need a
-null-space SVD.
+Floating-point decisions downstream use the thresholds of ``Tolerances``
+and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
+and the 1e-6 cutoff widening here, ``conelp._DUAL_RTOL`` and
+``_BLOCK_RCOND``, ``oracle._SEPARATOR_TAU``, ``_REJECT_FACTOR`` and its
+12-digit canonical rounding, and ``jordan``'s 1e-12 (``_orth``), 1e-8
+(chain completion) and 1e12 (condition bound). Identical inputs and
+tolerances always give identical answers. The eigen-analysis costs O(N^3)
+when the eigenvalues are well separated (see ``left_eigensystem``).
 Correctness is promised for well-conditioned, small matrices (N <= 8);
 larger or ill-conditioned inputs get best-effort results with residuals
 reported rather than hidden.
@@ -92,7 +92,10 @@ def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarra
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and return a 1-D finite float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} has non-numeric entries: {exc}") from exc
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -175,27 +178,17 @@ class LeftEigenSystem:
 
 
 def _cluster(close: np.ndarray) -> list[np.ndarray]:
-    """Index groups chained together by the symmetric boolean matrix ``close``."""
+    """Connected components of the symmetric boolean matrix ``close`` (true
+    diagonal), ordered by smallest index with members ascending: each index
+    takes its neighbours' smallest label until no label changes."""
     n = close.shape[0]
-    rows, cols = np.nonzero(np.triu(close, 1))
-    if rows.size == 0:
+    if np.count_nonzero(close) == n:
         return list(np.arange(n)[:, None])
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    buckets: dict[int, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault(find(i), []).append(i)
-    return [np.array(idx) for idx in buckets.values()]
+    labels, previous = np.arange(n), None
+    while not np.array_equal(labels, previous):
+        previous, labels = labels, np.where(close, labels, n).min(axis=1)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 # Rounding splits a defective eigenvalue into copies that can lie farther
@@ -328,11 +321,7 @@ def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
     if b.shape[0] != n:
         raise InputError(f"B must have {n} rows, got {b.shape[0]}")
     lam = complex(lam)
-    if lam.imag == 0.0:
-        pencil = np.hstack([lam.real * np.eye(n) - a, b])
-    else:
-        pencil = np.hstack([lam * np.eye(n) - a.astype(np.complex128), b.astype(np.complex128)])
-    return rank(pencil, tol)
+    return rank(np.hstack([(lam if lam.imag else lam.real) * np.eye(n) - a, b]), tol)
 
 
 def mat_pow(m, k: int, name: str = "matrix") -> np.ndarray:

@@ -54,7 +54,7 @@ import numpy as np
 from .conelp import feasible_nonneg_solution, membership_tol
 from .controllability import SystemPair, validate_count, validate_sparsity
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances
+from .matrixcore import DEFAULT_TOL, Tolerances, as_vector
 
 __all__ = [
     "OracleConfig",
@@ -172,7 +172,7 @@ def reachable_membership(
     None when no sequence admits one.
     """
     k = validate_count(k, "horizon", 1)
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x, "x")
     if x.shape != (sys.n,):
         raise InputError(f"x must have length {sys.n}, got shape {x.shape}")
     supports = enumerate_supports(sys.m, s)
@@ -385,21 +385,19 @@ def direction_uncovered(
     """
     s = validate_sparsity(s, sys.m)
     k_max = validate_count(k_max, "horizon", 1)
-    direction = np.asarray(direction, dtype=float)
+    direction = as_vector(direction, "direction")
     if direction.shape != (sys.n,):
         raise InputError(f"direction must have length {sys.n}, got shape {direction.shape}")
     covered_at, _, _ = _sweep_coverage(sys, s, [direction], k_max, tol)
     return covered_at is None
 
 
-def random_rollout(
-    sys: SystemPair, s: int, k: int, seed: int, *, amplitude: float = 1.0
-) -> np.ndarray:
+def random_rollout(sys: SystemPair, s: int, k: int, seed: int) -> np.ndarray:
     """State after k admissible random inputs from the origin.
 
     Each step draws a uniform random size-s support with entries uniform on
-    [0, 1], scaled by ``amplitude`` (zero exercises the all-zero-input
-    corner). Deterministic per seed.
+    [0, 1]. Deterministic per seed. The state is linear in the inputs, so
+    c * random_rollout(...) is the rollout of inputs scaled by c.
     """
     s = validate_sparsity(s, sys.m)
     k = validate_count(k, "horizon", 1)
@@ -408,6 +406,6 @@ def random_rollout(
     for _ in range(k):
         u = np.zeros(sys.m)
         support = rng.choice(sys.m, size=s, replace=False)
-        u[support] = amplitude * rng.uniform(0.0, 1.0, size=s)
+        u[support] = rng.uniform(0.0, 1.0, size=s)
         x = sys.A @ x + sys.B @ u
     return x

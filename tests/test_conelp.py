@@ -68,6 +68,10 @@ class TestFeasibleNonnegSolution:
         with pytest.raises(InputError):
             feasible_nonneg_solution(np.eye(2), [1.0, 2.0, 3.0])
 
+    def test_non_numeric_target(self):
+        with pytest.raises(InputError, match="^x has non-numeric entries: "):
+            feasible_nonneg_solution(np.eye(2), ["a", "b"])
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(min_value=1, max_value=5).flatmap(
@@ -107,7 +111,7 @@ class TestFeasibleNonnegSolution:
         if witness is None:
             assert res.member or np.abs(x).max(initial=0.0) == 0
             return
-        gain = float(x @ witness.rho)
+        gain = float(x @ witness)
         if gain > 1e-6:
             assert not res.member
 
@@ -274,7 +278,7 @@ class TestHomogeneousNonzero:
         m = np.array([[0.0], [-1.0], [-1.0], [-1.0]])
         witness = homogeneous_nonzero(m)
         assert witness is not None
-        np.testing.assert_allclose(witness.rho, [1.0], atol=1e-10)
+        np.testing.assert_allclose(witness, [1.0], atol=1e-10)
 
     def test_pinned_cone_is_trivial(self):
         m = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -283,12 +287,12 @@ class TestHomogeneousNonzero:
     def test_half_line(self):
         witness = homogeneous_nonzero(np.array([[1.0]]))
         assert witness is not None
-        np.testing.assert_allclose(witness.rho, [-1.0], atol=1e-10)
+        np.testing.assert_allclose(witness, [-1.0], atol=1e-10)
 
     def test_no_rows_means_full_space(self):
         witness = homogeneous_nonzero(np.zeros((0, 2)))
         assert witness is not None
-        assert np.abs(witness.rho).max() == pytest.approx(1.0)
+        assert np.abs(witness).max() == pytest.approx(1.0)
 
     def test_rejects_zero_columns(self):
         with pytest.raises(InputError):
@@ -302,7 +306,7 @@ class TestHomogeneousNonzero:
         expected = np.all(m <= 0) or np.all(-m <= 0)
         assert (witness is not None) == expected
         if witness is not None:
-            assert (m @ witness.rho).max(initial=0.0) <= DEFAULT_TOL.ineq_tol
+            assert (m @ witness).max(initial=0.0) <= DEFAULT_TOL.ineq_tol
 
 
 def random_ray_cases(seed, count):
@@ -325,6 +329,20 @@ def random_ray_cases(seed, count):
         yield m
 
 
+class TestWitnessScaling:
+    def test_witness_is_an_array_of_unit_max_modulus(self):
+        witnesses = 0
+        for m in random_ray_cases(7, 200):
+            rho = homogeneous_nonzero(m)
+            if rho is None:
+                continue
+            witnesses += 1
+            assert type(rho) is np.ndarray
+            assert rho.shape == (m.shape[1],)
+            assert np.abs(rho).max() == 1.0
+        assert witnesses > 20
+
+
 class TestMatchesBoxLPs:
     def test_witness_or_none(self):
         witnesses = 0
@@ -336,6 +354,10 @@ class TestMatchesBoxLPs:
 
 
 class TestSparsifyPositiveCombination:
+    def test_non_numeric_target(self):
+        with pytest.raises(InputError, match="^z has non-numeric entries: "):
+            sparsify_positive_combination(np.eye(2), ["a", "b"])
+
     def test_single_generator_match(self):
         alpha = sparsify_positive_combination(Z_MPB, [-2.0, -2.0])
         np.testing.assert_allclose(alpha, [0.0, 0.0, 2.0], atol=1e-10)

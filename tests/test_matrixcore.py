@@ -23,11 +23,16 @@ from nnscontrol import (
     pbh_rank,
     rank,
 )
-from nnscontrol import controllability
+from nnscontrol import controllability, matrixcore
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
-from nnscontrol.matrixcore import _CROWDING_FACTOR
+from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_vector
 
-from helpers import count_linalg_calls, reference_condition_i, reference_left_eigensystem
+from helpers import (
+    _reference_cluster,
+    count_linalg_calls,
+    reference_condition_i,
+    reference_left_eigensystem,
+)
 
 # The rank-deficient diagonal state matrix of the bundled change-of-basis
 # example; used throughout as a small fixture with a zero eigenvalue.
@@ -54,6 +59,16 @@ class TestTolerances:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(InputError):
             Tolerances(ineq_tol=bad)
+
+
+class TestAsVector:
+    def test_non_numeric_entries_are_an_input_error(self):
+        with pytest.raises(InputError, match="^x has non-numeric entries: "):
+            as_vector(["a", "b"], "x")
+
+    def test_non_finite_entries_are_an_input_error(self):
+        with pytest.raises(InputError, match="^x has non-finite entries$"):
+            as_vector([1.0, np.nan], "x")
 
 
 class TestRank:
@@ -117,6 +132,43 @@ class TestNullSpaceBasis:
             assert np.abs(np.asarray(m, float) @ basis).max() <= 1e-8 * (
                 1 + np.abs(m).max()
             )
+
+
+@st.composite
+def closeness_matrices(draw):
+    """Symmetric boolean n x n matrices, n <= 40, with a true diagonal and
+    permuted indices, from empty to dense off-diagonal patterns."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    density = draw(st.sampled_from([0.0, 0.5 / n, 1.0 / n, 2.0 / n, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    close = upper | upper.T | np.eye(n, dtype=bool)
+    perm = rng.permutation(n)
+    return close[np.ix_(perm, perm)]
+
+
+def cluster_lists(groups):
+    return [group.tolist() for group in groups]
+
+
+class TestCluster:
+    """``_cluster`` against the union-find reference: the same groups, in
+    order of their smallest index, each group's members ascending."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(closeness_matrices())
+    def test_matches_union_find(self, close):
+        assert cluster_lists(_cluster(close)) == cluster_lists(_reference_cluster(close))
+
+    def test_permuted_chain(self):
+        # Each index is close only to the next one along a permuted chain,
+        # so the labels take up to 128 rounds to settle.
+        n = 128
+        perm = np.random.default_rng(0).permutation(n)
+        close = np.eye(n, dtype=bool)
+        close[perm[:-1], perm[1:]] = close[perm[1:], perm[:-1]] = True
+        groups = cluster_lists(_cluster(close))
+        assert groups == [list(range(n))] == cluster_lists(_reference_cluster(close))
 
 
 class TestLeftEigensystem:
@@ -489,6 +541,28 @@ class TestPbhRank:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             pbh_rank(np.eye(2), np.zeros((3, 1)), 0.0)
+
+    def test_complex_pencil_matches_astype(self, monkeypatch):
+        # At complex lambda the pencil handed to rank is the one built by
+        # promoting A and B with astype(complex128), byte for byte.
+        seen = []
+        monkeypatch.setattr(matrixcore, "rank", lambda m, tol: seen.append(m) or 0)
+        for kind in KINDS:
+            for seed in range(3):
+                pair = generate_system(kind, 6, 2, seed).system
+                for lam in np.linalg.eigvals(pair.A):
+                    if lam.imag == 0.0:
+                        continue
+                    pbh_rank(pair.A, pair.B, lam)
+                    expected = np.hstack(
+                        [
+                            lam * np.eye(6) - pair.A.astype(np.complex128),
+                            pair.B.astype(np.complex128),
+                        ]
+                    )
+                    assert seen[-1].dtype == np.complex128
+                    assert seen[-1].tobytes() == expected.tobytes()
+        assert len(seen) > 4
 
 
 class TestMatPow:

@@ -154,10 +154,6 @@ class TestCoverageProbe:
 
 
 class TestRandomRollout:
-    def test_zero_amplitude_gives_zero_state(self):
-        x = random_rollout(COB, 1, 5, seed=0, amplitude=0.0)
-        np.testing.assert_array_equal(x, np.zeros(3))
-
     def test_nonnegative_scalar_accumulator(self):
         for seed in range(10):
             assert random_rollout(SCALAR_GROW, 1, 4, seed=seed)[0] >= 0.0
@@ -180,6 +176,34 @@ class TestRandomRollout:
         with pytest.raises(InputError) as excinfo:
             random_rollout(COB, 1, 2, seed=seed)
         assert str(excinfo.value) == message
+
+
+class TestVectorInputs:
+    """The oracle's vectors go through ``as_vector`` under their own names."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (["a", 0.0, 0.0], "^direction has non-numeric entries: "),
+            ([np.nan, 0.0, 0.0], "^direction has non-finite entries$"),
+            ([1.0, 0.0], r"^direction must have length 3, got shape \(2,\)$"),
+        ],
+    )
+    def test_direction(self, value, message):
+        with pytest.raises(InputError, match=message):
+            direction_uncovered(COB, 1, value)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (["a", 0.0, 0.0], "^x has non-numeric entries: "),
+            ([0.0, np.inf, 0.0], "^x has non-finite entries$"),
+            ([1.0, 0.0], r"^x must have length 3, got shape \(2,\)$"),
+        ],
+    )
+    def test_target(self, value, message):
+        with pytest.raises(InputError, match=message):
+            reachable_membership(COB, 1, 2, value)
 
 
 HORIZON_CALLS = {

@@ -18,7 +18,7 @@ def test_exports_are_the_library_modules_lists():
     for module in library_modules():
         expected += module.__all__
     assert nnscontrol.__all__ == expected
-    assert len(set(expected)) == len(expected) == 62
+    assert len(set(expected)) == len(expected) == 61
 
 
 def test_every_export_resolves_to_its_module_object():
