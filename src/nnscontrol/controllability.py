@@ -46,9 +46,12 @@ from .matrixcore import (
     LeftEigenSystem,
     Tolerances,
     as_matrix,
+    as_square,
+    as_vector,
     left_eigensystem,
     null_space_basis,
     rank,
+    validate_sparsity,
 )
 
 __all__ = [
@@ -87,10 +90,8 @@ class SystemPair:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("A", "B"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
-        if self.A.shape[0] != self.A.shape[1]:
-            raise InputError(f"A must be square, got shape {self.A.shape}")
+        object.__setattr__(self, "A", as_square(self.A, "A"))
+        object.__setattr__(self, "B", as_matrix(self.B, "B"))
         if self.A.shape[0] < 1:
             raise InputError("A must have at least one row")
         if self.B.shape[0] != self.A.shape[0]:
@@ -107,24 +108,6 @@ class SystemPair:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-
-def validate_count(value, name: str, least: int | None = None) -> int:
-    """Check that value is an integer (not a bool), of at least ``least``
-    when given."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise InputError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
-def validate_sparsity(s, m: int) -> int:
-    """Check 1 <= s <= m; zero is rejected because zero inputs cannot steer."""
-    s = validate_count(s, "sparsity level")
-    if not 1 <= s <= m:
-        raise InputError(f"sparsity level must lie in [1, {m}], got {s}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -162,16 +145,18 @@ class Certificate:
     def from_dict(cls, data: dict) -> "Certificate":
         try:
             kind = data["kind"]
-            lam = complex(float(data["lambda"]["re"]), float(data["lambda"]["im"]))
-            z = np.asarray(data["z"]["re"], dtype=float) + 1j * np.asarray(
-                data["z"]["im"], dtype=float
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            lam_re, lam_im = as_vector([data["lambda"]["re"], data["lambda"]["im"]], "lambda")
+            re = as_vector(data["z"]["re"], "z.re")
+            im = as_vector(data["z"]["im"], "z.im")
+        except (KeyError, TypeError, ValueError) as exc:  # InputError is a ValueError
             raise InputError(f"malformed certificate: {exc}") from exc
         if kind not in (VIOLATES_CONDITION_I, VIOLATES_CONDITION_II):
             raise InputError(f"unknown certificate kind {kind!r}")
-        if z.ndim != 1 or z.size == 0:
-            raise InputError("certificate z must be a nonempty vector")
+        if re.size != im.size or re.size == 0:
+            raise InputError(
+                f"certificate z must be a nonempty vector, got lengths re {re.size}, im {im.size}"
+            )
+        lam, z = complex(lam_re, lam_im), re + 1j * im
         if np.abs(z.imag).max(initial=0.0) == 0.0:
             z = z.real
         return cls(
@@ -418,19 +403,17 @@ def _check(
 ) -> ControllabilityReport:
     """One eigen-analysis, then condition i always, condition ii when
     ``nonneg`` and condition iii when ``s`` is given."""
-    if s is not None:
-        s = validate_sparsity(s, sys.m)
+    cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
     eig = _analysis(sys.A, tol).eig
     cond_i = _condition_i(sys, eig, tol)
     cond_ii = _condition_ii(sys, eig, tol) if nonneg else None
-    cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
     passed = all(
         cond.passed for cond in (cond_i, cond_ii, cond_iii) if cond is not None
     )
     return ControllabilityReport(
         verdict="controllable" if passed else "uncontrollable",
-        mode=_MODES[nonneg, s is not None],
-        s=s,
+        mode=_MODES[nonneg, cond_iii is not None],
+        s=None if cond_iii is None else cond_iii.s,
         condition_i=cond_i,
         condition_ii=cond_ii,
         condition_iii=cond_iii,

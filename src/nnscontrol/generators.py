@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import SystemPair, validate_count
+from .controllability import SystemPair
 from .errors import InputError
+from .matrixcore import validate_count
 from .systemio import system_file_dict
 
 __all__ = [

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, mat_pow, rank
+from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_square, mat_pow, rank
 
 __all__ = [
     "ZeroStructure",
@@ -31,6 +31,8 @@ __all__ = [
     "build_decomposition",
     "verify_decomposition",
 ]
+
+_VERIFY_RTOL = 1e-8  # relative bound of verify_decomposition's residual checks
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class ZeroStructure:
         }
 
 
-def _staircase(a, tol: Tolerances) -> tuple[ZeroStructure, np.ndarray, np.ndarray]:
+def _staircase(a: np.ndarray, tol: Tolerances) -> tuple[ZeroStructure, np.ndarray, np.ndarray]:
     """The zero structure by Kublanovskaya's staircase, with the factors U and
     V^H of the SVD of A that its first step took.
 
@@ -74,10 +76,7 @@ def _staircase(a, tol: Tolerances) -> tuple[ZeroStructure, np.ndarray, np.ndarra
     rank(A^k). The blocks shrink until one has full rank, so the loop always
     breaks, and no power of A is formed.
     """
-    a = as_matrix(a, "A")
     n_dim = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"A must be square, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a)
     cut = tol.rank_rtol * s[0] if s.size else 0.0
     ranks = [n_dim]
@@ -113,7 +112,7 @@ def _staircase(a, tol: Tolerances) -> tuple[ZeroStructure, np.ndarray, np.ndarra
 def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
     """Block statistics of the eigenvalue 0 from the rank sequence rank(A^k),
     read off Kublanovskaya's staircase: no power of A is formed."""
-    return _staircase(a, tol)[0]
+    return _staircase(as_square(a, "A"), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,8 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     range(A^n) come from the SVD of A^k (the staircase's at k = 1), cut at
     the rank the staircase decided.
     """
-    a = as_matrix(a, "A")
-    structure, u, vh = _staircase(a, tol)  # refuses a non-square A
+    a = as_square(a, "A")
+    structure, u, vh = _staircase(a, tol)
     n_dim = a.shape[0]
     if structure.n == 0:
         return RowSplitDecomposition(
@@ -265,15 +264,17 @@ class DecompositionReport:
 
 
 def verify_decomposition(
-    a, dec: RowSplitDecomposition, tol: Tolerances = DEFAULT_TOL, *, rtol: float = 1e-8
+    a, dec: RowSplitDecomposition, tol: Tolerances = DEFAULT_TOL
 ) -> DecompositionReport:
     """Re-check every decomposition property, reporting residuals.
 
     Power identities are compared at a scale growing like max(1, ||A||)^k,
     since errors amplify under repeated multiplication. Failures become
-    report entries, never exceptions.
+    report entries; only a decomposition of another shape than A raises.
     """
     a = as_matrix(a, "A")
+    if dec.P.shape != a.shape:
+        raise InputError(f"decomposition is of shape {dec.P.shape}, but A has shape {a.shape}")
     n_dim = a.shape[0]
     st = dec.structure
     checks: list[DecompositionCheck] = []
@@ -290,7 +291,7 @@ def verify_decomposition(
     for part in dec.parts:
         assembled += part
     scale_p = max(1.0, float(np.abs(dec.P).max()))
-    add("row_split_identity", float(np.abs(dec.P - assembled).max()) / scale_p, rtol)
+    add("row_split_identity", float(np.abs(dec.P - assembled).max()) / scale_p, _VERIFY_RTOL)
 
     # Nonsingular block: rank(P0) = q and J invertible.
     checks.append(
@@ -309,7 +310,7 @@ def verify_decomposition(
         add(
             f"intertwine_k{k}",
             float(np.abs(lhs - rhs).max(initial=0.0)) / scale_p0,
-            rtol * norm_a**k,
+            _VERIFY_RTOL * norm_a**k,
         )
 
     # Annihilation and rank preservation for each part.
@@ -328,6 +329,6 @@ def verify_decomposition(
             add(
                 f"part{i}_annihilated_k{k}",
                 float(np.abs(part @ powers[k]).max(initial=0.0)) / scale_part,
-                rtol * norm_a**k,
+                _VERIFY_RTOL * norm_a**k,
             )
     return DecompositionReport(checks=tuple(checks))

@@ -1,13 +1,18 @@
-"""Dense matrix primitives with an explicit tolerance policy.
+"""Dense matrix primitives, the input rules and an explicit tolerance policy.
+
+Each input rule is defined here, once: ``as_matrix``, ``as_square``,
+``as_vector``, ``validate_count`` and ``validate_sparsity``.
 
 Floating-point decisions downstream use the thresholds of ``Tolerances``
 and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
-and the 1e-6 cutoff widening here, ``conelp._DUAL_RTOL`` and
-``_BLOCK_RCOND``, ``oracle._SEPARATOR_TAU``, ``_REJECT_FACTOR`` and its
-12-digit canonical rounding, and ``jordan``'s 1e-12 (``_orth``), 1e-8
-(chain completion) and 1e12 (condition bound). Identical inputs and
-tolerances always give identical answers. The eigen-analysis costs O(N^3)
-when the eigenvalues are well separated (see ``left_eigensystem``).
+and the 1e-6 cutoff widening here; ``conelp._DUAL_RTOL`` and
+``_BLOCK_RCOND``; ``oracle._SEPARATOR_TAU``, ``_REJECT_FACTOR``, the 1e-12
+zero-column cut and 12-digit rounding of ``_canonical_column`` and the
+1e-9 redraw guard of ``_probe_directions``; ``certificate_direction``'s
+1e-12; and ``jordan``'s 1e-12 (``_orth``), 1e-8 (chain completion), 1e12
+(condition bound) and ``_VERIFY_RTOL``. Identical inputs and tolerances
+always give identical answers. The eigen-analysis costs O(N^3) when the
+eigenvalues are well separated (see ``left_eigensystem``).
 Correctness is promised for well-conditioned, small matrices (N <= 8);
 larger or ill-conditioned inputs get best-effort results with residuals
 reported rather than hidden.
@@ -15,6 +20,7 @@ reported rather than hidden.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,7 +59,7 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("rank_rtol", "eig_imag_tol", "ineq_tol"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):  # a bool is 0 or 1
                 raise InputError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
     def to_dict(self) -> dict:
@@ -71,22 +77,27 @@ def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarra
     module takes its matrices through here, so every result depends only on
     the values of the entries, not on memory layout or the sign of a zero.
     """
-    arr = np.asarray(a)
-    if np.iscomplexobj(arr):
-        if not allow_complex:
-            raise InputError(f"{name} must be real")
-        arr = arr.astype(np.complex128, order="C")
-    else:
-        try:
-            arr = arr.astype(np.float64, order="C")
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{name} has non-numeric entries: {exc}") from exc
+    try:
+        arr = np.asarray(a)
+        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, order="C")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} has non-numeric entries: {exc}") from exc
+    if np.iscomplexobj(arr) and not allow_complex:
+        raise InputError(f"{name} must be real")
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise InputError(f"{name} has a non-finite entry at row {bad[0]}, column {bad[1]}")
     arr += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
+    return arr
+
+
+def as_square(a, name: str) -> np.ndarray:
+    """``as_matrix`` for a square matrix."""
+    arr = as_matrix(a, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise InputError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -101,6 +112,23 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise InputError(f"{name} has non-finite entries")
     return arr
+
+
+def validate_count(value, name: str, least: int | None = None) -> int:
+    """Check that value is an integer, not a bool, and at least ``least`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def validate_sparsity(s, m: int) -> int:
+    """Check 1 <= s <= m; zero is rejected because zero inputs cannot steer."""
+    s = validate_count(s, "sparsity level")
+    if not 1 <= s <= m:
+        raise InputError(f"sparsity level must lie in [1, {m}], got {s}")
+    return s
 
 
 def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -125,18 +153,10 @@ def null_space_basis(
     the same SVD.
     """
     m = as_matrix(m, "matrix", allow_complex=True)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0))
-    if rows == 0:
-        return np.eye(cols)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m)  # an empty m gives empty s and an identity vh
     cutoff = max(tol.rank_rtol * (s[0] if s.size else 0.0), atol)
     r = int(np.count_nonzero(s > cutoff))
-    basis = vh[min(r, cols - 1) if closest else r :].conj().T
-    if np.iscomplexobj(basis) and np.abs(basis.imag).max(initial=0.0) == 0.0:
-        basis = basis.real
-    return basis
+    return vh[min(r, m.shape[1] - 1) if closest else r :].conj().T
 
 
 @dataclass(frozen=True)
@@ -232,10 +252,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     copy, and one complex copy once a complex group appears), which also
     serves the residual product.
     """
-    a = as_matrix(a, "A")
-    n, cols = a.shape
-    if n != cols:
-        raise InputError(f"A must be square, got shape {a.shape}")
+    a = as_square(a, "A")
+    n = a.shape[0]
     if n == 0:
         return LeftEigenSystem(groups=(), cluster_radius=0.0)
     try:
@@ -313,11 +331,9 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
 
 def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of the N x (N+m) pencil [lambda*I - A | B]."""
-    a = as_matrix(a, "A")
+    a = as_square(a, "A")
     b = as_matrix(b, "B")
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"A must be square, got shape {a.shape}")
     if b.shape[0] != n:
         raise InputError(f"B must have {n} rows, got {b.shape[0]}")
     lam = complex(lam)
@@ -331,13 +347,10 @@ def mat_pow(m, k: int, name: str = "matrix") -> np.ndarray:
     A power that overflows raises ``NumericError`` ("{name}^{k} overflows"):
     the input is valid, and an SVD of the result would rank it, not fail.
     """
-    m = as_matrix(m, name)
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"{name} must be square, got shape {m.shape}")
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise InputError(f"power must be a nonnegative integer, got {k!r}")
+    m = as_square(m, name)
+    k = validate_count(k, "power", 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.linalg.matrix_power(m, int(k))
+        power = np.linalg.matrix_power(m, k)
     if not np.isfinite(power).all():
         raise NumericError(f"{name}^{k} overflows")
     return power

@@ -52,9 +52,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conelp import feasible_nonneg_solution, membership_tol
-from .controllability import SystemPair, validate_count, validate_sparsity
+from .controllability import SystemPair
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_vector
+from .matrixcore import DEFAULT_TOL, Tolerances, as_vector, validate_count, validate_sparsity
 
 __all__ = [
     "OracleConfig",
@@ -362,7 +362,6 @@ def coverage_probe(
     tol: Tolerances = DEFAULT_TOL,
 ) -> OracleVerdict:
     """Test whether every probe direction becomes reachable by horizon k_max."""
-    s = validate_sparsity(s, sys.m)
     probes = _probe_directions(sys, cfg)
     covered_at, uncovered, lp_count = _sweep_coverage(sys, s, probes, cfg.k_max, tol)
     if covered_at is not None:
@@ -383,7 +382,6 @@ def direction_uncovered(
     This is how certificate directions are cross-checked: a verified
     witness promises its direction can never be reached, at any horizon.
     """
-    s = validate_sparsity(s, sys.m)
     k_max = validate_count(k_max, "horizon", 1)
     direction = as_vector(direction, "direction")
     if direction.shape != (sys.n,):

@@ -195,7 +195,7 @@ def test_acceptance_4_decomposition_suite():
             assert sum((i + 1) * qi for i, qi in enumerate(st.q_sizes)) + st.q == n_dim
 
             dec = build_decomposition(a)
-            report = verify_decomposition(a, dec, rtol=1e-8)
+            report = verify_decomposition(a, dec)
             failing = [c.name for c in report.checks if not c.passed]
             assert report.all_passed, (a.tolist(), failing)
     except AssertionError:

@@ -181,6 +181,18 @@ class TestVerifyCert:
         assert code == 0
         assert json.loads(out)["result"]["check"]["valid"] is False
 
+    def test_short_imaginary_part_exits_one(self, capsys, tmp_path):
+        # z.re and z.im of unequal length once broadcast to a valid witness.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({
+            "kind": "violates_condition_ii", "lambda": {"re": 0.0, "im": 0.0},
+            "z": {"re": [0.0, 0.0, 1.0], "im": [0.0]},
+        }))
+        code, out, err = run(capsys, "verify-cert", COB_T, "--cert", str(cert_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: certificate z must be a nonempty vector, got lengths re 3, im 1\n"
+
     def test_pretty_writes_summary_to_stderr(self, capsys, cert_file):
         code, out, err = run(capsys, "verify-cert", COB_T, "--cert", cert_file, "--pretty")
         assert code == 0

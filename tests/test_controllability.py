@@ -645,8 +645,23 @@ class TestVerifyCertificate:
               "z": {"re": [1.0], "im": [0.0]}}, "unknown certificate kind"),
             ({"kind": "violates_condition_i", "lambda": {"re": 0, "im": 0},
               "z": {"re": [], "im": []}}, "nonempty vector"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [0, 0, 1], "im": [0]}},
+             "^certificate z must be a nonempty vector, got lengths re 3, im 1$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [0, float("nan"), 1], "im": [0, 0, 0]}},
+             "^malformed certificate: z.re has non-finite entries$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": "x", "im": 0},
+              "z": {"re": [0, 0, 1], "im": [0, 0, 0]}},
+             "^malformed certificate: lambda has non-numeric entries: "),
+            ({"kind": "violates_condition_ii", "lambda": {"re": float("nan"), "im": 0},
+              "z": {"re": [0, 0, 1], "im": [0, 0, 0]}},
+             "^malformed certificate: lambda has non-finite entries$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0}},
+             "^malformed certificate: 'z'$"),
         ],
-        ids=["unknown-kind", "empty-z"],
+        ids=["unknown-kind", "empty-z", "short-im", "nan-z", "string-lambda", "nan-lambda",
+             "missing-key"],
     )
     def test_from_dict_rejects(self, data, message):
         with pytest.raises(InputError, match=message):

@@ -138,6 +138,12 @@ class TestVerifyDecomposition:
         assert "intertwine_k1" in failed
         assert "intertwine_k0" not in failed
 
+    def test_decomposition_of_another_size_is_an_input_error(self):
+        dec = build_decomposition(np.zeros((2, 2)))
+        with pytest.raises(InputError) as info:
+            verify_decomposition(np.eye(3), dec)
+        assert str(info.value) == "decomposition is of shape (2, 2), but A has shape (3, 3)"
+
     def test_cob_state_matrix_rank_bound(self):
         dec = build_decomposition(A_DIAG)
         report = verify_decomposition(A_DIAG, dec)

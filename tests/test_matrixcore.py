@@ -16,16 +16,23 @@ from nnscontrol import (
     InputError,
     NumericError,
     Tolerances,
+    apply_input_basis,
+    build_decomposition,
+    feasible_nonneg_solution,
     generate_system,
+    homogeneous_nonzero,
+    is_positive_spanning_subspace,
     left_eigensystem,
     mat_pow,
     null_space_basis,
     pbh_rank,
     rank,
+    sparsify_positive_combination,
+    zero_structure,
 )
 from nnscontrol import controllability, matrixcore
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
-from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_vector
+from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_matrix, as_vector
 
 from helpers import (
     _reference_cluster,
@@ -60,6 +67,69 @@ class TestTolerances:
         with pytest.raises(InputError):
             Tolerances(ineq_tol=bad)
 
+    @pytest.mark.parametrize("bad", ["0.1", None, True, [0.1]], ids=["str", "none", "bool", "list"])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(InputError) as info:
+            Tolerances(rank_rtol=bad)
+        assert str(info.value) == f"rank_rtol must lie strictly between 0 and 1, got {bad!r}"
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([[1j]], "M must be real"),
+            ([["a"]], "M has non-numeric entries: could not convert string to float"),
+            ([[1.0], [2.0, 3.0]], "M has non-numeric entries: setting an array element"),
+            ([1.0, 2.0], r"M must be 2-D, got shape \(2,\)"),
+            ([[np.inf]], "M has a non-finite entry at row 0, column 0"),
+        ],
+        ids=["complex", "string", "ragged", "1-D", "infinity"],
+    )
+    def test_messages(self, a, message):
+        with pytest.raises(InputError, match=f"^{message}"):
+            as_matrix(a, "M")
+
+    def test_complex_when_allowed(self):
+        assert as_matrix([[1j]], "M", allow_complex=True).dtype == np.complex128
+
+
+RAGGED = [[1.0, 2.0], [3.0]]
+
+
+class TestRaggedInput:
+    """A ragged nested list is an InputError naming the matrix at every
+    public function that takes one."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: SystemPair(A=RAGGED, B=[[1.0], [1.0]]), "A"),
+            (lambda: SystemPair(A=np.eye(2), B=RAGGED), "B"),
+            (lambda: left_eigensystem(RAGGED), "A"),
+            (lambda: pbh_rank(RAGGED, [[1.0], [1.0]], 0.0), "A"),
+            (lambda: rank(RAGGED), "matrix"),
+            (lambda: null_space_basis(RAGGED), "matrix"),
+            (lambda: zero_structure(RAGGED), "A"),
+            (lambda: build_decomposition(RAGGED), "A"),
+            (lambda: feasible_nonneg_solution(RAGGED, [1.0, 1.0]), "M"),
+            (lambda: homogeneous_nonzero(RAGGED), "M"),
+            (lambda: sparsify_positive_combination(RAGGED, [1.0, 1.0]), "Z"),
+            (lambda: is_positive_spanning_subspace(RAGGED), "Z"),
+            (lambda: mat_pow(RAGGED, 2), "matrix"),
+            (lambda: apply_input_basis(SystemPair(A=np.eye(2), B=np.eye(2)), RAGGED), "Phi"),
+        ],
+        ids=[
+            "SystemPair-A", "SystemPair-B", "left_eigensystem", "pbh_rank", "rank",
+            "null_space_basis", "zero_structure", "build_decomposition",
+            "feasible_nonneg_solution", "homogeneous_nonzero", "sparsify_positive_combination",
+            "is_positive_spanning_subspace", "mat_pow", "apply_input_basis",
+        ],
+    )
+    def test_is_an_input_error(self, call, name):
+        with pytest.raises(InputError, match=f"^{name} has non-numeric entries: "):
+            call()
+
 
 class TestAsVector:
     def test_non_numeric_entries_are_an_input_error(self):
@@ -69,6 +139,10 @@ class TestAsVector:
     def test_non_finite_entries_are_an_input_error(self):
         with pytest.raises(InputError, match="^x has non-finite entries$"):
             as_vector([1.0, np.nan], "x")
+
+    def test_non_vector_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"^x must be 1-D, got shape \(1, 2\)$"):
+            as_vector([[1.0, 2.0]], "x")
 
 
 class TestRank:
@@ -114,6 +188,14 @@ class TestNullSpaceBasis:
     def test_closest_keeps_a_nonempty_kernel(self):
         m = A_DIAG.T - 0.0 * np.eye(3)
         np.testing.assert_array_equal(null_space_basis(m, closest=True), null_space_basis(m))
+
+    @pytest.mark.parametrize("closest", [False, True])
+    def test_empty_matrices(self, closest):
+        # With no rows every direction is in the kernel; with no columns there is none.
+        basis = null_space_basis(np.zeros((0, 3)), closest=closest)
+        assert basis.dtype == np.float64
+        np.testing.assert_array_equal(basis, np.eye(3))
+        assert null_space_basis(np.zeros((3, 0)), closest=closest).shape == (0, 0)
 
     def test_full_kernel(self):
         basis = null_space_basis(np.zeros((2, 2)))
@@ -577,9 +659,19 @@ class TestMatPow:
     def test_odd_power_diagonal(self):
         np.testing.assert_array_equal(mat_pow(A_DIAG, 3), A_DIAG)
 
-    def test_rejects_negative(self):
-        with pytest.raises(InputError):
-            mat_pow(np.eye(2), -1)
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (-1, "power must be >= 0, got -1"),
+            (True, "power must be an integer, got True"),
+            (1.0, "power must be an integer, got 1.0"),
+        ],
+        ids=["negative", "bool", "float"],
+    )
+    def test_rejects_bad_power(self, k, message):
+        with pytest.raises(InputError) as info:
+            mat_pow(np.eye(2), k)
+        assert str(info.value) == message
 
     def test_names_the_matrix(self):
         with pytest.raises(InputError, match=r"^J must be square, got shape \(1, 2\)$"):

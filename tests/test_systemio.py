@@ -96,10 +96,13 @@ class TestEntryMessages:
             ('[[1, NaN], ["x", 0]]', '"A" entry at row 1, column 2 is not finite'),
             ("[[1" + "0" * 400 + "]]", '"A" entry at row 1, column 1 is not finite'),
             ("[[100000000000000000000]]", None),
+            ("[]", '"A" must be a non-empty array of arrays'),
+            ("[1, 2]", '"A" must be a non-empty array of arrays'),
+            ("[[]]", '"A" rows must be non-empty'),
         ],
         ids=[
             "ragged", "true", "null", "string", "nested", "nan", "infinity", "1e400",
-            "nonfinite-first", "int-1e400", "int-1e20",
+            "nonfinite-first", "int-1e400", "int-1e20", "empty", "not-arrays", "empty-row",
         ],
     )
     def test_messages(self, a, message):
@@ -110,6 +113,29 @@ class TestEntryMessages:
         with pytest.raises(InputError) as info:
             parse_system_file(text)
         assert str(info.value) == message
+
+
+class TestFieldMessages:
+    """Exact messages for bad optional fields and sources."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"A": [[1]], "B": [[1]], "s": 1.5}', '"s" must be an integer, got 1.5'),
+            ('{"A": [[1]], "B": [[1]], "s": true}', '"s" must be an integer, got True'),
+            ('{"A": [[1]], "B": [[1]], "name": 7}', '"name" must be a string, got 7'),
+        ],
+        ids=["float-s", "bool-s", "int-name"],
+    )
+    def test_messages(self, text, message):
+        with pytest.raises(InputError) as info:
+            parse_system_file(text)
+        assert str(info.value) == message
+
+    def test_unsupported_source_type(self):
+        with pytest.raises(InputError) as info:
+            parse_system_file(42)
+        assert str(info.value) == "unsupported system source type int"
 
 
 class TestUnreadablePath:
