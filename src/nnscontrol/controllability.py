@@ -45,6 +45,7 @@ from .matrixcore import (
     EigenGroup,
     LeftEigenSystem,
     Tolerances,
+    as_input_matrix,
     as_matrix,
     as_square,
     as_vector,
@@ -91,13 +92,9 @@ class SystemPair:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A", as_square(self.A, "A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
         if self.A.shape[0] < 1:
             raise InputError("A must have at least one row")
-        if self.B.shape[0] != self.A.shape[0]:
-            raise InputError(
-                f"B must have {self.A.shape[0]} rows to match A, got {self.B.shape[0]}"
-            )
+        object.__setattr__(self, "B", as_input_matrix(self.B, self.A.shape[0]))
         if self.B.shape[1] < 1:
             raise InputError("B must have at least one column")
 

@@ -1,7 +1,8 @@
 """Dense matrix primitives, the input rules and an explicit tolerance policy.
 
 Each input rule is defined here, once: ``as_matrix``, ``as_square``,
-``as_vector``, ``validate_count`` and ``validate_sparsity``.
+``as_input_matrix``, ``as_vector``, ``validate_count`` and
+``validate_sparsity``.
 
 Floating-point decisions downstream use the thresholds of ``Tolerances``
 and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
@@ -99,6 +100,14 @@ def as_square(a, name: str) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise InputError(f"{name} must be square, got shape {arr.shape}")
     return arr
+
+
+def as_input_matrix(b, n: int) -> np.ndarray:
+    """``as_matrix`` for the input matrix B of an N x N matrix A: N rows."""
+    b = as_matrix(b, "B")
+    if b.shape[0] != n:
+        raise InputError(f"B must have {n} rows to match A, got {b.shape[0]}")
+    return b
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -332,10 +341,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
 def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of the N x (N+m) pencil [lambda*I - A | B]."""
     a = as_square(a, "A")
-    b = as_matrix(b, "B")
     n = a.shape[0]
-    if b.shape[0] != n:
-        raise InputError(f"B must have {n} rows, got {b.shape[0]}")
+    b = as_input_matrix(b, n)
     lam = complex(lam)
     return rank(np.hstack([(lam if lam.imag else lam.real) * np.eye(n) - a, b]), tol)
 

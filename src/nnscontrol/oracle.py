@@ -29,7 +29,9 @@ Four semantics-preserving shortcuts keep the enumeration tractable:
     ||p - G u||_inf >= (-w^T p - 1e-12 max|G| ||u||_1) / ||w||_1, and
     ||w||_1 <= N, so the residual exceeds feas_tol for every u with
     1e-12 max|G| ||u||_1 < (10^3 - N) feas_tol: the shortcut stays sound
-    while N < 10^3;
+    while N < 10^3. Whether w is valid for G does not depend on the probe,
+    so the sweep decides it once per (separator, cone): each visit to a
+    cone tests only the separators stored since its last visit;
   * every solve that finds a probe inside a cone with exactly N positive
     coefficients, on columns P, leaves the simplicial basis G_P of that
     cone (a relaxation, or one key set of a horizon) with its inverse.
@@ -249,22 +251,37 @@ class _WitnessPool:
     """The witnesses of one sweep's solves (the third and fourth shortcuts
     above): the Farkas separators of non-member solves, shared by every
     cone, the simplicial bases of member solves, kept per cone, and the
-    probe that the next questions are about."""
+    probe that the next questions are about.
+
+    Sets of separators are bitmasks, bit i for row i of ``separators``:
+    ``near`` holds those with w^T probe < cut. ``cones`` keeps, for each
+    cone asked about while ``near`` was not empty, the mask of separators
+    valid for it and how many separators that mask has decided."""
 
     def __init__(self, n: int, tol: Tolerances) -> None:
         self.tol = tol
         self.separators = np.zeros((0, n))
         self.bases: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}  # (inverses, bases)
+        self.cones: dict[Hashable, tuple[int, int]] = {}  # (valid, decided)
         self.probe = np.zeros(n)
         self.feas_tol = 0.0
         self.cut = 0.0
-        self.near = self.separators  # the separators with w^T probe < cut
+        self.near = 0
 
     def focus(self, probe: np.ndarray) -> None:
         self.probe = probe
         self.feas_tol = membership_tol(probe, self.tol)
         self.cut = -_REJECT_FACTOR * self.feas_tol
-        self.near = self.separators[self.separators @ probe < self.cut]
+        self.near = _bits(self.separators @ probe < self.cut)
+
+    def valid(self, cone: Hashable, generators: np.ndarray) -> int:
+        """The mask of stored separators valid for the cone, deciding only
+        those stored since the cone's last visit."""
+        mask, decided = self.cones.get(cone, (0, 0))
+        if decided < len(self.separators):
+            mask |= _valid_separators(self.separators[decided:], generators) << decided
+            self.cones[cone] = (mask, len(self.separators))
+        return mask
 
     def member(self, cone: Hashable, generators: np.ndarray) -> bool:
         """Whether the probe lies in cone(generators), by a stored basis of this
@@ -279,10 +296,7 @@ class _WitnessPool:
                 & (np.abs(residuals).max(axis=1) <= self.feas_tol)
             ):
                 return True
-        if len(self.near) and (
-            generators.shape[1] == 0
-            or np.any((self.near @ generators).min(axis=1) >= _separator_floor(generators))
-        ):
+        if self.near and self.near & self.valid(cone, generators):
             return False
         result = feasible_nonneg_solution(generators, self.probe, self.tol)
         if result.member:
@@ -295,10 +309,23 @@ class _WitnessPool:
             return True
         w = result.separator / np.abs(result.separator).max()
         if float((w @ generators).min(initial=np.inf)) >= _separator_floor(generators):
-            self.separators = np.vstack([self.separators, w])
             if w @ self.probe < self.cut:
-                self.near = np.vstack([self.near, w])
+                self.near |= 1 << len(self.separators)
+            self.separators = np.vstack([self.separators, w])
         return False
+
+
+def _bits(flags: np.ndarray) -> int:
+    """The bitmask with bit i set where flags[i] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _valid_separators(separators: np.ndarray, generators: np.ndarray) -> int:
+    """The mask of separators w that may reject points for cone(generators):
+    min(w^T G) >= -tau max|G|, which every separator meets on a cone with no
+    generators."""
+    products = separators @ generators
+    return _bits(products.min(axis=1, initial=np.inf) >= _separator_floor(generators))
 
 
 def _separator_floor(generators: np.ndarray) -> float:

@@ -358,6 +358,10 @@ class TestSparsifyPositiveCombination:
         with pytest.raises(InputError, match="^z has non-numeric entries: "):
             sparsify_positive_combination(np.eye(2), ["a", "b"])
 
+    def test_row_mismatch(self):
+        with pytest.raises(InputError, match="^Z has 3 rows but z has 2 entries$"):
+            sparsify_positive_combination(np.eye(3), np.ones(2))
+
     def test_single_generator_match(self):
         alpha = sparsify_positive_combination(Z_MPB, [-2.0, -2.0])
         np.testing.assert_allclose(alpha, [0.0, 0.0, 2.0], atol=1e-10)

@@ -626,6 +626,10 @@ class TestVerifyCertificate:
         with pytest.raises(InputError, match="length 3"):
             verify_certificate(COB_T, self._cert([0.0, 1.0]))
 
+    def test_unknown_kind_is_an_input_error(self):
+        with pytest.raises(InputError, match="^unknown certificate kind 'bogus'$"):
+            verify_certificate(COB_T, self._cert([0.0, 0.0, 1.0], kind="bogus"))
+
     def test_zero_z_is_invalid(self):
         check = verify_certificate(COB_T, self._cert(np.zeros(3)))
         assert not check.valid

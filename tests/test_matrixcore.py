@@ -621,8 +621,12 @@ class TestPbhRank:
         assert pbh_rank(a, np.array([[1.0], [0.0]]), 1j) == 2
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
+        # pbh_rank and SystemPair share one row check for B, message included.
+        message = "^B must have 2 rows to match A, got 3$"
+        with pytest.raises(InputError, match=message):
             pbh_rank(np.eye(2), np.zeros((3, 1)), 0.0)
+        with pytest.raises(InputError, match=message):
+            SystemPair(A=np.eye(2), B=np.zeros((3, 1)))
 
     def test_complex_pencil_matches_astype(self, monkeypatch):
         # At complex lambda the pencil handed to rank is the one built by

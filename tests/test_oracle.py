@@ -517,18 +517,43 @@ class TestSeparatorReuse:
 
     def test_heavy_tail_lp_guard(self, monkeypatch):
         # The acceptance suite's costliest system: 11,598 membership
-        # questions, nearly all settled by reused hyperplanes.
-        calls = []
+        # questions, nearly all settled by reused hyperplanes. A visit to a
+        # cone multiplies at most once, and only the separators stored since
+        # the cone's last visit, so each (separator, cone) pair is decided
+        # at most once in the sweep.
+        calls = counted_solves(monkeypatch)
+        events = []
+        pools = set()
+        member = oracle._WitnessPool.member
+        valid_separators = oracle._valid_separators
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return feasible_nonneg_solution(*args, **kwargs)
+        def visit(pool, cone, generators):
+            pools.add(pool)
+            events.append(("visit", cone))
+            return member(pool, cone, generators)
 
-        monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
+        def decide(separators, generators):
+            events.append(("decide", len(separators)))
+            return valid_separators(separators, generators)
+
+        monkeypatch.setattr(oracle._WitnessPool, "member", visit)
+        monkeypatch.setattr(oracle, "_valid_separators", decide)
         sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
         verdict = coverage_probe(sys, 1, OracleConfig(seed=2024))
         assert verdict.lp_count == 11598
         assert len(calls) < 1000
+        decided = {}
+        products = 0
+        for (kind, value), previous in zip(events[1:], events):
+            if kind == "decide":
+                assert previous[0] == "visit" and value >= 1
+                decided[previous[1]] = decided.get(previous[1], 0) + value
+                products += 1
+        (pool,) = pools
+        assert max(decided.values()) <= len(pool.separators)
+        # 5,638 products for 5,466 cones; deciding per question would take
+        # over 10,000.
+        assert products < 6000
 
     def test_controllable_solve_guard(self, monkeypatch):
         # A covered system: 210 membership questions, most of them members
