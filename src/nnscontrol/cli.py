@@ -38,7 +38,7 @@ from .generators import KINDS, generate_system
 from .jordan import build_decomposition, verify_decomposition
 from .matrixcore import DEFAULT_TOL, Tolerances
 from .oracle import OracleConfig, coverage_probe
-from .systemio import dump_system_file, parse_system_file, read_file
+from .systemio import dump_system_file, load_json_object, parse_system_file
 
 __all__ = ["main", "run_command", "console_main"]
 
@@ -124,19 +124,25 @@ def _tolerances(args) -> Tolerances:
 _PARSER = _build_parser()
 
 
-def _cmd_check(args, parsed, tol: Tolerances) -> dict:
+def _sparsity(args, parsed, user: str | None) -> int | None:
+    """The sparsity level: --s, else the file's "s". Without either, ``user``
+    (what needs it) is refused, or None is returned when ``user`` is None."""
     s = args.s if args.s is not None else parsed.s
+    if s is None and user is not None:
+        raise InputError(f"{user} needs a sparsity level (--s or the file)")
+    return s
+
+
+def _cmd_check(args, parsed, tol: Tolerances) -> dict:
     variant = args.variant
     if variant == "auto":
-        variant = "nonneg-sparse" if s is not None else "nonneg"
+        variant = "nonneg-sparse" if _sparsity(args, parsed, None) is not None else "nonneg"
     if variant == "nonneg":
         report = check_nonneg(parsed.system, tol)
-    elif s is None:
-        raise InputError(f"variant {variant!r} needs a sparsity level (--s or the file)")
-    elif variant == "sparse":
-        report = check_sparse(parsed.system, s, tol)
     else:
-        report = check_nonneg_sparse(parsed.system, s, tol)
+        s = _sparsity(args, parsed, f"variant {variant!r}")
+        check = check_sparse if variant == "sparse" else check_nonneg_sparse
+        report = check(parsed.system, s, tol)
     return report.to_dict()
 
 
@@ -170,9 +176,7 @@ def _cmd_min_sparsity(args, parsed, tol: Tolerances) -> dict:
 
 
 def _cmd_oracle(args, parsed, tol: Tolerances) -> dict:
-    s = args.s if args.s is not None else parsed.s
-    if s is None:
-        raise InputError("the oracle needs a sparsity level (--s or the file)")
+    s = _sparsity(args, parsed, "the oracle")
     cfg = OracleConfig(
         k_max=args.kmax,
         n_directions=args.samples,
@@ -200,11 +204,7 @@ def _cmd_decompose(args, parsed, tol: Tolerances) -> dict:
 
 
 def _cmd_verify_cert(args, parsed, tol: Tolerances) -> dict:
-    try:
-        cert_data = json.loads(read_file(args.cert, "certificate")[1])
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed certificate JSON: {exc}") from exc
-    cert = Certificate.from_dict(cert_data)
+    cert = Certificate.from_dict(load_json_object(args.cert, "certificate")[0])
     check = verify_certificate(parsed.system, cert, tol)
     return {"certificate": cert.to_dict(), "check": check.to_dict()}
 

@@ -145,6 +145,8 @@ class Certificate:
             lam_re, lam_im = as_vector([data["lambda"]["re"], data["lambda"]["im"]], "lambda")
             re = as_vector(data["z"]["re"], "z.re")
             im = as_vector(data["z"]["im"], "z.im")
+            residual_eig = float(as_vector([data.get("residual_eig", 0.0)], "residual_eig")[0])
+            max_zb = float(as_vector([data.get("max_zb", 0.0)], "max_zb")[0])
         except (KeyError, TypeError, ValueError) as exc:  # InputError is a ValueError
             raise InputError(f"malformed certificate: {exc}") from exc
         if kind not in (VIOLATES_CONDITION_I, VIOLATES_CONDITION_II):
@@ -160,8 +162,8 @@ class Certificate:
             kind=kind,
             eigenvalue=lam,
             z=z,
-            residual_eig=float(data.get("residual_eig", 0.0)),
-            max_zb=float(data.get("max_zb", 0.0)),
+            residual_eig=residual_eig,
+            max_zb=max_zb,
         )
 
 

@@ -9,13 +9,12 @@ cone feasibility, certificates, and the brute-force oracle.
 
 from __future__ import annotations
 
-import json
 from importlib.resources import files
 
 import numpy as np
 
 from ..controllability import SystemPair
-from ..systemio import parse_system_file
+from ..systemio import load_json_object, parse_system_file
 
 __all__ = [
     "load_json",
@@ -28,7 +27,7 @@ __all__ = [
 
 def load_json(name: str) -> dict:
     """Load a bundled fixture file by name (e.g. ``cob_system.json``)."""
-    return json.loads(files(__package__).joinpath(name).read_text(encoding="utf-8"))
+    return load_json_object(fixture_path(name), "fixture")[0]
 
 
 def fixture_path(name: str) -> str:

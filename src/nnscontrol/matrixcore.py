@@ -2,7 +2,9 @@
 
 Each input rule is defined here, once: ``as_matrix``, ``as_square``,
 ``as_input_matrix``, ``as_vector``, ``validate_count`` and
-``validate_sparsity``.
+``validate_sparsity``. The number rule behind ``as_matrix`` and
+``as_vector`` is the only one: system files and certificate files are
+read through these doors and carry no rule of their own.
 
 Floating-point decisions downstream use the thresholds of ``Tolerances``
 and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
@@ -21,6 +23,7 @@ reported rather than hidden.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -70,26 +73,79 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+_ROW = (list, tuple, np.ndarray)
+# The types an entry may have: Python's and numpy's integers, floats and
+# complex numbers. Exact types, so a bool (an int subclass) is not one.
+_NUMBER_TYPES = frozenset(
+    [int, float, complex]
+    + [np.dtype(c).type for c in np.typecodes["AllInteger"] + np.typecodes["AllFloat"]]
+)
+
+
+def _location(name: str, shape: tuple, k: int) -> str:
+    """The k-th entry (row-major) of an array of this shape, 1-based."""
+    i = [int(j) + 1 for j in np.unravel_index(k, shape)]
+    return f"{name} entry at row {i[0]}, column {i[1]}" if len(i) == 2 else f"{name} entry {i[0]}"
+
+
+def _numbers(x, name: str, ndim: int, allow_complex: bool) -> np.ndarray:
+    """The number rule: ``x`` as an ndarray of ``ndim`` dimensions, entries finite
+    ints or floats (or complex, with ``allow_complex``), refusals located 1-based.
+    A numeric ndarray passes on its dtype and one vectorized test."""
+    arr = x if isinstance(x, np.ndarray) and x.dtype.kind in "iufc" else _entries(x, name, ndim)
+    if arr.ndim != ndim:
+        raise InputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.dtype.kind == "c" and not allow_complex:
+        raise InputError(f"{name} must be real")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise InputError(f"{_location(name, arr.shape, np.flatnonzero(~finite)[0])} is not finite")
+    return arr
+
+
+def _entries(x, name: str, ndim: int) -> np.ndarray:
+    """Other input: a ragged row, or the first offender in row-major order (a
+    bool, str, None, list or other non-number; an inf, a NaN or an int too large
+    for a float), is refused. Returns float64 or complex128, leaving a wrong
+    shape to ``_numbers``."""
+    try:
+        arr = np.array(x, dtype=object)
+    except ValueError as exc:  # nested arrays whose shapes clash
+        raise InputError(f"{name} is ragged: {exc}") from exc
+    if arr.ndim < ndim and any(isinstance(row, _ROW) for row in arr.flat):
+        for i, row in enumerate(arr):  # numpy leaves rows of unequal length 1-D
+            if not isinstance(row, _ROW):
+                raise InputError(f"{name} row {i + 1} is not an array: {row!r}")
+            if len(row) != len(arr[0]):
+                raise InputError(
+                    f"{name} row {i + 1} has {len(row)} entries, expected {len(arr[0])} (ragged)"
+                )
+    if arr.ndim != ndim:
+        return arr
+    flat = arr.ravel().tolist()
+    for k, v in enumerate(flat):
+        if type(v) not in _NUMBER_TYPES:
+            raise InputError(f"{_location(name, arr.shape, k)} is not a number: {v!r}")
+        try:
+            finite = cmath.isfinite(v)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise InputError(f"{_location(name, arr.shape, k)} is not finite")
+    complex_ = any(issubclass(kind, (complex, np.complexfloating)) for kind in set(map(type, flat)))
+    return arr.astype(np.complex128 if complex_ else np.float64)
+
+
 def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarray:
-    """Validate a 2-D finite array and return it in canonical form.
+    """A 2-D matrix under the number rule (``_numbers``), in canonical form.
 
     The canonical form is a fresh C-ordered float64 array (complex128 when
     ``allow_complex`` and ``a`` is complex) with every -0.0 made +0.0. Every
     module takes its matrices through here, so every result depends only on
     the values of the entries, not on memory layout or the sign of a zero.
     """
-    try:
-        arr = np.asarray(a)
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, order="C")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} has non-numeric entries: {exc}") from exc
-    if np.iscomplexobj(arr) and not allow_complex:
-        raise InputError(f"{name} must be real")
-    if arr.ndim != 2:
-        raise InputError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise InputError(f"{name} has a non-finite entry at row {bad[0]}, column {bad[1]}")
+    arr = _numbers(a, name, 2, allow_complex)
+    arr = np.array(arr, np.complex128 if arr.dtype.kind == "c" else np.float64, order="C")
     arr += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
     return arr
 
@@ -111,16 +167,8 @@ def as_input_matrix(b, n: int) -> np.ndarray:
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and return a 1-D finite float64 array."""
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} has non-numeric entries: {exc}") from exc
-    if arr.ndim != 1:
-        raise InputError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} has non-finite entries")
-    return arr
+    """A real 1-D vector under the number rule (``_numbers``), as float64."""
+    return np.asarray(_numbers(x, name, 1, False), dtype=np.float64)
 
 
 def validate_count(value, name: str, least: int | None = None) -> int:

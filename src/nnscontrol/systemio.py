@@ -2,23 +2,24 @@
 
 A system file is a JSON object {"A": [[...]], "B": [[...]], "s": int?,
 "name": str?}. Unknown keys (such as a generator's planted ground truth)
-are preserved on parse but never required. Errors carry row and column
-locations so malformed files are quick to fix.
+are preserved on parse but never required. A file carries no number rule
+of its own: "A" and "B" go to ``SystemPair`` and "s" to
+``validate_sparsity``, so the rules and their messages (with 1-based row
+and column locations) are ``matrixcore``'s. Certificate files are read by
+the same loader, ``load_json_object``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .controllability import SystemPair
 from .errors import InputError
+from .matrixcore import validate_sparsity
 
 __all__ = ["ParsedSystem", "parse_system_file", "system_file_dict", "dump_system_file"]
 
@@ -35,77 +36,50 @@ class ParsedSystem:
     digest: str
 
 
-def _rectangular(raw, key: str) -> np.ndarray:
-    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-        raise InputError(f'"{key}" must be a non-empty array of arrays')
-    width = len(raw[0])
-    if width == 0:
-        raise InputError(f'"{key}" rows must be non-empty')
-    for i, row in enumerate(raw):
-        if len(row) != width:
-            raise InputError(
-                f'"{key}" row {i + 1} has {len(row)} entries, expected {width} (ragged)'
-            )
-        for j, value in enumerate(row):
-            if type(value) is not int and type(value) is not float:  # exact: rejects bool
-                raise InputError(
-                    f'"{key}" entry at row {i + 1}, column {j + 1} is not a number: {value!r}'
-                )
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite:
-                raise InputError(
-                    f'"{key}" entry at row {i + 1}, column {j + 1} is not finite'
-                )
-    return np.asarray(raw, dtype=float)
-
-
-def read_file(path, what: str) -> tuple[bytes, str]:
-    """The bytes of a UTF-8 file, read once, and their text with newlines
-    translated as ``Path.read_text`` does; ``what`` ("system",
-    "certificate") names the file in errors."""
+def load_json_object(path, what: str) -> tuple[dict, bytes]:
+    """The JSON object in the UTF-8 file at ``path`` and the bytes it was
+    parsed from. The file is read once, and its newlines are translated as
+    ``Path.read_text`` does; ``what`` ("system", "certificate") names it in
+    errors, which show ``path`` as given."""
     try:
-        data = Path(path).read_bytes()
-        text = data.decode("utf-8")
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
     except FileNotFoundError:
         raise InputError(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-    return data, text.replace("\r\n", "\n").replace("\r", "\n")
+    return _json_object(text.replace("\r\n", "\n").replace("\r", "\n"), what), raw
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {what} JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} file must be a JSON object")
+    return data
 
 
 def parse_system_file(source) -> ParsedSystem:
     """Parse a system from a path, a Path object, or raw JSON text.
 
     A string starting with "{" (after whitespace) is treated as JSON text,
-    anything else as a filesystem path, read once.
+    anything else as a filesystem path, read by ``load_json_object``.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        raw, text = source.encode("utf-8", "surrogatepass"), source
-    elif isinstance(source, (str, Path, os.PathLike)):
-        raw, text = read_file(source, "system")
+        data, raw = _json_object(source, "system"), source.encode("utf-8", "surrogatepass")
+    elif isinstance(source, (str, os.PathLike)):
+        data, raw = load_json_object(source, "system")
     else:
         raise InputError(f"unsupported system source type {type(source).__name__}")
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("system file must be a JSON object")
     for key in ("A", "B"):
         if key not in data:
             raise InputError(f'missing required key "{key}"')
-    system = SystemPair(A=_rectangular(data["A"], "A"), B=_rectangular(data["B"], "B"))
-
+    system = SystemPair(A=data["A"], B=data["B"])
     s = data.get("s")
     if s is not None:
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise InputError(f'"s" must be an integer, got {s!r}')
-        if not 1 <= s <= system.m:
-            raise InputError(f'"s" must lie in [1, {system.m}], got {s}')
+        s = validate_sparsity(s, system.m)
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f'"name" must be a string, got {name!r}')

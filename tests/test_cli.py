@@ -131,9 +131,10 @@ class TestOracle:
     def test_requires_sparsity(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text('{"A": [[1.0]], "B": [[1.0]]}')
-        code, _, err = run(capsys, "oracle", str(path))
+        code, out, err = run(capsys, "oracle", str(path))
         assert code == 1
-        assert "sparsity" in err
+        assert out == ""
+        assert err == "error: the oracle needs a sparsity level (--s or the file)\n"
 
     def test_overflowing_power_exits_two(self, capsys, tmp_path):
         # A valid system whose A^2 B overflows: a numeric failure, not an input error.
@@ -192,6 +193,41 @@ class TestVerifyCert:
         assert code == 1
         assert out == ""
         assert err == "error: certificate z must be a nonempty vector, got lengths re 3, im 1\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"residual_eig": "abc"}, "residual_eig entry 1 is not a number: 'abc'"),
+            ({"max_zb": None}, "max_zb entry 1 is not a number: None"),
+            ({"z": {"re": [0, 0, 10**400], "im": [0, 0, 0]}}, "z.re entry 3 is not finite"),
+        ],
+        ids=["string-residual", "null-max-zb", "int-1e400-z"],
+    )
+    def test_bad_number_exits_one_without_traceback(self, capsys, tmp_path, fields, message):
+        cert = {"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+                "z": {"re": [0, 0, 1], "im": [0, 0, 0]}, **fields}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify-cert", COB_T, "--cert", str(cert_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: malformed certificate: {message}\n"
+
+    def test_array_is_refused_by_the_loader(self, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text("[1, 2]")
+        code, out, err = run(capsys, "verify-cert", COB_T, "--cert", str(cert_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: certificate file must be a JSON object\n"
+
+    @pytest.mark.parametrize("cert", ["./missing.json", "{missing}.json", "missing/"])
+    def test_missing_file_is_named_as_typed(self, capsys, tmp_path, monkeypatch, cert):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify-cert", COB_T, "--cert", cert)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: certificate file not found: {cert}\n"
 
     def test_pretty_writes_summary_to_stderr(self, capsys, cert_file):
         code, out, err = run(capsys, "verify-cert", COB_T, "--cert", cert_file, "--pretty")

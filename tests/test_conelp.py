@@ -69,7 +69,7 @@ class TestFeasibleNonnegSolution:
             feasible_nonneg_solution(np.eye(2), [1.0, 2.0, 3.0])
 
     def test_non_numeric_target(self):
-        with pytest.raises(InputError, match="^x has non-numeric entries: "):
+        with pytest.raises(InputError, match="^x entry 1 is not a number: 'a'$"):
             feasible_nonneg_solution(np.eye(2), ["a", "b"])
 
     @settings(max_examples=80, deadline=None)
@@ -355,7 +355,7 @@ class TestMatchesBoxLPs:
 
 class TestSparsifyPositiveCombination:
     def test_non_numeric_target(self):
-        with pytest.raises(InputError, match="^z has non-numeric entries: "):
+        with pytest.raises(InputError, match="^z entry 1 is not a number: 'a'$"):
             sparsify_positive_combination(np.eye(2), ["a", "b"])
 
     def test_row_mismatch(self):

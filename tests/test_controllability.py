@@ -654,18 +654,30 @@ class TestVerifyCertificate:
              "^certificate z must be a nonempty vector, got lengths re 3, im 1$"),
             ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
               "z": {"re": [0, float("nan"), 1], "im": [0, 0, 0]}},
-             "^malformed certificate: z.re has non-finite entries$"),
+             "^malformed certificate: z.re entry 2 is not finite$"),
             ({"kind": "violates_condition_ii", "lambda": {"re": "x", "im": 0},
               "z": {"re": [0, 0, 1], "im": [0, 0, 0]}},
-             "^malformed certificate: lambda has non-numeric entries: "),
+             "^malformed certificate: lambda entry 1 is not a number: 'x'$"),
             ({"kind": "violates_condition_ii", "lambda": {"re": float("nan"), "im": 0},
               "z": {"re": [0, 0, 1], "im": [0, 0, 0]}},
-             "^malformed certificate: lambda has non-finite entries$"),
+             "^malformed certificate: lambda entry 1 is not finite$"),
             ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0}},
              "^malformed certificate: 'z'$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [0, False, True], "im": [0, 0, 0]}},
+             "^malformed certificate: z.re entry 2 is not a number: False$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [0, 0, 1], "im": [0, 0, 0]}, "residual_eig": "abc"},
+             "^malformed certificate: residual_eig entry 1 is not a number: 'abc'$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [0, 0, 1], "im": [0, 0, 0]}, "max_zb": None},
+             "^malformed certificate: max_zb entry 1 is not a number: None$"),
+            ({"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0},
+              "z": {"re": [0, 0, 10**400], "im": [0, 0, 0]}},
+             "^malformed certificate: z.re entry 3 is not finite$"),
         ],
         ids=["unknown-kind", "empty-z", "short-im", "nan-z", "string-lambda", "nan-lambda",
-             "missing-key"],
+             "missing-key", "bool-z", "string-residual", "null-max-zb", "int-1e400-z"],
     )
     def test_from_dict_rejects(self, data, message):
         with pytest.raises(InputError, match=message):

@@ -32,6 +32,7 @@ from nnscontrol import (
 )
 from nnscontrol import controllability, matrixcore
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
+from nnscontrol.oracle import OracleConfig, coverage_probe
 from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_matrix, as_vector
 
 from helpers import (
@@ -79,19 +80,54 @@ class TestAsMatrix:
         "a, message",
         [
             ([[1j]], "M must be real"),
-            ([["a"]], "M has non-numeric entries: could not convert string to float"),
-            ([[1.0], [2.0, 3.0]], "M has non-numeric entries: setting an array element"),
-            ([1.0, 2.0], r"M must be 2-D, got shape \(2,\)"),
-            ([[np.inf]], "M has a non-finite entry at row 0, column 0"),
+            ([["a"]], "M entry at row 1, column 1 is not a number: 'a'"),
+            ([[1.0], [2.0, 3.0]], "M row 2 has 2 entries, expected 1 (ragged)"),
+            ([[1.0], 2.0], "M row 2 is not an array: 2.0"),
+            ([np.zeros((2, 2)), np.zeros((2, 3))],
+             "M is ragged: could not broadcast input array from shape (2,2) into shape (2,)"),
+            ([1.0, 2.0], "M must be 2-D, got shape (2,)"),
+            ([[np.inf]], "M entry at row 1, column 1 is not finite"),
+            (np.array([[0.0, 1.0], [np.nan, 2.0]]), "M entry at row 2, column 1 is not finite"),
+            (np.array([[True]]), "M entry at row 1, column 1 is not a number: True"),
         ],
-        ids=["complex", "string", "ragged", "1-D", "infinity"],
+        ids=["complex", "string", "ragged", "scalar-row", "clashing-arrays", "1-D", "infinity",
+             "nan-ndarray", "bool-ndarray"],
     )
     def test_messages(self, a, message):
-        with pytest.raises(InputError, match=f"^{message}"):
+        with pytest.raises(InputError) as info:
             as_matrix(a, "M")
+        assert str(info.value) == message
 
     def test_complex_when_allowed(self):
         assert as_matrix([[1j]], "M", allow_complex=True).dtype == np.complex128
+
+    def test_numpy_scalars_in_a_list(self):
+        # Entry types are exact: numpy's integer and floating scalars are
+        # numbers, and its bool is not.
+        m = as_matrix([[np.float32(0.5), np.int8(2)], [np.uint64(3), 4]], "M")
+        np.testing.assert_array_equal(m, [[0.5, 2.0], [3.0, 4.0]])
+        with pytest.raises(InputError, match="^M entry at row 1, column 2 is not a number: "):
+            as_matrix([[1.0, np.bool_(True)]], "M")
+
+    def test_numeric_ndarrays_skip_the_per_entry_path(self, monkeypatch):
+        # Only list-shaped or object input is read entry by entry; an ndarray of
+        # a numeric dtype, as every internal caller passes, is not.
+        def per_entry(x, name, ndim):
+            raise AssertionError(f"{name} went through the per-entry path")
+
+        monkeypatch.setattr(matrixcore, "_entries", per_entry)
+        for a in (np.eye(2, dtype=int), np.eye(2, dtype=np.float32), np.eye(2)):
+            np.testing.assert_array_equal(as_matrix(a, "M"), np.eye(2))
+        assert as_matrix(1j * np.eye(2), "M", allow_complex=True).dtype == np.complex128
+        x = np.ones(3)
+        assert as_vector(x, "x") is x
+        system = SystemPair(A=np.diag([-1.0, -1.0, 0.0]), B=np.eye(3, 4) - np.eye(3, 4, 1))
+        check_nonneg_sparse(system, 1)
+        controllability.min_sparsity(system)
+        coverage_probe(system, 1, OracleConfig(k_max=2, n_directions=4))
+        build_decomposition(system.A)
+        with pytest.raises(AssertionError, match="^M went through the per-entry path$"):
+            as_matrix([[1.0]], "M")
 
 
 RAGGED = [[1.0, 2.0], [3.0]]
@@ -127,18 +163,23 @@ class TestRaggedInput:
         ],
     )
     def test_is_an_input_error(self, call, name):
-        with pytest.raises(InputError, match=f"^{name} has non-numeric entries: "):
+        with pytest.raises(InputError) as info:
             call()
+        assert str(info.value) == f"{name} row 2 has 1 entries, expected 2 (ragged)"
 
 
 class TestAsVector:
     def test_non_numeric_entries_are_an_input_error(self):
-        with pytest.raises(InputError, match="^x has non-numeric entries: "):
+        with pytest.raises(InputError, match="^x entry 1 is not a number: 'a'$"):
             as_vector(["a", "b"], "x")
 
     def test_non_finite_entries_are_an_input_error(self):
-        with pytest.raises(InputError, match="^x has non-finite entries$"):
+        with pytest.raises(InputError, match="^x entry 2 is not finite$"):
             as_vector([1.0, np.nan], "x")
+
+    def test_complex_is_an_input_error(self):
+        with pytest.raises(InputError, match="^x must be real$"):
+            as_vector(np.array([1.0, 1j]), "x")
 
     def test_non_vector_is_an_input_error(self):
         with pytest.raises(InputError, match=r"^x must be 1-D, got shape \(1, 2\)$"):

@@ -184,8 +184,8 @@ class TestVectorInputs:
     @pytest.mark.parametrize(
         "value, message",
         [
-            (["a", 0.0, 0.0], "^direction has non-numeric entries: "),
-            ([np.nan, 0.0, 0.0], "^direction has non-finite entries$"),
+            (["a", 0.0, 0.0], "^direction entry 1 is not a number: 'a'$"),
+            ([np.nan, 0.0, 0.0], "^direction entry 1 is not finite$"),
             ([1.0, 0.0], r"^direction must have length 3, got shape \(2,\)$"),
         ],
     )
@@ -196,8 +196,8 @@ class TestVectorInputs:
     @pytest.mark.parametrize(
         "value, message",
         [
-            (["a", 0.0, 0.0], "^x has non-numeric entries: "),
-            ([0.0, np.inf, 0.0], "^x has non-finite entries$"),
+            (["a", 0.0, 0.0], "^x entry 1 is not a number: 'a'$"),
+            ([0.0, np.inf, 0.0], "^x entry 2 is not finite$"),
             ([1.0, 0.0], r"^x must have length 3, got shape \(2,\)$"),
         ],
     )

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from nnscontrol import InputError, generate_system, parse_system_file, system_file_dict
+from nnscontrol import (
+    InputError,
+    SystemPair,
+    as_vector,
+    generate_system,
+    parse_system_file,
+    system_file_dict,
+)
+from nnscontrol.cli import main
 from nnscontrol.fixtures import fixture_path
 from nnscontrol.systemio import dump_system_file
 
@@ -43,9 +51,9 @@ class TestParseSystemFile:
             parse_system_file('{"A": [[1]], "B": [[1], [2]]}')
 
     def test_s_bounds(self):
-        with pytest.raises(InputError, match='"s"'):
+        with pytest.raises(InputError, match=r"^sparsity level must lie in \[1, 2\], got 3$"):
             parse_system_file('{"A": [[1]], "B": [[1, 2]], "s": 3}')
-        with pytest.raises(InputError, match='"s"'):
+        with pytest.raises(InputError, match=r"^sparsity level must lie in \[1, 2\], got 0$"):
             parse_system_file('{"A": [[1]], "B": [[1, 2]], "s": 0}')
 
     def test_missing_path(self):
@@ -80,29 +88,33 @@ class TestRoundTrip:
 
 
 class TestEntryMessages:
-    """Exact messages for bad matrix entries; the first offender in row-major order wins."""
+    """Exact messages for bad matrix entries, which are ``SystemPair``'s (the
+    number rule of ``matrixcore``); the first offender in row-major order wins."""
 
     @pytest.mark.parametrize(
         "a, message",
         [
-            ("[[1, 2], [3]]", '"A" row 2 has 1 entries, expected 2 (ragged)'),
-            ("[[true]]", '"A" entry at row 1, column 1 is not a number: True'),
-            ("[[null]]", '"A" entry at row 1, column 1 is not a number: None'),
-            ('[[1, "x"]]', "\"A\" entry at row 1, column 2 is not a number: 'x'"),
-            ("[[1, [2]]]", '"A" entry at row 1, column 2 is not a number: [2]'),
-            ("[[NaN]]", '"A" entry at row 1, column 1 is not finite'),
-            ("[[0, -Infinity]]", '"A" entry at row 1, column 2 is not finite'),
-            ("[[1e400]]", '"A" entry at row 1, column 1 is not finite'),
-            ('[[1, NaN], ["x", 0]]', '"A" entry at row 1, column 2 is not finite'),
-            ("[[1" + "0" * 400 + "]]", '"A" entry at row 1, column 1 is not finite'),
+            ("[[1, 2], [3]]", "A row 2 has 1 entries, expected 2 (ragged)"),
+            ("[[1, 2], 3]", "A row 2 is not an array: 3"),
+            ("[[true]]", "A entry at row 1, column 1 is not a number: True"),
+            ("[[null]]", "A entry at row 1, column 1 is not a number: None"),
+            ('[[1, "x"]]', "A entry at row 1, column 2 is not a number: 'x'"),
+            ("[[1, [2]]]", "A entry at row 1, column 2 is not a number: [2]"),
+            ("[[NaN]]", "A entry at row 1, column 1 is not finite"),
+            ("[[0, -Infinity]]", "A entry at row 1, column 2 is not finite"),
+            ("[[1e400]]", "A entry at row 1, column 1 is not finite"),
+            ('[[1, NaN], ["x", 0]]', "A entry at row 1, column 2 is not finite"),
+            ("[[1.0, NaN], [Infinity, 0.0]]", "A entry at row 1, column 2 is not finite"),
+            ("[[1" + "0" * 400 + "]]", "A entry at row 1, column 1 is not finite"),
             ("[[100000000000000000000]]", None),
-            ("[]", '"A" must be a non-empty array of arrays'),
-            ("[1, 2]", '"A" must be a non-empty array of arrays'),
-            ("[[]]", '"A" rows must be non-empty'),
+            ("[]", "A must be 2-D, got shape (0,)"),
+            ("[1, 2]", "A must be 2-D, got shape (2,)"),
+            ("[[]]", "A must be square, got shape (1, 0)"),
         ],
         ids=[
-            "ragged", "true", "null", "string", "nested", "nan", "infinity", "1e400",
-            "nonfinite-first", "int-1e400", "int-1e20", "empty", "not-arrays", "empty-row",
+            "ragged", "scalar-row", "true", "null", "string", "nested", "nan", "infinity",
+            "1e400", "nonfinite-first", "floats-nonfinite-first", "int-1e400", "int-1e20", "empty", "not-arrays",
+            "empty-row",
         ],
     )
     def test_messages(self, a, message):
@@ -115,14 +127,94 @@ class TestEntryMessages:
         assert str(info.value) == message
 
 
+BIG_INT = "1" + "0" * 400  # a 401-digit integer, too large for a float
+
+
+class TestOneNumberRule:
+    """One bad entry gets the same refusal by every route that reads numbers:
+    a system file and a certificate's z through ``cli.main``, ``SystemPair``
+    and ``as_vector``. Only the name and location differ."""
+
+    @pytest.mark.parametrize(
+        "entry, refusal",
+        [
+            ("true", "is not a number: True"),
+            ("null", "is not a number: None"),
+            ('"x"', "is not a number: 'x'"),
+            ('"1.5"', "is not a number: '1.5'"),
+            ("[2]", "is not a number: [2]"),
+            ("NaN", "is not finite"),
+            ("1e400", "is not finite"),
+            (BIG_INT, "is not finite"),
+        ],
+        ids=["true", "null", "string", "numeric-string", "list", "nan", "1e400", "int-1e400"],
+    )
+    def test_entry(self, capsys, tmp_path, entry, refusal):
+        matrix = "[[1, %s], [0, 1]]" % entry
+        vector = "[0, %s, 1]" % entry
+        self.assert_routes(
+            capsys, tmp_path, matrix, vector,
+            f"A entry at row 1, column 2 {refusal}", f"z.re entry 2 {refusal}",
+        )
+
+    def test_ragged_row(self, capsys, tmp_path):
+        # A ragged matrix is refused by its row; in a vector the row is an entry.
+        self.assert_routes(
+            capsys, tmp_path, "[[1, 2], [3]]", "[[1, 2], [3]]",
+            "A row 2 has 1 entries, expected 2 (ragged)", "z.re entry 1 is not a number: [1, 2]",
+        )
+
+    def assert_routes(self, capsys, tmp_path, matrix, vector, matrix_refusal, vector_refusal):
+        system = tmp_path / "sys.json"
+        system.write_text('{"A": %s, "B": [[1], [1]]}' % matrix)
+        cert = tmp_path / "cert.json"
+        cert.write_text(
+            '{"kind": "violates_condition_ii", "lambda": {"re": 0, "im": 0}, '
+            '"z": {"re": %s, "im": [0, 0, 0]}}' % vector
+        )
+        cob_t = fixture_path("cob_transformed.json")
+        for argv, refusal in [
+            (["check", str(system)], matrix_refusal),
+            (["verify-cert", cob_t, "--cert", str(cert)], f"malformed certificate: {vector_refusal}"),
+        ]:
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {refusal}\n")
+        with pytest.raises(InputError) as info:
+            SystemPair(A=json.loads(matrix), B=[[1], [1]])
+        assert str(info.value) == matrix_refusal
+        with pytest.raises(InputError) as info:
+            as_vector(json.loads(vector), "z.re")
+        assert str(info.value) == vector_refusal
+
+
+class TestLoader:
+    """System and certificate files share one loader and its messages."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[1]]", "system file must be a JSON object"),
+            ('{"A": [[1]], ', "malformed system JSON: Expecting property name enclosed in "
+             "double quotes: line 1 column 14 (char 13)"),
+        ],
+        ids=["array", "malformed"],
+    )
+    def test_messages(self, tmp_path, text, message):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            parse_system_file(path)
+        assert str(info.value) == message
+
+
 class TestFieldMessages:
     """Exact messages for bad optional fields and sources."""
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"A": [[1]], "B": [[1]], "s": 1.5}', '"s" must be an integer, got 1.5'),
-            ('{"A": [[1]], "B": [[1]], "s": true}', '"s" must be an integer, got True'),
+            ('{"A": [[1]], "B": [[1]], "s": 1.5}', "sparsity level must be an integer, got 1.5"),
+            ('{"A": [[1]], "B": [[1]], "s": true}', "sparsity level must be an integer, got True"),
             ('{"A": [[1]], "B": [[1]], "name": 7}', '"name" must be a string, got 7'),
         ],
         ids=["float-s", "bool-s", "int-name"],
