@@ -16,7 +16,6 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -235,7 +234,7 @@ def _run(args: argparse.Namespace) -> dict:
     started = time.perf_counter()
     parsed = parse_system_file(Path(args.file))  # a path, even when it starts with "{"
     result = _FILE_COMMANDS[args.command](args, parsed, tol)
-    report = {
+    return {
         "tool": "nnscontrol",
         "version": __version__,
         "command": args.command,
@@ -245,7 +244,6 @@ def _run(args: argparse.Namespace) -> dict:
         "result": result,
         "wall_time_s": time.perf_counter() - started,
     }
-    return report
 
 
 def _pretty(report: dict, command: str) -> str:
@@ -297,11 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    if "system_file" in report:
-        sys.stdout.write(dump_system_file(report["system_file"]))
-        return 0
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if args.pretty:
+    sys.stdout.write(dump_system_file(report.get("system_file", report)))
+    if args.command != "gen" and args.pretty:
         print(_pretty(report, report.get("command", "")), file=sys.stderr)
     return 0
 

@@ -211,7 +211,7 @@ def sparsify_positive_combination(z_mat, z, tol: Tolerances = DEFAULT_TOL) -> np
     if z_mat.shape[0] != z.size:
         raise InputError(f"Z has {z_mat.shape[0]} rows but z has {z.size} entries")
     # Zero columns can never carry weight in a basic solution; drop them.
-    col_norms = np.abs(z_mat).max(axis=0, initial=0.0) if z_mat.shape[1] else np.zeros(0)
+    col_norms = np.abs(z_mat).max(axis=0, initial=0.0)
     keep = np.nonzero(col_norms > tol.ineq_tol)[0]
     result = feasible_nonneg_solution(z_mat[:, keep], z, tol)
     if not result.member:

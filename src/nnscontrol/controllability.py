@@ -51,6 +51,7 @@ from .matrixcore import (
     as_vector,
     left_eigensystem,
     null_space_basis,
+    pbh_pencil,
     rank,
     validate_sparsity,
 )
@@ -338,8 +339,7 @@ def _condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> Cond
         return ConditionResult(passed=True)
     violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
     lam = violations[0]
-    pencil = np.hstack([(lam if lam.imag else lam.real) * np.eye(sys.n) - sys.A, sys.B])
-    z = null_space_basis(pencil.T, tol, closest=True)[:, 0]
+    z = null_space_basis(pbh_pencil(sys.A, sys.B, lam).T, tol, closest=True)[:, 0]
     return _failed(sys, VIOLATES_CONDITION_I, lam, z, violations[1:], tol)
 
 

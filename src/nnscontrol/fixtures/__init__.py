@@ -14,6 +14,7 @@ from importlib.resources import files
 import numpy as np
 
 from ..controllability import SystemPair
+from ..matrixcore import as_matrix
 from ..systemio import load_json_object, parse_system_file
 
 __all__ = [
@@ -42,7 +43,7 @@ def change_of_basis_system() -> SystemPair:
 
 def change_of_basis_matrix() -> np.ndarray:
     """The input-basis matrix Phi of the change-of-basis example."""
-    return np.array(load_json("cob_basis.json")["Phi"], float)
+    return as_matrix(load_json("cob_basis.json")["Phi"], "Phi")
 
 
 def change_of_basis_transformed() -> SystemPair:

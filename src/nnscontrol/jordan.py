@@ -133,7 +133,7 @@ class RowSplitDecomposition:
 
 def _project_out(candidates: np.ndarray, span: np.ndarray) -> np.ndarray:
     """Components of candidate columns orthogonal to an orthonormal span."""
-    if span.shape[1] == 0:
+    if span.shape[1] == 0:  # kept: a product's C order would change the rounding downstream
         return candidates
     return candidates - span @ (span.T @ candidates)
 
@@ -143,7 +143,7 @@ def _orth(columns: list[np.ndarray], n_dim: int) -> np.ndarray:
         return np.zeros((n_dim, 0))
     stacked = np.column_stack(columns)
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > 1e-12 * (s[0] if s.size else 1.0)
+    keep = s > 1e-12 * s[0]
     return u[:, : int(np.count_nonzero(keep))]
 
 
@@ -164,7 +164,7 @@ def _zero_chains(
         avoid = _orth(list(kernels[k - 1].T) + [chain[-1] for chain in chains], n_dim)
         projected = _project_out(kernels[k], avoid)
         for _ in range(structure.q_sizes[k - 1]):
-            norms = np.linalg.norm(projected, axis=0) if projected.shape[1] else np.zeros(0)
+            norms = np.linalg.norm(projected, axis=0)
             if norms.size == 0 or norms.max() <= 1e-8:
                 raise NumericError(
                     f"chain completion failed at height {k}: no independent kernel vector"

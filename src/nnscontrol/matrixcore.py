@@ -1,10 +1,10 @@
 """Dense matrix primitives, the input rules and an explicit tolerance policy.
 
 Each input rule is defined here, once: ``as_matrix``, ``as_square``,
-``as_input_matrix``, ``as_vector``, ``validate_count`` and
-``validate_sparsity``. The number rule behind ``as_matrix`` and
-``as_vector`` is the only one: system files and certificate files are
-read through these doors and carry no rule of their own.
+``as_input_matrix``, ``as_vector``, ``validate_count``,
+``validate_sparsity`` and ``Tolerances``. The number rule behind
+``as_matrix`` and ``as_vector`` is the only one: system files, certificate
+files, the bundled fixtures and ``Tolerances`` are read through these doors.
 
 Floating-point decisions downstream use the thresholds of ``Tolerances``
 and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
@@ -24,7 +24,6 @@ reported rather than hidden.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric policy for every floating-point comparison.
+    """Numeric policy for every floating-point comparison: three floats in (0, 1).
 
     rank_rtol: singular values below ``rank_rtol * sigma_max`` count as zero.
     eig_imag_tol: threshold for calling an eigenvalue real; also the base
@@ -63,14 +62,13 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("rank_rtol", "eig_imag_tol", "ineq_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):  # a bool is 0 or 1
+            number = float(as_vector([value], name)[0])
+            if not 0.0 < number < 1.0:
                 raise InputError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+            object.__setattr__(self, name, number)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-DEFAULT_TOL = Tolerances()
 
 
 _ROW = (list, tuple, np.ndarray)
@@ -186,6 +184,9 @@ def validate_sparsity(s, m: int) -> int:
     if not 1 <= s <= m:
         raise InputError(f"sparsity level must lie in [1, {m}], got {s}")
     return s
+
+
+DEFAULT_TOL = Tolerances()
 
 
 def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -386,13 +387,16 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     return LeftEigenSystem(groups=tuple(groups), cluster_radius=radius)
 
 
+def pbh_pencil(a: np.ndarray, b: np.ndarray, lam: complex) -> np.ndarray:
+    """[lambda*I - A | B] for a checked A and B, real when lambda is."""
+    return np.hstack([(lam if lam.imag else lam.real) * np.eye(a.shape[0]) - a, b])
+
+
 def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of the N x (N+m) pencil [lambda*I - A | B]."""
     a = as_square(a, "A")
-    n = a.shape[0]
-    b = as_input_matrix(b, n)
-    lam = complex(lam)
-    return rank(np.hstack([(lam if lam.imag else lam.real) * np.eye(n) - a, b]), tol)
+    b = as_input_matrix(b, a.shape[0])
+    return rank(pbh_pencil(a, b, complex(lam)), tol)
 
 
 def mat_pow(m, k: int, name: str = "matrix") -> np.ndarray:

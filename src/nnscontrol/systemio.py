@@ -1,4 +1,4 @@
-"""Reading and writing system files.
+"""System files in, and every JSON document the CLI prints out (``dump_system_file``).
 
 A system file is a JSON object {"A": [[...]], "B": [[...]], "s": int?,
 "name": str?}. Unknown keys (such as a generator's planted ground truth)
@@ -101,5 +101,5 @@ def system_file_dict(system: SystemPair, s: int | None = None, name: str | None 
 
 
 def dump_system_file(data: dict) -> str:
-    """Stable serialization: sorted keys, two-space indent, trailing newline."""
+    """Every JSON document the CLI prints: sorted keys, two-space indent, trailing newline."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"

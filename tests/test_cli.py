@@ -10,7 +10,7 @@ from nnscontrol.cli import main, run_command
 from nnscontrol.controllability import check_sparse
 from nnscontrol.fixtures import fixture_path
 from nnscontrol.matrixcore import Tolerances
-from nnscontrol.systemio import parse_system_file
+from nnscontrol.systemio import dump_system_file, parse_system_file
 
 from helpers import rank_cut_disagreement
 
@@ -395,6 +395,23 @@ class TestEnvelope:
         assert code == 0
         assert report["name"] == "first"
         assert report["input_digest"] == hashlib.sha256(first).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", COB, "--pretty"],
+            ["decompose", COB],
+            ["gen", "--kind", "planted_rank_deficient", "--n", "4", "--m", "3", "--seed", "1"],
+        ],
+        ids=["check", "decompose", "gen"],
+    )
+    def test_stdout_is_written_by_dump_system_file(self, capsys, argv):
+        # One writer for every document: sorted keys, two-space indent and a
+        # trailing newline, as dump_system_file writes it.
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == dump_system_file(json.loads(out))
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
     def test_gen_returns_only_the_system_file(self):
         report, code = run_command(

@@ -14,6 +14,7 @@ from nnscontrol import (
     feasible_nonneg_solution,
     generate_system,
     left_eigensystem,
+    matrixcore,
     null_space_basis,
     pbh_rank,
     rank,
@@ -240,6 +241,38 @@ class TestConditionICertificateCost:
         assert cert.eigenvalue == 2.0
         assert abs(cert.z[0]) < 1e-8 and abs(cert.z[1]) == 1.0
         assert verify_certificate(sys, cert).valid
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.diag([1.0, 2.0]), [[1.0], [0.0]]),
+            ([[0.0, -1.0], [1.0, 0.0]], [[0.0], [0.0]]),  # lambda = +/- i
+            ([[0.0, 100.0], [-1e-16, 0.0]], [[1.0], [0.0]]),  # lambda = +/- 1e-7 i
+        ],
+        ids=["real", "complex", "nearly-real"],
+    )
+    def test_certificate_pencil_is_pbh_ranks(self, monkeypatch, a, b):
+        # The certificate's pencil is, byte for byte, the one pbh_rank ranks
+        # at the certificate's eigenvalue.
+        sys = SystemPair(A=a, B=b)
+        transposed, ranked = [], []
+        null_space = controllability.null_space_basis
+
+        def recording_null_space(m, *args, **kwargs):
+            transposed.append(m)
+            return null_space(m, *args, **kwargs)
+
+        def recording_rank(m, tol):
+            ranked.append(m)
+            return 0
+
+        monkeypatch.setattr(controllability, "null_space_basis", recording_null_space)
+        monkeypatch.setattr(matrixcore, "rank", recording_rank)
+        cert = check_condition_i(sys).certificate
+        pbh_rank(sys.A, sys.B, cert.eigenvalue)
+        (pencil,) = [m.T for m in transposed]
+        assert pencil.dtype == ranked[-1].dtype
+        assert pencil.tobytes() == ranked[-1].tobytes()
 
     def test_passing_check_runs_no_pencil_svd(self, monkeypatch):
         sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.ones((2, 1)))

@@ -67,6 +67,23 @@ class TestZeroStructure:
         assert captured.out == ""
         assert captured.err == "numeric failure: A^2 overflows\n"
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n_dim", [8, 32])
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    def test_planted_block_at_a_shift(self, mu, n_dim, k):
+        # A = T (J_k(mu) + D) T^-1 with D diagonal in [-2, -0.5], T Gaussian
+        # with column scales 10^U(-1, 1): the structure of A at the eigenvalue
+        # mu is that of A - mu I at 0, one block of size k.
+        for seed in range(24):
+            rng = np.random.default_rng([seed, k, n_dim])
+            core = np.zeros((n_dim, n_dim))
+            core[:k, :k] = mu * np.eye(k) + np.eye(k, k=1)
+            core[k:, k:] = np.diag(-rng.uniform(0.5, 2.0, size=n_dim - k))
+            t = rng.standard_normal((n_dim, n_dim)) * 10.0 ** rng.uniform(-1.0, 1.0, size=n_dim)
+            a = t @ core @ np.linalg.inv(t)
+            st = zero_structure(a - mu * np.eye(n_dim))
+            assert (st.n, st.q, st.q_sizes) == (k, n_dim - k, (0,) * (k - 1) + (1,)), seed
+
     def test_integer_identities_on_planted_matrices(self):
         rng = np.random.default_rng(7)
         for _ in range(30):

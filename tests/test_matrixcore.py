@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,16 +65,42 @@ class TestTolerances:
         assert tol.eig_imag_tol == 1e-8
         assert tol.ineq_tol == 1e-8
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.0, -1, np.float32(2.0)])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(InputError):
+        # The message shows the value as given, not the float it was read as.
+        with pytest.raises(InputError) as info:
             Tolerances(ineq_tol=bad)
+        assert str(info.value) == f"ineq_tol must lie strictly between 0 and 1, got {bad!r}"
 
-    @pytest.mark.parametrize("bad", ["0.1", None, True, [0.1]], ids=["str", "none", "bool", "list"])
-    def test_rejects_non_numbers(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("0.1", "rank_rtol entry 1 is not a number: '0.1'"),
+            (None, "rank_rtol entry 1 is not a number: None"),
+            (True, "rank_rtol entry 1 is not a number: True"),
+            ([0.1], "rank_rtol must be 1-D, got shape (1, 1)"),
+            (Fraction(1, 10**9), "rank_rtol entry 1 is not a number: Fraction(1, 1000000000)"),
+            (Decimal("1e-9"), "rank_rtol entry 1 is not a number: Decimal('1E-9')"),
+            (np.bool_(True), f"rank_rtol entry 1 is not a number: {np.bool_(True)!r}"),
+            (math.nan, "rank_rtol entry 1 is not finite"),
+        ],
+        ids=["str", "none", "bool", "list", "fraction", "decimal", "numpy-bool", "nan"],
+    )
+    def test_rejects_non_numbers(self, bad, message):
+        # The thresholds are read by the number rule of as_matrix and as_vector.
         with pytest.raises(InputError) as info:
             Tolerances(rank_rtol=bad)
-        assert str(info.value) == f"rank_rtol must lie strictly between 0 and 1, got {bad!r}"
+        assert str(info.value) == message
+
+    def test_numpy_float_is_stored_as_float(self):
+        # A float32 threshold is a number under the rule; it is stored as a
+        # Python float, so the report that embeds it can be written as JSON.
+        tol = Tolerances(rank_rtol=np.float32(1e-9), ineq_tol=np.float64(1e-8))
+        assert type(tol.rank_rtol) is float and type(tol.ineq_tol) is float
+        assert tol.rank_rtol == float(np.float32(1e-9))
+        sys_pair = SystemPair(A=np.diag([-1.0, -1.0, 0.0]), B=np.eye(3))
+        report = check_nonneg_sparse(sys_pair, 1, tol).to_dict()
+        assert json.loads(json.dumps(report))["tolerances"]["rank_rtol"] == tol.rank_rtol
 
 
 class TestAsMatrix:
@@ -323,6 +351,11 @@ class TestLeftEigensystem:
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError):
             left_eigensystem(np.zeros((2, 3)))
+
+    def test_empty_matrix(self):
+        eig = left_eigensystem(np.zeros((0, 0)))
+        assert eig.groups == ()
+        assert eig.cluster_radius == 0.0 and type(eig.cluster_radius) is float
 
     @pytest.mark.parametrize(
         "a",
