@@ -106,10 +106,10 @@ def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, li
     raise NumericError("non-negative least squares iteration guard exceeded")
 
 
-def membership_tol(x: np.ndarray, tol: Tolerances) -> float:
+def membership_tol(x: np.ndarray, tol: Tolerances) -> float | np.ndarray:
     """The residual ||x - M u||_inf above which x counts as outside a cone:
-    ``ineq_tol`` scaled by 1 + ||x||_inf."""
-    return tol.ineq_tol * (1.0 + float(np.abs(x).max(initial=0.0)))
+    ``ineq_tol`` scaled by 1 + ||x||_inf; one per row when x is a matrix."""
+    return tol.ineq_tol * (1.0 + np.abs(x).max(axis=-1, initial=0.0))
 
 
 def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembershipResult:

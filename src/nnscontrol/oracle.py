@@ -30,8 +30,7 @@ Four semantics-preserving shortcuts keep the enumeration tractable:
     ||w||_1 <= N, so the residual exceeds feas_tol for every u with
     1e-12 max|G| ||u||_1 < (10^3 - N) feas_tol: the shortcut stays sound
     while N < 10^3. Whether w is valid for G does not depend on the probe,
-    so the sweep decides it once per (separator, cone): each visit to a
-    cone tests only the separators stored since its last visit;
+    so the sweep decides it once per (separator, cone);
   * every solve that finds a probe inside a cone with exactly N positive
     coefficients, on columns P, leaves the simplicial basis G_P of that
     cone (a relaxation, or one key set of a horizon) with its inverse.
@@ -41,11 +40,19 @@ Four semantics-preserving shortcuts keep the enumeration tractable:
     that is c on P and 0 elsewhere, so the answer carries a witness that
     the solver would accept.
 
-Nothing is kept from one sweep to the next.
+Each horizon asks two grids of (probe, cone) questions: the uncovered
+probes against the relaxation, then those inside it against the sequence
+cones. Stored witnesses answer a grid with array operations; the lowest
+probe whose next question they leave open gets a solve, whose witness is
+folded into the grid. A probe asks its cones up to its first member cone,
+less those it is known to lie outside, so the count and the survivors do
+not depend on the order of settling. Nothing is kept from one sweep to the
+next.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Hashable, Iterator
@@ -74,6 +81,8 @@ MAX_SEQUENCES = 100_000
 # w^T G >= -_SEPARATOR_TAU max|G| and w^T p < -_REJECT_FACTOR feas_tol.
 _SEPARATOR_TAU = 1e-12
 _REJECT_FACTOR = 1e3
+# Separators times cone columns held at once while deciding validity.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -231,110 +240,160 @@ def _sequence_cone_ladder(
         tails = list(generators)
 
 
-def _probe_directions(sys: SystemPair, cfg: OracleConfig) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _probe_directions(n: int, cfg: OracleConfig) -> np.ndarray:
+    """The probes of cfg in R^n, one per row of a read-only array, built once
+    per (n, cfg): the random unit vectors, then +e_i and -e_i per axis."""
     probes = []
     for i in range(cfg.n_directions):
         rng = np.random.default_rng([cfg.seed, i])
-        vec = rng.standard_normal(sys.n)
+        vec = rng.standard_normal(n)
         while np.linalg.norm(vec) < 1e-9:
-            vec = rng.standard_normal(sys.n)
+            vec = rng.standard_normal(n)
         probes.append(vec / np.linalg.norm(vec))
     if cfg.include_axes:
-        eye = np.eye(sys.n)
-        for i in range(sys.n):
-            probes.append(eye[:, i].copy())
-            probes.append(-eye[:, i])
+        for axis in np.eye(n):
+            probes += [axis, -axis]
+    probes = np.array(probes)
+    probes.flags.writeable = False
     return probes
 
 
-class _WitnessPool:
+class _Witnesses:
     """The witnesses of one sweep's solves (the third and fourth shortcuts
-    above): the Farkas separators of non-member solves, shared by every
-    cone, the simplicial bases of member solves, kept per cone, and the
-    probe that the next questions are about.
+    above) as arrays over the sweep's probes and the cones of its grids,
+    numbered in the order they first enter a grid.
 
-    Sets of separators are bitmasks, bit i for row i of ``separators``:
-    ``near`` holds those with w^T probe < cut. ``cones`` keeps, for each
-    cone asked about while ``near`` was not empty, the mask of separators
-    valid for it and how many separators that mask has decided."""
+    ``near[i, p]``: separator i has w^T p < cut(p). ``valid[i, c]``:
+    separator i may reject points for cone c, decided for the first
+    ``decided[c]`` separators. ``outside[p, c]``: probe p was asked about
+    cone c and lies outside it. Bases are stacked with their inverses and
+    the number of their cone."""
 
-    def __init__(self, n: int, tol: Tolerances) -> None:
-        self.tol = tol
-        self.separators = np.zeros((0, n))
-        self.bases: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}  # (inverses, bases)
-        self.cones: dict[Hashable, tuple[int, int]] = {}  # (valid, decided)
-        self.probe = np.zeros(n)
-        self.feas_tol = 0.0
-        self.cut = 0.0
-        self.near = 0
-
-    def focus(self, probe: np.ndarray) -> None:
-        self.probe = probe
-        self.feas_tol = membership_tol(probe, self.tol)
+    def __init__(self, probes: np.ndarray, tol: Tolerances) -> None:
+        count, n = probes.shape
+        self.probes, self.tol = probes, tol
+        self.feas_tol = membership_tol(probes, tol)
         self.cut = -_REJECT_FACTOR * self.feas_tol
-        self.near = _bits(self.separators @ probe < self.cut)
+        self.ids: dict[Hashable, int] = {}
+        self.separators = np.zeros((0, n))
+        self.near = np.zeros((0, count), dtype=bool)
+        self.valid = np.zeros((0, 0), dtype=bool)
+        self.decided = np.zeros(0, dtype=int)
+        self.outside = np.zeros((count, 0), dtype=bool)
+        self.basis_cones = np.zeros(0, dtype=int)
+        self.bases = np.zeros((0, n, n))
+        self.inverses = np.zeros((0, n, n))
+        self.questions = 0
 
-    def valid(self, cone: Hashable, generators: np.ndarray) -> int:
-        """The mask of stored separators valid for the cone, deciding only
-        those stored since the cone's last visit."""
-        mask, decided = self.cones.get(cone, (0, 0))
-        if decided < len(self.separators):
-            mask |= _valid_separators(self.separators[decided:], generators) << decided
-            self.cones[cone] = (mask, len(self.separators))
-        return mask
+    def settle(self, rows: np.ndarray, cones: dict[Hashable, np.ndarray]) -> np.ndarray:
+        """Ask each probe of ``rows`` about the cones in order, skipping those it
+        is known to lie outside, up to its first member cone; return which rows
+        have one. Stored witnesses answer the whole grid of questions at
+        once; the lowest row whose next open question they leave unanswered
+        gets a solve, and its witness is folded into the grid."""
+        ids = np.array([self.ids.setdefault(key, len(self.ids)) for key in cones])
+        generators = list(cones.values())
+        stack = _stack(generators)
+        new = len(self.ids) - len(self.decided)
+        self.decided = np.append(self.decided, np.zeros(new, dtype=int))
+        self.valid = np.hstack([self.valid, np.zeros((len(self.valid), new), dtype=bool)])
+        self.outside = np.hstack([self.outside, np.zeros((len(self.probes), new), dtype=bool)])
+        self._catch_up(ids, stack)
+        skip = self.outside[np.ix_(rows, ids)]
+        position = np.full(len(self.ids), -1)
+        position[ids] = np.arange(len(ids))
+        held = position[self.basis_cones]  # each basis's grid column, -1 off the grid
+        member = self._fits(held >= 0, rows).T @ (held[held >= 0, None] == np.arange(len(ids)))
+        out = self.near[:, rows].T @ self.valid[:, ids]
+        open_ = ~skip & (member | ~out)
+        every = np.arange(len(rows))
+        while True:
+            first = open_.argmax(axis=1)
+            needs = open_[every, first] & ~member[every, first]
+            if not needs.any():
+                break
+            i = int(needs.argmax())
+            c = int(first[i])
+            result = feasible_nonneg_solution(generators[c], self.probes[rows[i]], self.tol)
+            if result.member:
+                member[i, c] = True
+                positive = np.flatnonzero(result.coefficients > 0.0)
+                if len(positive) == self.probes.shape[1]:
+                    basis = generators[c][:, positive]
+                    self.basis_cones = np.append(self.basis_cones, ids[c])
+                    self.bases = np.concatenate([self.bases, basis[None]])
+                    self.inverses = np.concatenate([self.inverses, np.linalg.inv(basis)[None]])
+                    fits = self._fits(slice(-1, None), rows)[0]
+                    member[:, c] |= fits
+                    open_[:, c] |= fits & ~skip[:, c]
+                continue
+            open_[i, c] = False
+            w = result.separator / np.abs(result.separator).max()
+            valid = _valid_separators(w[None], stack)[0]
+            if valid[c]:
+                near = self.probes @ w < self.cut
+                count = len(self.separators)
+                self.separators = np.vstack([self.separators, w])
+                self.near = np.vstack([self.near, near])
+                self.valid = np.vstack([self.valid, np.zeros(len(self.ids), dtype=bool)])
+                self.valid[count, ids] = valid
+                self.decided[ids] = count + 1
+                open_ &= ~(near[rows, None] & valid) | member
+        found = open_.any(axis=1)
+        first = np.where(found, open_.argmax(axis=1), len(ids))
+        asked = ~skip & (np.arange(len(ids)) < first[:, None])
+        self.outside[np.ix_(rows, ids)] |= asked
+        self.questions += int(asked.sum()) + int(found.sum())
+        return found
 
-    def member(self, cone: Hashable, generators: np.ndarray) -> bool:
-        """Whether the probe lies in cone(generators), by a stored basis of this
-        cone, a stored separator or a solve."""
-        stored = self.bases.get(cone)
-        if stored is not None:
-            inverses, bases = stored
-            coefficients = inverses @ self.probe
-            residuals = self.probe - (bases @ coefficients[:, :, None])[:, :, 0]
-            if np.any(
-                (coefficients.min(axis=1) >= 0.0)
-                & (np.abs(residuals).max(axis=1) <= self.feas_tol)
-            ):
-                return True
-        if self.near and self.near & self.valid(cone, generators):
-            return False
-        result = feasible_nonneg_solution(generators, self.probe, self.tol)
-        if result.member:
-            positive = np.flatnonzero(result.coefficients > 0.0)
-            if len(positive) == len(self.probe):
-                stack = generators[:, positive][None]
-                if stored is not None:
-                    stack = np.concatenate([bases, stack])
-                self.bases[cone] = (np.linalg.inv(stack), stack)
-            return True
-        w = result.separator / np.abs(result.separator).max()
-        if float((w @ generators).min(initial=np.inf)) >= _separator_floor(generators):
-            if w @ self.probe < self.cut:
-                self.near |= 1 << len(self.separators)
-            self.separators = np.vstack([self.separators, w])
-        return False
+    def _catch_up(self, ids: np.ndarray, stack: np.ndarray) -> None:
+        """Decide the validity of every stored separator for the cones ``ids``,
+        for the (separator, cone) pairs not decided before."""
+        count = len(self.separators)
+        decided = self.decided[ids]
+        for start in set(decided.tolist()) - {count}:
+            sel = np.flatnonzero(decided == start)
+            self.valid[start:, ids[sel]] = _valid_separators(self.separators[start:], stack[sel])
+        self.decided[ids] = count
+
+    def _fits(self, which, rows: np.ndarray) -> np.ndarray:
+        """fits[b, r]: c = G_b^{-1} p has c >= 0 and ||p - G_b c||_inf <=
+        feas_tol, for the selected bases b and p the probe of rows[r]."""
+        points = self.probes[rows].T
+        coefficients = self.inverses[which] @ points
+        residuals = points - self.bases[which] @ coefficients
+        return (coefficients.min(axis=1) >= 0.0) & (
+            np.abs(residuals).max(axis=1) <= self.feas_tol[rows]
+        )
 
 
-def _bits(flags: np.ndarray) -> int:
-    """The bitmask with bit i set where flags[i] is true."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _stack(generators: list[np.ndarray]) -> np.ndarray:
+    """The cones' generators in one (cones, N, width) array, padded with NaN."""
+    width = max(g.shape[1] for g in generators)
+    stack = np.full((len(generators), len(generators[0]), width), np.nan)
+    for cone, g in zip(stack, generators):
+        cone[:, : g.shape[1]] = g
+    return stack
 
 
-def _valid_separators(separators: np.ndarray, generators: np.ndarray) -> int:
-    """The mask of separators w that may reject points for cone(generators):
-    min(w^T G) >= -tau max|G|, which every separator meets on a cone with no
-    generators."""
-    products = separators @ generators
-    return _bits(products.min(axis=1, initial=np.inf) >= _separator_floor(generators))
-
-
-def _separator_floor(generators: np.ndarray) -> float:
-    """The least w^T g a unit-scaled separator may give a generator: -tau max|G|."""
-    return -_SEPARATOR_TAU * float(np.abs(generators).max(initial=0.0))
+def _valid_separators(separators: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """valid[i, c]: separator i may reject points for cone c,
+    min(w_i^T G_c) >= -tau max|G_c|, which every separator meets on a cone
+    with no generators. fmin and fmax skip the NaN padding of ``stack``.
+    Decided in chunks of cones, to bound the products held at once."""
+    valid = np.empty((len(separators), len(stack)), dtype=bool)
+    step = max(1, _CHUNK // (len(separators) * stack.shape[2] or 1))
+    for start in range(0, len(stack), step):
+        part = stack[start : start + step]
+        least = np.fmin.reduce(separators @ part, axis=2, initial=np.inf)
+        floors = -_SEPARATOR_TAU * np.fmax.reduce(np.abs(part), axis=(1, 2), initial=0.0)
+        valid[:, start : start + step] = (least >= floors[:, None]).T
+    return valid
 
 
 def _sweep_coverage(
-    sys: SystemPair, s: int, probes: list[np.ndarray], k_max: int, tol: Tolerances
+    sys: SystemPair, s: int, probes: np.ndarray | list[np.ndarray], k_max: int, tol: Tolerances
 ) -> tuple[int | None, list[int], int]:
     """Core loop: (first covering horizon or None, surviving probe indices, question count).
 
@@ -344,42 +403,23 @@ def _sweep_coverage(
     separator or a stored basis settled them.
     """
     supports = enumerate_supports(sys.m, s)
-    uncovered = list(range(len(probes)))
-    lp_count = 0
     blocks = _powers_times_b(sys, k_max)
     ladder = _sequence_cone_ladder(sys, supports, blocks)
-    cones: list[dict[frozenset[bytes], np.ndarray]] = []  # cones[k-1]: horizon k
-    pool = _WitnessPool(sys.n, tol)
-    # Known-outside (probe, key set) pairs. Key sets recur across horizons
-    # when powers of A repeat directions (nilpotent or low-rank A).
-    outside: set[tuple[int, frozenset[bytes]]] = set()
+    reached = 0  # horizons drawn from the ladder
+    witnesses = _Witnesses(np.asarray(probes, dtype=float), tol)
+    uncovered = np.arange(len(probes))
     for k in range(1, k_max + 1):
         relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
-        survivors = []
-        for idx in uncovered:
-            pool.focus(probes[idx])
-            lp_count += 1
-            if not pool.member(k, relaxation):
-                survivors.append(idx)
-                continue
-            if s == sys.m:
-                continue  # single support: the relaxation is the exact cone
-            if len(cones) < k:
-                _guard_sequences(supports, k)
-                cones.extend(itertools.islice(ladder, k - len(cones)))
-            for key, generators in cones[k - 1].items():
-                if (idx, key) in outside:
-                    continue
-                lp_count += 1
-                if pool.member(key, generators):
-                    break
-                outside.add((idx, key))
-            else:
-                survivors.append(idx)
-        uncovered = survivors
-        if not uncovered:
-            return k, [], lp_count
-    return None, uncovered, lp_count
+        inside = witnesses.settle(uncovered, {k: relaxation})
+        if s < sys.m and inside.any():  # at s == m the relaxation is the exact cone
+            _guard_sequences(supports, k)
+            cones = next(itertools.islice(ladder, k - reached - 1, None))
+            reached = k
+            inside[inside] = witnesses.settle(uncovered[inside], cones)
+        uncovered = uncovered[~inside]
+        if not len(uncovered):
+            return k, [], witnesses.questions
+    return None, uncovered.tolist(), witnesses.questions
 
 
 def coverage_probe(
@@ -389,7 +429,7 @@ def coverage_probe(
     tol: Tolerances = DEFAULT_TOL,
 ) -> OracleVerdict:
     """Test whether every probe direction becomes reachable by horizon k_max."""
-    probes = _probe_directions(sys, cfg)
+    probes = _probe_directions(sys.n, cfg)
     covered_at, uncovered, lp_count = _sweep_coverage(sys, s, probes, cfg.k_max, tol)
     if covered_at is not None:
         return OracleVerdict(outcome="covered_at", k_used=covered_at, lp_count=lp_count)
@@ -397,7 +437,7 @@ def coverage_probe(
         outcome="uncovered",
         k_used=cfg.k_max,
         lp_count=lp_count,
-        uncovered_directions=tuple(probes[idx] for idx in uncovered),
+        uncovered_directions=tuple(probes[uncovered]),
     )
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import warnings
@@ -391,7 +392,7 @@ def lp_sweep_coverage(sys, s, probes, k_max, tol=DEFAULT_TOL):
 
 
 def lp_coverage_probe(sys, s, cfg):
-    probes = _probe_directions(sys, cfg)
+    probes = _probe_directions(sys.n, cfg)
     covered_at, uncovered, lp_count = lp_sweep_coverage(sys, s, probes, cfg.k_max)
     if covered_at is not None:
         return OracleVerdict(outcome="covered_at", k_used=covered_at, lp_count=lp_count)
@@ -429,6 +430,42 @@ def counted_solves(monkeypatch):
 
     monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
     return calls
+
+
+def watched_validity(monkeypatch):
+    """Wrap the oracle's solver and validity decisions. Returns the list of
+    separators the solves return (unit max modulus, as bytes), the list of
+    decision calls and the list of decided (separator, cone) pairs, as bytes."""
+    solve = oracle.feasible_nonneg_solution
+    valid_separators = oracle._valid_separators
+    returned, decisions, pairs = [], [], []
+
+    def watched_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        if not result.member:
+            returned.append((result.separator / np.abs(result.separator).max()).tobytes())
+        return result
+
+    def watched_decision(separators, stack):
+        decisions.append(len(separators))
+        pairs.extend(
+            (w.tobytes(), cone[:, ~np.isnan(cone[0])].tobytes())
+            for w in separators
+            for cone in stack
+        )
+        return valid_separators(separators, stack)
+
+    monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched_solve)
+    monkeypatch.setattr(oracle, "_valid_separators", watched_decision)
+    return returned, decisions, pairs
+
+
+def assert_decided_once(returned, pairs):
+    """Each (separator, cone) pair is decided at most once per solve that
+    returned that separator."""
+    times = collections.Counter(returned)
+    for (w, _), count in collections.Counter(pairs).items():
+        assert count <= times[w]
 
 
 class TestSeparatorReuse:
@@ -517,43 +554,34 @@ class TestSeparatorReuse:
 
     def test_heavy_tail_lp_guard(self, monkeypatch):
         # The acceptance suite's costliest system: 11,598 membership
-        # questions, nearly all settled by reused hyperplanes. A visit to a
-        # cone multiplies at most once, and only the separators stored since
-        # the cone's last visit, so each (separator, cone) pair is decided
-        # at most once in the sweep.
+        # questions, nearly all settled by reused hyperplanes, with 51
+        # solves. Each (separator, cone) validity is decided at most once in
+        # the sweep, and the grid of open questions is updated once per solve
+        # (each returned separator is decided against it once), not once per
+        # question.
         calls = counted_solves(monkeypatch)
-        events = []
-        pools = set()
-        member = oracle._WitnessPool.member
-        valid_separators = oracle._valid_separators
-
-        def visit(pool, cone, generators):
-            pools.add(pool)
-            events.append(("visit", cone))
-            return member(pool, cone, generators)
-
-        def decide(separators, generators):
-            events.append(("decide", len(separators)))
-            return valid_separators(separators, generators)
-
-        monkeypatch.setattr(oracle._WitnessPool, "member", visit)
-        monkeypatch.setattr(oracle, "_valid_separators", decide)
+        returned, decisions, pairs = watched_validity(monkeypatch)
         sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
         verdict = coverage_probe(sys, 1, OracleConfig(seed=2024))
         assert verdict.lp_count == 11598
         assert len(calls) < 1000
-        decided = {}
-        products = 0
-        for (kind, value), previous in zip(events[1:], events):
-            if kind == "decide":
-                assert previous[0] == "visit" and value >= 1
-                decided[previous[1]] = decided.get(previous[1], 0) + value
-                products += 1
-        (pool,) = pools
-        assert max(decided.values()) <= len(pool.separators)
-        # 5,638 products for 5,466 cones; deciding per question would take
-        # over 10,000.
-        assert products < 6000
+        assert_decided_once(returned, pairs)
+        # One decision per separator a solve returns, plus at most one
+        # catch-up of the stored separators per grid: two grids (the
+        # relaxation, the sequence cones) per horizon, six horizons.
+        assert len(decisions) <= len(returned) + 2 * 6
+
+    @pytest.mark.parametrize(
+        "sys, s",
+        [(SHIFT, 1), (SHIFT, 2), (generate_system("planted_rank_deficient", 3, 3, 0).system, 1)],
+        ids=["shift-s1", "shift-s2", "generated"],
+    )
+    def test_recurring_cones_decided_once(self, monkeypatch, sys, s):
+        # Key sets recur across horizons here, and a recurring cone is
+        # decided only against the separators stored since its last grid.
+        returned, _, pairs = watched_validity(monkeypatch)
+        coverage_probe(sys, s, OracleConfig(seed=2024))
+        assert_decided_once(returned, pairs)
 
     def test_controllable_solve_guard(self, monkeypatch):
         # A covered system: 210 membership questions, most of them members
@@ -564,6 +592,61 @@ class TestSeparatorReuse:
         verdict = coverage_probe(sys, 2, OracleConfig(seed=2024))
         assert verdict.lp_count == expected.lp_count == 210
         assert len(calls) < 30
+
+
+def assert_order_free(sys, s, probes, seed):
+    """A permuted probe list permutes the survivors and keeps the covering
+    horizon and the question count, and both match the LP reference."""
+    order = np.random.default_rng(seed).permutation(len(probes))
+    covered_at, survivors, lp_count = _sweep_coverage(sys, s, probes, 6, DEFAULT_TOL)
+    permuted = _sweep_coverage(sys, s, probes[order], 6, DEFAULT_TOL)
+    assert permuted == lp_sweep_coverage(sys, s, probes[order], 6)
+    assert permuted[0] == covered_at and permuted[2] == lp_count
+    assert sorted(order[permuted[1]].tolist()) == survivors
+
+
+class TestProbeOrder:
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_systems(self, kind, n, m):
+        sys = generate_system(kind, n, m, 1).system
+        probes = _probe_directions(n, SWEEP_CONFIG)
+        for s in range(1, m + 1):
+            assert_order_free(sys, s, probes, seed=s)
+
+    def test_heavy_tail(self):
+        sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
+        assert_order_free(sys, 1, _probe_directions(3, OracleConfig(seed=2024)), seed=0)
+
+
+class TestProbeMemo:
+    @pytest.mark.parametrize(
+        "seed, n, n_directions, include_axes",
+        [(0, 1, 1, True), (0, 3, 64, True), (7, 2, 5, False), (2024, 4, 16, True)],
+    )
+    def test_matches_fresh_streams(self, seed, n, n_directions, include_axes):
+        cfg = OracleConfig(n_directions=n_directions, seed=seed, include_axes=include_axes)
+        fresh = []
+        for i in range(n_directions):
+            vec = np.random.default_rng([seed, i]).standard_normal(n)
+            fresh.append(vec / np.linalg.norm(vec))
+        if include_axes:
+            for axis in np.eye(n):
+                fresh += [axis, -axis]
+        probes = _probe_directions(n, cfg)
+        assert probes.tobytes() == np.array(fresh).tobytes()
+        assert probes.shape == (len(fresh), n)
+        assert not probes.flags.writeable
+        assert _probe_directions(n, cfg) is probes
+
+    def test_uncovered_directions_are_copies(self):
+        cfg = OracleConfig(seed=1)
+        first = coverage_probe(COB_T, 1, cfg)
+        expected = json.dumps(first.to_dict())
+        assert first.uncovered_directions
+        first.uncovered_directions[0][:] = 7.0
+        assert json.dumps(coverage_probe(COB_T, 1, cfg).to_dict()) == expected
 
 
 class TestPowerOverflow:
