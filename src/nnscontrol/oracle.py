@@ -30,7 +30,8 @@ Four semantics-preserving shortcuts keep the enumeration tractable:
     ||w||_1 <= N, so the residual exceeds feas_tol for every u with
     1e-12 max|G| ||u||_1 < (10^3 - N) feas_tol: the shortcut stays sound
     while N < 10^3. Whether w is valid for G does not depend on the probe,
-    so the sweep decides it once per (separator, cone);
+    so each grid (below) decides it once for every stored w and every G of
+    the grid, and once when a solve in the grid returns w;
   * every solve that finds a probe inside a cone with exactly N positive
     coefficients, on columns P, leaves the simplicial basis G_P of that
     cone (a relaxation, or one key set of a horizon) with its inverse.
@@ -101,6 +102,9 @@ class OracleConfig:
     def __post_init__(self) -> None:
         for name, least in (("k_max", 1), ("n_directions", 1), ("seed", 0)):
             object.__setattr__(self, name, validate_count(getattr(self, name), name, least))
+        if not isinstance(self.include_axes, (bool, np.bool_)):
+            raise InputError(f"include_axes must be a bool, got {self.include_axes!r}")
+        object.__setattr__(self, "include_axes", bool(self.include_axes))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -214,30 +218,30 @@ def _canonical_column(col: np.ndarray) -> bytes | None:
 
 def _sequence_cone_ladder(
     sys: SystemPair, supports: list[tuple[int, ...]], blocks: list[np.ndarray]
-) -> Iterator[dict[frozenset[bytes], np.ndarray]]:
-    """Yield, for k = 1..len(blocks), the generators of each distinct horizon-k
-    sequence cone, keyed by its set of nonzero canonical columns, in the order
-    the lexicographic sequences first reach them. A horizon-k sequence is a
-    support on A^{k-1} B followed by a horizon-(k-1) sequence, so each
-    support's key set is joined with each key set of horizon k-1 in turn.
+) -> Iterator[tuple[list[frozenset[bytes]], np.ndarray]]:
+    """Yield, for k = 1..len(blocks), the distinct horizon-k sequence cones as
+    (keys, stack): their sets of nonzero canonical columns, in the order the
+    lexicographic sequences first reach them, and their generators sorted by
+    bytes, padded with NaN and gathered from one table of the horizon's
+    columns. A horizon-k sequence is a support on A^{k-1} B followed by a
+    horizon-(k-1) sequence, so each support's key set is joined with each
+    key set of horizon k-1 in turn.
     """
     tails: list[frozenset[bytes]] = [frozenset()]
     for block in blocks:
         column_keys = [_canonical_column(block[:, j]) for j in range(sys.m)]
-        generators: dict[frozenset[bytes], np.ndarray] = {}
-        for sup in supports:
-            head = frozenset(column_keys[j] for j in sup) - {None}
-            for tail in tails:
-                merged = head | tail
-                if merged in generators:
-                    continue
-                ordered = sorted(merged)
-                if ordered:
-                    generators[merged] = np.column_stack([np.frombuffer(key) for key in ordered])
-                else:
-                    generators[merged] = np.zeros((sys.n, 0))
-        yield generators
-        tails = list(generators)
+        heads = [frozenset(column_keys[j] for j in sup) - {None} for sup in supports]
+        keys = list(dict.fromkeys(head | tail for head in heads for tail in tails))
+        columns = sorted(frozenset().union(*keys))
+        number = {key: i for i, key in enumerate(columns)}
+        rows = [sorted(number[key] for key in merged) for merged in keys]
+        sizes = np.array([len(row) for row in rows])
+        index = np.full((len(keys), sizes.max()), len(columns))
+        index[np.arange(sizes.max()) < sizes[:, None]] = list(itertools.chain.from_iterable(rows))
+        table = np.full((sys.n, len(columns) + 1), np.nan)
+        table[:, :-1] = np.frombuffer(b"".join(columns)).reshape(-1, sys.n).T
+        yield keys, table[np.arange(sys.n)[:, None], index[:, None, :]]
+        tails = keys
 
 
 @functools.lru_cache(maxsize=32)
@@ -264,11 +268,9 @@ class _Witnesses:
     above) as arrays over the sweep's probes and the cones of its grids,
     numbered in the order they first enter a grid.
 
-    ``near[i, p]``: separator i has w^T p < cut(p). ``valid[i, c]``:
-    separator i may reject points for cone c, decided for the first
-    ``decided[c]`` separators. ``outside[p, c]``: probe p was asked about
-    cone c and lies outside it. Bases are stacked with their inverses and
-    the number of their cone."""
+    ``near[i, p]``: separator i has w^T p < cut(p). ``outside[p, c]``: probe
+    p was asked about cone c and lies outside it. Bases are stacked with
+    their inverses and the number of their cone."""
 
     def __init__(self, probes: np.ndarray, tol: Tolerances) -> None:
         count, n = probes.shape
@@ -278,34 +280,28 @@ class _Witnesses:
         self.ids: dict[Hashable, int] = {}
         self.separators = np.zeros((0, n))
         self.near = np.zeros((0, count), dtype=bool)
-        self.valid = np.zeros((0, 0), dtype=bool)
-        self.decided = np.zeros(0, dtype=int)
         self.outside = np.zeros((count, 0), dtype=bool)
         self.basis_cones = np.zeros(0, dtype=int)
         self.bases = np.zeros((0, n, n))
         self.inverses = np.zeros((0, n, n))
         self.questions = 0
 
-    def settle(self, rows: np.ndarray, cones: dict[Hashable, np.ndarray]) -> np.ndarray:
-        """Ask each probe of ``rows`` about the cones in order, skipping those it
-        is known to lie outside, up to its first member cone; return which rows
-        have one. Stored witnesses answer the whole grid of questions at
-        once; the lowest row whose next open question they leave unanswered
-        gets a solve, and its witness is folded into the grid."""
-        ids = np.array([self.ids.setdefault(key, len(self.ids)) for key in cones])
-        generators = list(cones.values())
-        stack = _stack(generators)
-        new = len(self.ids) - len(self.decided)
-        self.decided = np.append(self.decided, np.zeros(new, dtype=int))
-        self.valid = np.hstack([self.valid, np.zeros((len(self.valid), new), dtype=bool)])
+    def settle(self, rows: np.ndarray, keys: list[Hashable], stack: np.ndarray) -> np.ndarray:
+        """Ask each probe of ``rows`` about the cones ``keys`` (generators in
+        ``stack``) in order, skipping those it is known to lie outside, up to
+        its first member cone; return which rows have one. Stored witnesses
+        answer the whole grid of questions at once; the lowest row whose next
+        open question they leave unanswered gets a solve, and its witness is
+        folded into the grid."""
+        ids = np.array([self.ids.setdefault(key, len(self.ids)) for key in keys])
+        new = len(self.ids) - self.outside.shape[1]
         self.outside = np.hstack([self.outside, np.zeros((len(self.probes), new), dtype=bool)])
-        self._catch_up(ids, stack)
         skip = self.outside[np.ix_(rows, ids)]
         position = np.full(len(self.ids), -1)
         position[ids] = np.arange(len(ids))
         held = position[self.basis_cones]  # each basis's grid column, -1 off the grid
         member = self._fits(held >= 0, rows).T @ (held[held >= 0, None] == np.arange(len(ids)))
-        out = self.near[:, rows].T @ self.valid[:, ids]
+        out = self.near[:, rows].T @ _valid_separators(self.separators, stack)
         open_ = ~skip & (member | ~out)
         every = np.arange(len(rows))
         while True:
@@ -315,12 +311,13 @@ class _Witnesses:
                 break
             i = int(needs.argmax())
             c = int(first[i])
-            result = feasible_nonneg_solution(generators[c], self.probes[rows[i]], self.tol)
+            generators = stack[c][:, ~np.isnan(stack[c, 0])]
+            result = feasible_nonneg_solution(generators, self.probes[rows[i]], self.tol)
             if result.member:
                 member[i, c] = True
                 positive = np.flatnonzero(result.coefficients > 0.0)
                 if len(positive) == self.probes.shape[1]:
-                    basis = generators[c][:, positive]
+                    basis = generators[:, positive]
                     self.basis_cones = np.append(self.basis_cones, ids[c])
                     self.bases = np.concatenate([self.bases, basis[None]])
                     self.inverses = np.concatenate([self.inverses, np.linalg.inv(basis)[None]])
@@ -333,12 +330,8 @@ class _Witnesses:
             valid = _valid_separators(w[None], stack)[0]
             if valid[c]:
                 near = self.probes @ w < self.cut
-                count = len(self.separators)
                 self.separators = np.vstack([self.separators, w])
                 self.near = np.vstack([self.near, near])
-                self.valid = np.vstack([self.valid, np.zeros(len(self.ids), dtype=bool)])
-                self.valid[count, ids] = valid
-                self.decided[ids] = count + 1
                 open_ &= ~(near[rows, None] & valid) | member
         found = open_.any(axis=1)
         first = np.where(found, open_.argmax(axis=1), len(ids))
@@ -346,16 +339,6 @@ class _Witnesses:
         self.outside[np.ix_(rows, ids)] |= asked
         self.questions += int(asked.sum()) + int(found.sum())
         return found
-
-    def _catch_up(self, ids: np.ndarray, stack: np.ndarray) -> None:
-        """Decide the validity of every stored separator for the cones ``ids``,
-        for the (separator, cone) pairs not decided before."""
-        count = len(self.separators)
-        decided = self.decided[ids]
-        for start in set(decided.tolist()) - {count}:
-            sel = np.flatnonzero(decided == start)
-            self.valid[start:, ids[sel]] = _valid_separators(self.separators[start:], stack[sel])
-        self.decided[ids] = count
 
     def _fits(self, which, rows: np.ndarray) -> np.ndarray:
         """fits[b, r]: c = G_b^{-1} p has c >= 0 and ||p - G_b c||_inf <=
@@ -366,15 +349,6 @@ class _Witnesses:
         return (coefficients.min(axis=1) >= 0.0) & (
             np.abs(residuals).max(axis=1) <= self.feas_tol[rows]
         )
-
-
-def _stack(generators: list[np.ndarray]) -> np.ndarray:
-    """The cones' generators in one (cones, N, width) array, padded with NaN."""
-    width = max(g.shape[1] for g in generators)
-    stack = np.full((len(generators), len(generators[0]), width), np.nan)
-    for cone, g in zip(stack, generators):
-        cone[:, : g.shape[1]] = g
-    return stack
 
 
 def _valid_separators(separators: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -410,12 +384,12 @@ def _sweep_coverage(
     uncovered = np.arange(len(probes))
     for k in range(1, k_max + 1):
         relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
-        inside = witnesses.settle(uncovered, {k: relaxation})
+        inside = witnesses.settle(uncovered, [k], relaxation[None])
         if s < sys.m and inside.any():  # at s == m the relaxation is the exact cone
             _guard_sequences(supports, k)
-            cones = next(itertools.islice(ladder, k - reached - 1, None))
+            keys, stack = next(itertools.islice(ladder, k - reached - 1, None))
             reached = k
-            inside[inside] = witnesses.settle(uncovered[inside], cones)
+            inside[inside] = witnesses.settle(uncovered[inside], keys, stack)
         uncovered = uncovered[~inside]
         if not len(uncovered):
             return k, [], witnesses.questions

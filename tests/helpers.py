@@ -44,6 +44,12 @@ def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd"), shapes=None
     return counts
 
 
+def ladder_cones(keys, stack):
+    """One horizon of the oracle's cone ladder as a dict from each key set to
+    its generators: the cone's row of ``stack`` without its NaN padding."""
+    return {key: cone[:, ~np.isnan(cone[0])] for key, cone in zip(keys, stack)}
+
+
 def planted_structure_matrix(rng, max_n=6):
     """Random integer matrix with known zero-eigenvalue block structure.
 

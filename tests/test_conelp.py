@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import _box_lp_ray, _solve_lp
+from helpers import _box_lp_ray, _solve_lp, ladder_cones
 
 from nnscontrol import (
     DEFAULT_TOL,
@@ -256,7 +256,7 @@ class TestNearBoundary:
         # floor only when fitted to the column they refuse as dependent.
         sys = generate_system(kind, 3, m, 2).system
         ladder = _sequence_cone_ladder(sys, enumerate_supports(m, s), _powers_times_b(sys, k))
-        cones = list(itertools.islice(ladder, k))[-1]
+        cones = ladder_cones(*list(itertools.islice(ladder, k))[-1])
         assert len(cones) == count
         for g in cones.values():
             self.assert_consistent(g)
@@ -267,7 +267,7 @@ class TestNearBoundary:
         # the floor, for the last two only the plain projection does.
         sys = generate_system("planted_rank_deficient", 3, 4, 2).system
         ladder = _sequence_cone_ladder(sys, enumerate_supports(4, 2), _powers_times_b(sys, 6))
-        cones = list(list(itertools.islice(ladder, 6))[-1].values())
+        cones = list(ladder_cones(*list(itertools.islice(ladder, 6))[-1]).values())
         for index in (72, 84, 2111, 40332):
             self.assert_consistent(cones[index])
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import ladder_cones
 
 from nnscontrol import DEFAULT_TOL, InputError, NumericError, oracle
 from nnscontrol.controllability import (
@@ -24,6 +25,7 @@ from nnscontrol.oracle import (
     _probe_directions,
     _sequence_cone_ladder,
     _sweep_coverage,
+    _valid_separators,
     coverage_probe,
     direction_uncovered,
     enumerate_supports,
@@ -228,6 +230,9 @@ class TestIntegerParameters:
             ("n_directions", 0, "n_directions must be >= 1, got 0"),
             ("seed", False, "seed must be an integer, got False"),
             ("seed", -1, "seed must be >= 0, got -1"),
+            ("include_axes", "no", "include_axes must be a bool, got 'no'"),
+            ("include_axes", 1, "include_axes must be a bool, got 1"),
+            ("include_axes", None, "include_axes must be a bool, got None"),
         ],
     )
     def test_config_rejects(self, field, value, message):
@@ -239,6 +244,12 @@ class TestIntegerParameters:
         cfg = OracleConfig(k_max=np.int64(3), n_directions=np.int32(4), seed=np.uint8(7))
         assert cfg == OracleConfig(k_max=3, n_directions=4, seed=7)
         assert json.dumps(cfg.to_dict()) == json.dumps(OracleConfig(3, 4, 7).to_dict())
+
+    @pytest.mark.parametrize("flag", (np.True_, np.False_, True, False))
+    def test_config_stores_include_axes_as_bool(self, flag):
+        cfg = OracleConfig(include_axes=flag)
+        assert cfg.include_axes is bool(flag)
+        assert json.loads(json.dumps(cfg.to_dict()))["include_axes"] is bool(flag)
 
     @pytest.mark.parametrize(
         "k, message",
@@ -312,6 +323,9 @@ def product_sequence_cones(sys, supports, k, blocks):
 
 
 SHIFT = SystemPair(A=np.eye(3, k=1), B=np.eye(3))  # nilpotent: key sets recur
+ZERO_B = SystemPair(A=np.eye(2), B=np.zeros((2, 2)))  # one cone of width 0 per horizon
+# At s = 1 the support {0} picks only the zero column: an all-NaN cone.
+ZERO_COLUMN = SystemPair(A=np.eye(2), B=np.array([[0.0, 1.0, 2.0], [0.0, 3.0, -1.0]]))
 
 
 class TestSequenceConeLadder:
@@ -323,19 +337,24 @@ class TestSequenceConeLadder:
             (SCALAR_FLIP, 1),
             (SHIFT, 2),
             (generate_system("planted_rank_deficient", 3, 4, 0).system, 2),
+            (ZERO_B, 1),
+            (ZERO_COLUMN, 1),
         ],
-        ids=["cob", "cob_t", "scalar_flip", "shift", "generated"],
+        ids=["cob", "cob_t", "scalar_flip", "shift", "generated", "zero_b", "zero_column"],
     )
     def test_matches_product_enumeration(self, sys, s):
         supports = enumerate_supports(sys.m, s)
         blocks = _powers_times_b(sys, 4)
         ladder = list(_sequence_cone_ladder(sys, supports, blocks))
         assert len(ladder) == 4
-        for k, cones in enumerate(ladder, start=1):
+        for k, (keys, stack) in enumerate(ladder, start=1):
             expected = product_sequence_cones(sys, supports, k, blocks)
-            assert list(cones) == list(expected)
-            for key, generators in cones.items():
-                assert np.array_equal(generators, expected[key])
+            assert keys == list(expected)
+            assert stack.shape == (len(keys), sys.n, max(len(key) for key in keys))
+            for cone, (key, generators) in zip(stack, ladder_cones(keys, stack).items()):
+                assert generators.shape == expected[key].shape
+                assert generators.tobytes() == expected[key].tobytes()
+                assert np.isnan(cone[:, len(key) :]).all()
 
     def test_coverage_guard(self):
         # 18 singleton supports: 18^3 = 5,832 sequences pass, 18^4 do not.
@@ -375,7 +394,7 @@ def lp_sweep_coverage(sys, s, probes, k_max, tol=DEFAULT_TOL):
                 continue
             if len(cones) < k:
                 _guard_sequences(supports, k)
-                cones.extend(itertools.islice(ladder, k - len(cones)))
+                cones.extend(ladder_cones(*h) for h in itertools.islice(ladder, k - len(cones)))
             for key, generators in cones[k - 1].items():
                 if (idx, key) in outside:
                     continue
@@ -555,10 +574,10 @@ class TestSeparatorReuse:
     def test_heavy_tail_lp_guard(self, monkeypatch):
         # The acceptance suite's costliest system: 11,598 membership
         # questions, nearly all settled by reused hyperplanes, with 51
-        # solves. Each (separator, cone) validity is decided at most once in
-        # the sweep, and the grid of open questions is updated once per solve
-        # (each returned separator is decided against it once), not once per
-        # question.
+        # solves. No key set recurs across horizons here, so each (separator,
+        # cone) validity is decided at most once in the sweep, and the grid of
+        # open questions is updated once per solve (each returned separator is
+        # decided against it once), not once per question.
         calls = counted_solves(monkeypatch)
         returned, decisions, pairs = watched_validity(monkeypatch)
         sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
@@ -566,9 +585,9 @@ class TestSeparatorReuse:
         assert verdict.lp_count == 11598
         assert len(calls) < 1000
         assert_decided_once(returned, pairs)
-        # One decision per separator a solve returns, plus at most one
-        # catch-up of the stored separators per grid: two grids (the
-        # relaxation, the sequence cones) per horizon, six horizons.
+        # One decision per separator a solve returns, plus one decision of
+        # the stored separators per grid: two grids (the relaxation, the
+        # sequence cones) per horizon, six horizons.
         assert len(decisions) <= len(returned) + 2 * 6
 
     @pytest.mark.parametrize(
@@ -576,12 +595,33 @@ class TestSeparatorReuse:
         [(SHIFT, 1), (SHIFT, 2), (generate_system("planted_rank_deficient", 3, 3, 0).system, 1)],
         ids=["shift-s1", "shift-s2", "generated"],
     )
-    def test_recurring_cones_decided_once(self, monkeypatch, sys, s):
-        # Key sets recur across horizons here, and a recurring cone is
-        # decided only against the separators stored since its last grid.
+    def test_recurring_cones_decided_once_per_grid(self, monkeypatch, sys, s):
+        # Key sets recur across horizons here. Each grid decides its cones
+        # afresh against the stored separators, and against each separator a
+        # solve in it returns, so a pair is decided at most once per grid
+        # for each solve that returned its separator.
         returned, _, pairs = watched_validity(monkeypatch)
-        coverage_probe(sys, s, OracleConfig(seed=2024))
-        assert_decided_once(returned, pairs)
+        settle = oracle._Witnesses.settle
+
+        def watched_settle(witnesses, *args):
+            start = len(pairs)
+            found = settle(witnesses, *args)
+            assert_decided_once(returned, pairs[start:])
+            return found
+
+        monkeypatch.setattr(oracle._Witnesses, "settle", watched_settle)
+        verdict = coverage_probe(sys, s, OracleConfig(seed=2024))
+        assert verdict.lp_count == lp_coverage_probe(sys, s, OracleConfig(seed=2024)).lp_count
+
+    def test_valid_separators(self):
+        # A cone with no generators, padded or of width 0, is valid for every
+        # separator; cone(e1, e2) only for those with w >= 0 on both.
+        separators = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        stack = np.full((2, 2, 2), np.nan)
+        stack[1] = np.eye(2)
+        valid = _valid_separators(separators, stack)
+        assert valid.tolist() == [[True, True], [True, False], [True, False]]
+        assert _valid_separators(separators, np.zeros((1, 2, 0))).all()
 
     def test_controllable_solve_guard(self, monkeypatch):
         # A covered system: 210 membership questions, most of them members
