@@ -23,8 +23,8 @@ reported rather than hidden.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import asdict, dataclass
+from math import inf
 
 import numpy as np
 
@@ -78,6 +78,7 @@ _NUMBER_TYPES = frozenset(
     [int, float, complex]
     + [np.dtype(c).type for c in np.typecodes["AllInteger"] + np.typecodes["AllFloat"]]
 )
+_CAST_TO = (np.dtype(np.float64), np.dtype(np.complex128))  # every number ends as one of these
 
 
 def _location(name: str, shape: tuple, k: int) -> str:
@@ -87,14 +88,17 @@ def _location(name: str, shape: tuple, k: int) -> str:
 
 
 def _numbers(x, name: str, ndim: int, allow_complex: bool) -> np.ndarray:
-    """The number rule: ``x`` as an ndarray of ``ndim`` dimensions, entries finite
-    ints or floats (or complex, with ``allow_complex``), refusals located 1-based.
-    A numeric ndarray passes on its dtype and one vectorized test."""
+    """The number rule: ``x`` (read by ``_entries`` unless a numeric ndarray) as
+    float64, or complex128 with ``allow_complex``, of ``ndim`` dimensions. Values are
+    judged once, after the cast: whatever float64 cannot hold is not finite."""
     arr = x if isinstance(x, np.ndarray) and x.dtype.kind in "iufc" else _entries(x, name, ndim)
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.dtype.kind == "c" and not allow_complex:
         raise InputError(f"{name} must be real")
+    if arr.dtype not in _CAST_TO:  # float64 input pays for no cast and no errstate
+        with np.errstate(over="ignore"):  # a long double beyond float64 becomes inf
+            arr = arr.astype(_CAST_TO[arr.dtype.kind == "c"])
     finite = np.isfinite(arr)
     if not finite.all():
         raise InputError(f"{_location(name, arr.shape, np.flatnonzero(~finite)[0])} is not finite")
@@ -102,10 +106,9 @@ def _numbers(x, name: str, ndim: int, allow_complex: bool) -> np.ndarray:
 
 
 def _entries(x, name: str, ndim: int) -> np.ndarray:
-    """Other input: a ragged row, or the first offender in row-major order (a
-    bool, str, None, list or other non-number; an inf, a NaN or an int too large
-    for a float), is refused. Returns float64 or complex128, leaving a wrong
-    shape to ``_numbers``."""
+    """Other input, judged on shape and type: a ragged row, then the first entry in
+    row-major order that is not a number (a bool, str, None, list...), is refused.
+    Returns the entries in their common type, at least float64, for ``_numbers``."""
     try:
         arr = np.array(x, dtype=object)
     except ValueError as exc:  # nested arrays whose shapes clash
@@ -121,17 +124,17 @@ def _entries(x, name: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         return arr
     flat = arr.ravel().tolist()
-    for k, v in enumerate(flat):
-        if type(v) not in _NUMBER_TYPES:
-            raise InputError(f"{_location(name, arr.shape, k)} is not a number: {v!r}")
-        try:
-            finite = cmath.isfinite(v)
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise InputError(f"{_location(name, arr.shape, k)} is not finite")
-    complex_ = any(issubclass(kind, (complex, np.complexfloating)) for kind in set(map(type, flat)))
-    return arr.astype(np.complex128 if complex_ else np.float64)
+    types = set(map(type, flat))
+    if not types <= _NUMBER_TYPES:
+        k = next(k for k, v in enumerate(flat) if type(v) not in _NUMBER_TYPES)
+        raise InputError(f"{_location(name, arr.shape, k)} is not a number: {flat[k]!r}")
+    dtype = np.result_type(np.float64, *types)
+    try:
+        return arr.astype(dtype)
+    except (OverflowError, ValueError):  # an int too large for dtype: +-inf, for _numbers
+        huge = 2**1024 - 2**970  # the least int float() overflows on: it rounds to 2**1024
+        flat = [v if type(v) is not int or abs(v) < huge else -inf if v < 0 else inf for v in flat]
+        return np.array(flat, dtype).reshape(arr.shape)
 
 
 def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarray:
@@ -142,10 +145,7 @@ def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarra
     module takes its matrices through here, so every result depends only on
     the values of the entries, not on memory layout or the sign of a zero.
     """
-    arr = _numbers(a, name, 2, allow_complex)
-    arr = np.array(arr, np.complex128 if arr.dtype.kind == "c" else np.float64, order="C")
-    arr += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
-    return arr
+    return np.add(_numbers(a, name, 2, allow_complex), 0.0, order="C")  # -0.0 becomes +0.0
 
 
 def as_square(a, name: str) -> np.ndarray:
@@ -165,8 +165,8 @@ def as_input_matrix(b, n: int) -> np.ndarray:
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
-    """A real 1-D vector under the number rule (``_numbers``), as float64."""
-    return np.asarray(_numbers(x, name, 1, False), dtype=np.float64)
+    """A real 1-D vector under the number rule (``_numbers``): float64, ``x`` itself if it is."""
+    return _numbers(x, name, 1, False)
 
 
 def validate_count(value, name: str, least: int | None = None) -> int:

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,6 +51,22 @@ A_DIAG = np.diag([-1.0, -1.0, 0.0])
 B_COB = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, -1.0]])
 
 small_ints = st.integers(min_value=-4, max_value=4)
+
+
+# 2**2000 is finite in an x87 long double but beyond float64's range.
+BEYOND_FLOAT64 = np.longdouble(2) ** 2000 if np.finfo(np.longdouble).maxexp > 2000 else None
+needs_wide_long_double = pytest.mark.skipif(
+    BEYOND_FLOAT64 is None, reason="np.longdouble is no wider than float64 here"
+)
+
+
+def refusal(call):
+    """The message of the InputError that ``call`` raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as info:
+            call()
+    return str(info.value)
 
 
 def int_matrices(max_n=6):
@@ -117,9 +134,11 @@ class TestAsMatrix:
             ([[np.inf]], "M entry at row 1, column 1 is not finite"),
             (np.array([[0.0, 1.0], [np.nan, 2.0]]), "M entry at row 2, column 1 is not finite"),
             (np.array([[True]]), "M entry at row 1, column 1 is not a number: True"),
+            ([[1.5, -(10**400)]], "M entry at row 1, column 2 is not finite"),
+            ([[np.longdouble(1), 10**5000]], "M entry at row 1, column 2 is not finite"),
         ],
         ids=["complex", "string", "ragged", "scalar-row", "clashing-arrays", "1-D", "infinity",
-             "nan-ndarray", "bool-ndarray"],
+             "nan-ndarray", "bool-ndarray", "int-minus-1e400", "int-1e5000-with-long-double"],
     )
     def test_messages(self, a, message):
         with pytest.raises(InputError) as info:
@@ -137,9 +156,36 @@ class TestAsMatrix:
         with pytest.raises(InputError, match="^M entry at row 1, column 2 is not a number: "):
             as_matrix([[1.0, np.bool_(True)]], "M")
 
+    @needs_wide_long_double
+    @pytest.mark.parametrize(
+        "dtype, where, message",
+        [
+            (np.longdouble, (1, 0), "M entry at row 2, column 1 is not finite"),
+            (np.clongdouble, (0, 1), "M entry at row 1, column 2 is not finite"),
+        ],
+        ids=["longdouble", "clongdouble"],
+    )
+    def test_long_double_beyond_float64(self, dtype, where, message):
+        # Values are judged after the cast to float64, so 2**2000 is refused
+        # as not finite, by each door, with no overflow warning from the cast.
+        a = np.eye(2, dtype=dtype)
+        a[where] = BEYOND_FLOAT64
+        assert refusal(lambda: as_matrix(a, "M", allow_complex=True)) == message
+        assert refusal(lambda: as_matrix(a.tolist(), "M", allow_complex=True)) == message
+        if dtype is np.longdouble:
+            assert refusal(lambda: SystemPair(A=a, B=np.eye(2))) == "A" + message[1:]
+
+    @needs_wide_long_double
+    def test_long_double_within_float64(self):
+        # A long double that float64 can hold is accepted as its float64 cast.
+        a = np.array([[1, 2**-1000], [2**1000, -7]], dtype=np.longdouble) / 3
+        for m in (as_matrix(a, "M"), as_matrix(a.tolist(), "M")):
+            assert m.dtype == np.float64
+            assert m.tobytes() == a.astype(np.float64).tobytes()
+
     def test_numeric_ndarrays_skip_the_per_entry_path(self, monkeypatch):
-        # Only list-shaped or object input is read entry by entry; an ndarray of
-        # a numeric dtype, as every internal caller passes, is not.
+        # Only list-shaped or object input goes through ``_entries``; an ndarray
+        # of a numeric dtype, as every internal caller passes, does not.
         def per_entry(x, name, ndim):
             raise AssertionError(f"{name} went through the per-entry path")
 
@@ -156,6 +202,51 @@ class TestAsMatrix:
         build_decomposition(system.A)
         with pytest.raises(AssertionError, match="^M went through the per-entry path$"):
             as_matrix([[1.0]], "M")
+
+
+@st.composite
+def door_matrices(draw):
+    """Finite float64, int64 or long-double matrices; a long double may lie
+    beyond float64's range (scaled by 2**1100) where the platform has one."""
+    dtype = draw(st.sampled_from([np.float64, np.int64, np.longdouble]))
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    if dtype is np.int64:
+        info = np.iinfo(np.int64)
+        return draw(arrays(np.int64, shape, elements=st.integers(info.min, info.max)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, shape, elements=finite))
+    if dtype is np.float64:
+        return values
+    scale = draw(st.sampled_from([1, 2**1100] if BEYOND_FLOAT64 is not None else [1]))
+    return values.astype(np.longdouble) * scale / 3
+
+
+def door_outcome(a):
+    """``as_matrix``'s bytes for ``a``, or its refusal; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return as_matrix(a, "M").tobytes()
+        except InputError as exc:
+            return str(exc)
+
+
+class TestTwoDoors:
+    """A list (read by its set of entry types) and an ndarray (read by its
+    dtype) of the same values get the same matrix or the same refusal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(door_matrices(), st.data())
+    def test_list_and_ndarray_agree(self, values, data):
+        assert door_outcome(values.tolist()) == door_outcome(values)
+        if values.dtype.kind == "f":
+            bad = values.copy()
+            bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf])
+            )
+            refused = door_outcome(bad)
+            assert isinstance(refused, str) and refused.endswith("is not finite")
+            assert door_outcome(bad.tolist()) == refused
 
 
 RAGGED = [[1.0, 2.0], [3.0]]
@@ -204,6 +295,19 @@ class TestAsVector:
     def test_non_finite_entries_are_an_input_error(self):
         with pytest.raises(InputError, match="^x entry 2 is not finite$"):
             as_vector([1.0, np.nan], "x")
+
+    @needs_wide_long_double
+    def test_long_double_beyond_float64(self):
+        x = np.array([1, 0, BEYOND_FLOAT64], dtype=np.longdouble)
+        assert refusal(lambda: as_vector(x, "x")) == "x entry 3 is not finite"
+        assert refusal(lambda: as_vector(x.tolist(), "x")) == "x entry 3 is not finite"
+        # A complex long double is refused as complex before its value is judged.
+        assert refusal(lambda: as_vector(x.astype(np.clongdouble), "x")) == "x must be real"
+
+    @needs_wide_long_double
+    def test_long_double_within_float64(self):
+        x = np.array([1, 2**-1000, -(2**1000)], dtype=np.longdouble) / 3
+        assert as_vector(x, "x").tobytes() == x.astype(np.float64).tobytes()
 
     def test_complex_is_an_input_error(self):
         with pytest.raises(InputError, match="^x must be real$"):

@@ -89,7 +89,9 @@ class TestRoundTrip:
 
 class TestEntryMessages:
     """Exact messages for bad matrix entries, which are ``SystemPair``'s (the
-    number rule of ``matrixcore``); the first offender in row-major order wins."""
+    number rule of ``matrixcore``). A ragged row is refused first, then an
+    entry that is not a number, then a value that is not finite, each the
+    first in row-major order: a non-number anywhere wins over a NaN before it."""
 
     @pytest.mark.parametrize(
         "a, message",
@@ -103,24 +105,37 @@ class TestEntryMessages:
             ("[[NaN]]", "A entry at row 1, column 1 is not finite"),
             ("[[0, -Infinity]]", "A entry at row 1, column 2 is not finite"),
             ("[[1e400]]", "A entry at row 1, column 1 is not finite"),
-            ('[[1, NaN], ["x", 0]]', "A entry at row 1, column 2 is not finite"),
+            ('[[1, NaN], ["x", 0]]', "A entry at row 2, column 1 is not a number: 'x'"),
             ("[[1.0, NaN], [Infinity, 0.0]]", "A entry at row 1, column 2 is not finite"),
             ("[[1" + "0" * 400 + "]]", "A entry at row 1, column 1 is not finite"),
+            ("[[NaN, 1" + "0" * 400 + "]]", "A entry at row 1, column 1 is not finite"),
+            ("[[1" + "0" * 400 + ", NaN]]", "A entry at row 1, column 1 is not finite"),
+            ("[[-1" + "0" * 400 + "]]", "A entry at row 1, column 1 is not finite"),
+            ("[[%d]]" % (2**1024 - 2**970), "A entry at row 1, column 1 is not finite"),
+            ("[[%d, 1%s]]" % (2**1024 - 2**970, "0" * 400),
+             "A entry at row 1, column 1 is not finite"),
+            ("[[%d, 1%s]]" % (2**1024 - 2**970 - 1, "0" * 400),
+             "A entry at row 1, column 2 is not finite"),
             ("[[100000000000000000000]]", None),
+            ("[[%d]]" % 2**1023, None),
+            ("[[%d]]" % (2**1024 - 2**970 - 1), None),
             ("[]", "A must be 2-D, got shape (0,)"),
             ("[1, 2]", "A must be 2-D, got shape (2,)"),
             ("[[]]", "A must be square, got shape (1, 0)"),
         ],
         ids=[
             "ragged", "scalar-row", "true", "null", "string", "nested", "nan", "infinity",
-            "1e400", "nonfinite-first", "floats-nonfinite-first", "int-1e400", "int-1e20", "empty", "not-arrays",
-            "empty-row",
+            "1e400", "nonfinite-first", "floats-nonfinite-first", "int-1e400",
+            "nan-before-int-1e400", "int-1e400-before-nan", "int-minus-1e400",
+            "int-rounds-to-2**1024", "int-rounds-to-2**1024-then-int-1e400",
+            "int-largest-finite-then-int-1e400", "int-1e20", "int-2**1023", "int-largest-finite", "empty",
+            "not-arrays", "empty-row",
         ],
     )
     def test_messages(self, a, message):
         text = '{"A": %s, "B": [[1]]}' % a
-        if message is None:
-            assert parse_system_file(text).system.A[0, 0] == 1e20
+        if message is None:  # accepted, as the float nearest the integer
+            assert parse_system_file(text).system.A[0, 0] == float(json.loads(a)[0][0])
             return
         with pytest.raises(InputError) as info:
             parse_system_file(text)
