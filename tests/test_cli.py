@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nnscontrol.cli import main, run_command
+from nnscontrol.cli import console_main, main, run_command
 from nnscontrol.controllability import check_sparse
 from nnscontrol.fixtures import fixture_path
 from nnscontrol.matrixcore import Tolerances
@@ -112,12 +113,21 @@ class TestMinSparsity:
 
 
 class TestOracle:
-    def test_cob_covered(self, capsys):
-        code, out, _ = run(capsys, "oracle", COB, "--samples", "16", "--seed", "3")
+    @pytest.mark.parametrize(
+        "path, pinned",
+        [(COB, ("covered_at", 5, 2036, 0)), (COB_T, ("uncovered", 6, 992, 34))],
+        ids=["cob_system", "cob_transformed"],
+    )
+    def test_cob_covered(self, capsys, path, pinned):
+        # The outcome and question count with the default probes: a change in
+        # how many membership questions a sweep asks fails this test.
+        code, out, _ = run(capsys, "oracle", path, "--s", "1")
         assert code == 0
         result = json.loads(out)["result"]
-        assert result["outcome"] == "covered_at"
-        assert result["k_used"] <= 6
+        assert (
+            result["outcome"], result["k_used"], result["lp_count"],
+            len(result["uncovered_directions"]),
+        ) == pinned
 
     def test_pretty_counts_membership_questions(self, capsys):
         code, out, err = run(capsys, "oracle", COB, "--samples", "16", "--seed", "3", "--pretty")
@@ -260,6 +270,19 @@ class TestGen:
         code, out, _ = run(capsys, "check", str(path), "--s", "1")
         report = json.loads(out)
         assert report["result"]["verdict"] == "uncontrollable"
+
+
+class TestConsoleMain:
+    """``console_main`` is what ``[project.scripts]`` installs as ``nnscontrol``."""
+
+    @pytest.mark.parametrize("missing, code", [(False, 0), (True, 1)], ids=["cob", "missing-file"])
+    def test_exits_with_the_code_of_main(self, capsys, monkeypatch, tmp_path, missing, code):
+        path = str(tmp_path / "missing.json") if missing else COB
+        monkeypatch.setattr(sys, "argv", ["nnscontrol", "check", path])
+        with pytest.raises(SystemExit) as excinfo:
+            console_main()
+        assert excinfo.value.code == code
+        assert (capsys.readouterr().out == "") == missing
 
 
 class TestExitCodes:
