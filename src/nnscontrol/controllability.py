@@ -3,8 +3,7 @@
 The full test runs three independent checks on a system pair (A, B):
 
   condition i   - no left eigenvector of A is orthogonal to every column
-                  of B: rank(B^T Z) = dim Z for the left eigenbasis Z of
-                  every eigenvalue (equivalent to the classical rank test
+                  of B (equivalent to the classical rank test
                   rank [lambda I - A | B] = N, which ``pbh_rank`` keeps as
                   the reference);
   condition ii  - no real eigenvalue lambda >= 0 admits a left eigenvector
@@ -16,19 +15,15 @@ all three hold. Dropping condition iii gives the nonnegative-input test,
 dropping condition ii gives the unsigned sparse-input test. Failures of
 conditions i and ii are returned as machine-checkable certificates: an
 eigenpair (lambda, z) that pins the reachable set inside a hyperplane or
-half-space. Condition ii's z is the eigenspace vector that decided the
-violation; condition i's comes from the left null space of the pencil
-[lambda I - A | B], which stays close to z^T B = 0 where a defective
-eigenvalue splits into copies whose eigenvectors do not.
+half-space. Condition i's comes from the orthogonal staircase of (A, B)
+that decided it; condition ii's is the eigenspace vector that did.
 
-The work that depends only on A and the tolerances (the left eigensystem
-and rank(A)) is one analysis, shared by every entry point: consecutive
-calls on the same A and tol, such as ``check_nonneg_sparse`` then
-``min_sparsity``, run one eigen-analysis and one rank(A) SVD. The memo
-holds one entry, keyed bit for bit on A and on tol; A comes through
-``matrixcore.as_matrix`` in canonical form, so equal values give equal
-keys. B is not part of it, and conditions i and ii always read the
-caller's B.
+The work on one pair and tol (the staircase, the left eigensystem of A and
+rank(A)) is one analysis, shared by every entry point: consecutive calls on
+the same pair, such as ``check_nonneg_sparse`` then ``min_sparsity``, run
+each once. The memo holds one entry, keyed bit for bit on A, B and tol;
+both come through ``matrixcore.as_matrix`` in canonical form, so equal
+values give equal keys.
 """
 
 from __future__ import annotations
@@ -42,16 +37,14 @@ from .conelp import homogeneous_nonzero
 from .errors import InputError, NoFeasibleSparsityError
 from .matrixcore import (
     DEFAULT_TOL,
-    EigenGroup,
     LeftEigenSystem,
     Tolerances,
+    _cluster,
     as_input_matrix,
     as_matrix,
     as_square,
     as_vector,
     left_eigensystem,
-    null_space_basis,
-    pbh_pencil,
     rank,
     validate_sparsity,
 )
@@ -245,13 +238,45 @@ class ControllabilityReport:
         }
 
 
-class _Analysis:
-    """The work on one system that depends only on A and tol: its left
-    eigensystem and rank(A), each computed on first use."""
+def _frobenius(x: np.ndarray) -> float:
+    """||X||_F as top * ||X / top||_F, top = max |X|: no square overflows."""
+    top = float(np.abs(x).max(initial=0.0))
+    return top * float(np.linalg.norm(x / top)) if top else 0.0
 
-    def __init__(self, a: np.ndarray, tol: Tolerances) -> None:
-        self._a = a
-        self._tol = tol
+
+def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal controllability staircase (Paige 1981; Van Dooren 1981):
+    (Q_u, A_u) with orthonormal Q_u spanning what no input reaches,
+    Q_u^T A = A_u Q_u^T and Q_u^T B = 0. One SVD rotates B's range to the
+    top (cut at ``rank_rtol * ||B||_F``); each step ranks the block coupling
+    the unreached coordinates to those reached last (cut at
+    ``rank_rtol * ||A||_F``) and rotates only the unreached ones, until a
+    block has rank 0. Cuts relative to each matrix make scaling A or B
+    change no rank decision."""
+    n, cut = a.shape[0], tol.rank_rtol * _frobenius(a)
+    q, s, _ = np.linalg.svd(b)
+    a = q.T @ a @ q
+    lo, hi = 0, int(np.count_nonzero(s > tol.rank_rtol * _frobenius(b)))
+    while lo < hi < n:
+        u, s, _ = np.linalg.svd(a[hi:, lo:hi])
+        lo, hi = hi, hi + int(np.count_nonzero(s > cut))
+        if hi > lo:
+            a[lo:] = u.T @ a[lo:]
+            a[:, lo:] = a[:, lo:] @ u
+            q[:, lo:] = q[:, lo:] @ u
+    return q[:, hi:], a[hi:, hi:]
+
+
+class _Analysis:
+    """The work on one pair (A, B) under tol: the staircase of (A, B), the
+    left eigensystem of A and rank(A), each computed on first use."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
+        self._a, self._b, self._tol = a, b, tol
+
+    @cached_property
+    def unreached(self) -> tuple[np.ndarray, np.ndarray]:
+        return _staircase(self._a, self._b, self._tol)
 
     @cached_property
     def eig(self) -> LeftEigenSystem:
@@ -263,16 +288,16 @@ class _Analysis:
 
 
 @lru_cache(maxsize=1)
-def _analysis_of(shape: tuple[int, ...], data: bytes, tol: Tolerances) -> _Analysis:
-    """The one-entry memo. A is a read-only view of the key's bytes, so no
-    later write to the caller's array can reach it."""
-    return _Analysis(np.frombuffer(data).reshape(shape), tol)
+def _analysis_of(n: int, a: bytes, b: bytes, tol: Tolerances) -> _Analysis:
+    """The one-entry memo. A and B are read-only views of the key's bytes,
+    so no later write to the caller's arrays can reach it."""
+    return _Analysis(np.frombuffer(a).reshape(n, n), np.frombuffer(b).reshape(n, -1), tol)
 
 
-def _analysis(a: np.ndarray, tol: Tolerances) -> _Analysis:
-    """The analysis of A under tol, reused when the previous call had the
-    same A (bit for bit) and the same tol."""
-    return _analysis_of(a.shape, a.tobytes(), tol)
+def _analysis(sys: SystemPair, tol: Tolerances) -> _Analysis:
+    """The analysis of (A, B) under tol, reused when the previous call had
+    the same A, B (bit for bit) and tol."""
+    return _analysis_of(sys.n, sys.A.tobytes(), sys.B.tobytes(), tol)
 
 
 def _normalize_max(z: np.ndarray) -> np.ndarray:
@@ -308,39 +333,20 @@ def _failed(
     return ConditionResult(passed=False, certificate=cert, other_violations=tuple(others))
 
 
-def _annihilates_b(b: np.ndarray, basis: np.ndarray, cutoff: float) -> bool:
-    """True when some unit z in the span of ``basis`` (two or more columns)
-    has |z^T B| <= cutoff.
-
-    The basis is orthonormal, so that minimum is the smallest singular value
-    of B^T Z, and it is zero when Z has more columns than B.
-    """
-    if basis.shape[1] > b.shape[1]:
-        return True
-    return float(np.linalg.svd(b.T @ basis, compute_uv=False)[-1]) <= cutoff
-
-
-def _condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
-    # rank(B^T Z) < dim Z on each left eigenbasis Z. |lambda| + |A|_F + |B|_F
-    # bounds sigma_max([lambda I - A | B]), the scale the pencil test cuts at.
-    # A one-column basis z fails when |B^T z| is below the cut; all of them
-    # are stacked into one product B^T [z_1 ... z_k].
-    scale = float(np.linalg.norm(sys.A)) + float(np.linalg.norm(sys.B))
-
-    def cut(group: EigenGroup) -> float:
-        return tol.rank_rtol * (abs(group.eigenvalue) + scale)
-
-    lines = [g for g in eig.groups if g.basis.shape[1] == 1]
-    planes = [g for g in eig.groups if g.basis.shape[1] > 1]
-    norms = np.linalg.norm(sys.B.T @ np.hstack([g.basis for g in lines]), axis=0) if lines else ()
-    violations = [g.eigenvalue for g, norm in zip(lines, norms) if norm <= cut(g)]
-    violations += [g.eigenvalue for g in planes if _annihilates_b(sys.B, g.basis, cut(g))]
-    if not violations:
+def _condition_i(sys: SystemPair, analysis: _Analysis, tol: Tolerances) -> ConditionResult:
+    # The eigenvalues of A_u, grouped at the eigen-analysis's radius; w is the
+    # left singular direction of A_u - lambda I closest to its kernel.
+    q_u, a_u = analysis.unreached
+    if not a_u.size:
         return ConditionResult(passed=True)
+    values = np.linalg.eigvals(a_u)
+    close = np.abs(values[:, None] - values[None, :]) <= analysis.eig.cluster_radius
+    centers = [complex(values[idx].mean()) + 0.0 for idx in _cluster(close)]  # clears -0.0
+    violations = [complex(c.real) if abs(c.imag) <= tol.eig_imag_tol else c for c in centers]
     violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
     lam = violations[0]
-    z = null_space_basis(pbh_pencil(sys.A, sys.B, lam).T, tol, closest=True)[:, 0]
-    return _failed(sys, VIOLATES_CONDITION_I, lam, z, violations[1:], tol)
+    u = np.linalg.svd(a_u - (lam if lam.imag else lam.real) * np.eye(len(a_u)))[0]
+    return _failed(sys, VIOLATES_CONDITION_I, lam, q_u @ u[:, -1].conj(), violations[1:], tol)
 
 
 def _condition_ii(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
@@ -359,15 +365,15 @@ def _condition_ii(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> Con
 
 
 def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
-    """Eigenvector rank test: rank(B^T Z) = dim Z for every left eigenbasis Z.
+    """No left eigenvector of A is orthogonal to every column of B.
 
-    Fails at lambda when some z in the left eigenspace has z^T B = 0; the
-    certificate is taken from the left null space of [lambda I - A | B] at
-    the violation of largest modulus, or from its closest singular
-    direction when the rank cutoff leaves none. ``matrixcore.pbh_rank`` is
-    the equivalent pencil test, kept as the reference.
+    Fails exactly at the eigenvalues of the block A_u of the staircase
+    (``_staircase``) that no input reaches. The certificate z = Q_u w, for a
+    left eigenvector w of A_u at the violation of largest modulus, has
+    z^T B = 0 up to rounding however defective lambda is.
+    ``matrixcore.pbh_rank`` is the equivalent pencil test, kept as the reference.
     """
-    return _condition_i(sys, _analysis(sys.A, tol).eig, tol)
+    return _condition_i(sys, _analysis(sys, tol), tol)
 
 
 def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
@@ -379,7 +385,7 @@ def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Condit
     lemma, ``conelp.homogeneous_nonzero``). The pass is vacuous
     when A has no real nonnegative eigenvalue.
     """
-    return _condition_ii(sys, _analysis(sys.A, tol).eig, tol)
+    return _condition_ii(sys, _analysis(sys, tol).eig, tol)
 
 
 def check_condition_iii(
@@ -387,7 +393,7 @@ def check_condition_iii(
 ) -> SparsityConditionResult:
     """Sparsity test: s >= N - rank(A)."""
     s = validate_sparsity(s, sys.m)
-    rank_a = _analysis(sys.A, tol).rank_a
+    rank_a = _analysis(sys, tol).rank_a
     return SparsityConditionResult(
         passed=s >= sys.n - rank_a, s=s, n_states=sys.n, rank_a=rank_a
     )
@@ -400,12 +406,12 @@ _MODES = {(True, True): "nonneg_sparse", (True, False): "nonneg", (False, True):
 def _check(
     sys: SystemPair, s: int | None, nonneg: bool, tol: Tolerances
 ) -> ControllabilityReport:
-    """One eigen-analysis, then condition i always, condition ii when
+    """One analysis of the pair, then condition i always, condition ii when
     ``nonneg`` and condition iii when ``s`` is given."""
     cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
-    eig = _analysis(sys.A, tol).eig
-    cond_i = _condition_i(sys, eig, tol)
-    cond_ii = _condition_ii(sys, eig, tol) if nonneg else None
+    analysis = _analysis(sys, tol)
+    cond_i = _condition_i(sys, analysis, tol)
+    cond_ii = _condition_ii(sys, analysis.eig, tol) if nonneg else None
     passed = all(
         cond.passed for cond in (cond_i, cond_ii, cond_iii) if cond is not None
     )
@@ -416,7 +422,7 @@ def _check(
         condition_i=cond_i,
         condition_ii=cond_ii,
         condition_iii=cond_iii,
-        eigenvalues=tuple(group.to_dict() for group in eig.groups),
+        eigenvalues=tuple(group.to_dict() for group in analysis.eig.groups),
         tolerances=tol,
     )
 
@@ -447,14 +453,12 @@ def min_sparsity(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> int | None:
     NoFeasibleSparsityError when N - rank(A) exceeds the input dimension,
     in which case no sparsity level works. In exact arithmetic that cannot
     happen: condition i makes B^T injective on ker A^T, so
-    N - rank(A) = dim ker A^T <= m. The error therefore means that the
-    relative cut of ``rank(A)`` (``rank_rtol`` times the largest singular
-    value) disagrees with the eigenvalues and eigenspaces that condition i
-    was decided on.
+    N - rank(A) = dim ker A^T <= m. The error therefore means that the cut
+    of ``rank(A)`` disagrees with the staircase that decided condition i.
     """
     if not check_nonneg(sys, tol).controllable:
         return None
-    required = sys.n - _analysis(sys.A, tol).rank_a
+    required = sys.n - _analysis(sys, tol).rank_a
     if required > sys.m:
         raise NoFeasibleSparsityError(
             f"N - rank(A) = {required} exceeds the input dimension m = {sys.m}"

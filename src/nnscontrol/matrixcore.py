@@ -387,16 +387,12 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     return LeftEigenSystem(groups=tuple(groups), cluster_radius=radius)
 
 
-def pbh_pencil(a: np.ndarray, b: np.ndarray, lam: complex) -> np.ndarray:
-    """[lambda*I - A | B] for a checked A and B, real when lambda is."""
-    return np.hstack([(lam if lam.imag else lam.real) * np.eye(a.shape[0]) - a, b])
-
-
 def pbh_rank(a, b, lam, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of the N x (N+m) pencil [lambda*I - A | B]."""
+    """Rank of the N x (N+m) pencil [lambda*I - A | B], real when lambda is."""
     a = as_square(a, "A")
     b = as_input_matrix(b, a.shape[0])
-    return rank(pbh_pencil(a, b, complex(lam)), tol)
+    lam = complex(lam)
+    return rank(np.hstack([(lam if lam.imag else lam.real) * np.eye(a.shape[0]) - a, b]), tol)
 
 
 def mat_pow(m, k: int, name: str = "matrix") -> np.ndarray:

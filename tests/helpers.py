@@ -1,20 +1,12 @@
 """Shared construction helpers for the test suite, and the code that faster
 paths replaced, kept as their reference: the dense two-phase simplex of
-the cone primitives, and the per-group eigen-analysis and condition-i
-loops."""
+the cone primitives, and the per-group eigen-analysis loop."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from nnscontrol import SystemPair
-from nnscontrol.controllability import (
-    VIOLATES_CONDITION_I,
-    Certificate,
-    ConditionResult,
-    _eig_residual,
-    _normalize_max,
-)
 from nnscontrol.errors import InputError, NumericError
 from nnscontrol.matrixcore import (
     _CROWDING_FACTOR,
@@ -91,11 +83,29 @@ def planted_structure_matrix(rng, max_n=6):
 
 def rank_cut_disagreement():
     """rank(A) = 1 under rank_rtol, because the 1e6 entries set the scale,
-    while all four eigenvalues are simple and nonzero; B = [b | -b]."""
+    while all four eigenvalues are simple and nonzero; B = [b | -b]. At the
+    same rank_rtol the staircase leaves states unreached, so condition i
+    fails, with a certificate that verifies."""
     a = np.diag([1e-4, 2e-4, 3e-4, 4e-4])
     a[0, 1:] = 1e6
     b = np.array([1.0, 2.0, -1.0, 3.0])
     return SystemPair(A=a, B=np.column_stack([b, -b]))
+
+
+def defective_condition_i_system(lam, k, n, m, rng, annihilate=True):
+    """(A, B) with A = T diag(J_k(lam), D) T^-1 and B = T B_J, drawn as
+    ``perfbench/workloads.defective_system`` draws them, with row k - 1 of B_J
+    set to 0 when ``annihilate``: then z = T^-T e_k is a left eigenvector of A for
+    lam with z^T B = 0, and condition i fails. Otherwise B_J stays Gaussian
+    and condition i holds."""
+    core = np.zeros((n, n))
+    core[:k, :k] = lam * np.eye(k) + np.eye(k, k=1)
+    core[k:, k:] = np.diag(-rng.uniform(0.5, 2.0, size=n - k))
+    t = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+    b_j = rng.standard_normal((n, m))
+    if annihilate:
+        b_j[k - 1] = 0.0
+    return SystemPair(A=t @ core @ np.linalg.inv(t), B=t @ b_j)
 
 
 _PIVOT_TOL = 1e-11
@@ -363,55 +373,3 @@ def reference_left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSys
         )
     groups.sort(key=lambda g: (g.eigenvalue.real, g.eigenvalue.imag))
     return LeftEigenSystem(groups=tuple(groups), cluster_radius=radius)
-
-
-def _reference_annihilates_b(b: np.ndarray, basis: np.ndarray, cutoff: float) -> bool:
-    """True when some unit z in the span of ``basis`` has |z^T B| <= cutoff.
-
-    The basis is orthonormal, so that minimum is the smallest singular value
-    of B^T Z, and it is zero when Z has more columns than B.
-    """
-    if basis.shape[1] > b.shape[1]:
-        return True
-    zb = b.T @ basis
-    if zb.shape[1] == 1:
-        return float(np.linalg.norm(zb)) <= cutoff
-    return float(np.linalg.svd(zb, compute_uv=False)[-1]) <= cutoff
-
-
-def reference_condition_i(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
-    # rank(B^T Z) < dim Z on each left eigenbasis Z. |lambda| + |A|_F + |B|_F
-    # bounds sigma_max([lambda I - A | B]), the scale the pencil test cuts at.
-    scale = float(np.linalg.norm(sys.A)) + float(np.linalg.norm(sys.B))
-    violations = []
-    for group in eig.groups:
-        lam = group.eigenvalue
-        if _reference_annihilates_b(sys.B, group.basis, tol.rank_rtol * (abs(lam) + scale)):
-            violations.append(lam)
-    if not violations:
-        return ConditionResult(passed=True)
-    violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
-    lam = violations[0]
-    pencil = np.hstack(
-        [
-            (lam * np.eye(sys.n) - sys.A.astype(np.complex128))
-            if lam.imag
-            else (lam.real * np.eye(sys.n) - sys.A),
-            sys.B,
-        ]
-    )
-    left_null = null_space_basis(pencil.T, tol)
-    if left_null.shape[1] == 0:
-        _, _, vh = np.linalg.svd(pencil.T)
-        left_null = vh[-1:].conj().T
-    z = _normalize_max(left_null[:, 0])
-    if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= tol.eig_imag_tol:
-        z = z.real
-    cert = Certificate(
-        kind=VIOLATES_CONDITION_I,
-        eigenvalue=lam,
-        z=z,
-        residual_eig=_eig_residual(sys, lam, z),
-        max_zb=float(np.abs(z @ sys.B).max()),
-    )
-    return ConditionResult(passed=False, certificate=cert, other_violations=tuple(violations[1:]))

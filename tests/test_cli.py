@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nnscontrol import controllability
 from nnscontrol.cli import console_main, main, run_command
 from nnscontrol.controllability import check_sparse
 from nnscontrol.fixtures import fixture_path
@@ -348,7 +349,21 @@ class TestCheckVariants:
 
 
 class TestMinSparsityInfeasible:
-    def test_rank_cut_disagreement_is_reported(self, capsys, tmp_path):
+    def test_rank_cut_disagreement_is_reported(self, capsys, tmp_path, monkeypatch):
+        # rank(A) reads 0, so N - rank(A) = 2 exceeds m = 1 on a controllable pair.
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]]}))
+        monkeypatch.setattr(controllability, "rank", lambda a, tol: 0)
+        code, out, _ = run(capsys, "min-sparsity", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "min_sparsity": None,
+            "feasible": False,
+            "nonneg_controllable": True,
+            "reason": "N - rank(A) = 2 exceeds the input dimension m = 1",
+        }
+
+    def test_rank_cut_fixture_is_not_nonneg_controllable(self, capsys, tmp_path):
         system = rank_cut_disagreement()
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"A": system.A.tolist(), "B": system.B.tolist()}))
@@ -357,8 +372,8 @@ class TestMinSparsityInfeasible:
         assert json.loads(out)["result"] == {
             "min_sparsity": None,
             "feasible": False,
-            "nonneg_controllable": True,
-            "reason": "N - rank(A) = 3 exceeds the input dimension m = 2",
+            "nonneg_controllable": False,
+            "reason": "system is not controllable with nonnegative inputs",
         }
 
 

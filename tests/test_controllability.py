@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from nnscontrol.fixtures import (
     change_of_basis_transformed,
 )
 
-from helpers import count_linalg_calls, rank_cut_disagreement
+from helpers import count_linalg_calls, defective_condition_i_system, rank_cut_disagreement
 
 COB = change_of_basis_system()
 COB_T = change_of_basis_transformed()
@@ -176,20 +177,34 @@ class TestConditionI:
         assert np.linalg.norm(direction) == pytest.approx(1.0)
 
     def test_nearly_real_witness_is_made_real(self):
-        # Eigenvalues +/- 1e-7 i, two complex groups. The pencil's closest
-        # singular direction at the first, scaled to unit max modulus, is e2
-        # up to an imaginary part within eig_imag_tol, so the certificate
-        # carries the real z = e2, and e2^T B = 0.
-        sys = SystemPair(A=np.array([[0.0, 100.0], [-1e-16, 0.0]]), B=np.array([[1.0], [0.0]]))
+        # B reaches e1 only, so A_u is the block [[0, 100], [-1e-16, 0]] with
+        # eigenvalues +/- 1e-7 i, two complex groups. Its left singular
+        # direction at the first, scaled to unit max modulus, is e3 up to an
+        # imaginary part within eig_imag_tol, so the certificate carries the
+        # real z = e3 up to 1e-25, and e3^T B = 0.
+        a = np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 100.0], [0.0, -1e-16, 0.0]])
+        sys = SystemPair(A=a, B=np.array([[1.0], [0.0], [0.0]]))
         res = check_condition_i(sys)
         assert not res.passed
         cert = res.certificate
         assert cert.eigenvalue.imag == pytest.approx(-1e-7)
         assert res.other_violations == (cert.eigenvalue.conjugate(),)
         assert not np.iscomplexobj(cert.z)
-        np.testing.assert_array_equal(cert.z, [0.0, 1.0])
+        np.testing.assert_allclose(cert.z, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-25)
         assert cert.max_zb == 0.0
         assert verify_certificate(sys, cert).valid
+
+    def test_huge_entry_does_not_overflow(self):
+        # ||A||_F is taken as max|A| times ||A / max|A| ||_F, which cannot
+        # overflow; condition ii fails at 1e200 with z = -e1.
+        sys = SystemPair(A=np.diag([1e200, 1.0]), B=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_nonneg_sparse(sys, 1)
+            assert report.condition_i.passed
+            cert = report.condition_ii.certificate
+            assert cert.eigenvalue == 1e200
+            assert verify_certificate(sys, cert).valid
 
     def test_shift_block_with_input_on_wrong_node(self):
         # z^T A = (0, z1) forces z = e2, and e2^T B = 0: certificate (0, e2).
@@ -202,83 +217,51 @@ class TestConditionI:
         assert verify_certificate(sys, cert).valid
 
 
-class TestConditionICertificateCost:
-    """Condition i is decided on the left eigenbases; only its certificate
-    reads the (N+m) x N pencil [lambda I - A | B]^T, in one SVD."""
+class TestConditionIStaircaseCost:
+    """Condition i costs one SVD of B and one SVD per staircase step. Only a
+    failing check adds eigvals of the unreached block A_u, the clustering
+    radius of the shared eigen-analysis and one SVD of A_u - lambda I."""
+
+    def test_passing_check_runs_only_the_staircase(self, monkeypatch):
+        # B = e1 and A e_j = j e_j + e_{j+1}: each step reaches one more state.
+        a = np.diag([1.0, 2.0, 3.0, 4.0]) + np.eye(4, k=-1)
+        sys = SystemPair(A=a, B=np.array([[1.0], [0.0], [0.0], [0.0]]))
+        shapes = []
+        counts = count_linalg_calls(monkeypatch, shapes=shapes)
+        assert check_condition_i(sys).passed
+        assert counts == {"eigvals": 0, "eig": 0, "svd": 4}
+        assert shapes == [("svd", (4, 1)), ("svd", (3, 1)), ("svd", (2, 1)), ("svd", (1, 1))]
 
     def test_one_column_violation(self, monkeypatch):
         sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.array([[1.0], [0.0]]))
         shapes = []
         counts = count_linalg_calls(monkeypatch, shapes=shapes)
         res = check_condition_i(sys)
-        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
-        assert shapes[-1] == ("svd", (3, 2))
+        assert counts == {"eigvals": 2, "eig": 1, "svd": 3}
+        assert shapes == [
+            ("svd", (2, 1)),  # B
+            ("svd", (1, 1)),  # the coupling block, of rank 0
+            ("eigvals", (1, 1)),  # A_u
+            ("eigvals", (2, 2)),  # the eigen-analysis, for its radius
+            ("eig", (2, 2)),
+            ("svd", (1, 1)),  # A_u - lambda I, for w
+        ]
         assert res.certificate.eigenvalue == 2.0
         np.testing.assert_array_equal(res.certificate.z, [0.0, 1.0])
 
-    def test_plane_violation(self, monkeypatch):
-        # A = I: one three-member cluster, whose kernel SVD gives Z = I; the
-        # SVD of the 3 x 3 product B^T Z of rank 2 decides, then one SVD of
-        # the pencil certifies.
+    def test_plane_violation_after_a_shared_eigen_analysis(self, monkeypatch):
+        # A = I and B of rank 2: A_u is 1 x 1, and condition ii has already
+        # run the eigen-analysis that condition i reads its radius from.
         b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         sys = SystemPair(A=np.eye(3), B=b)
         shapes = []
-        count_linalg_calls(monkeypatch, names=("svd",), shapes=shapes)
+        count_linalg_calls(monkeypatch, shapes=shapes)
+        check_condition_ii(sys)
+        shapes.clear()
         res = check_condition_i(sys)
-        assert shapes == [("svd", (3, 3)), ("svd", (3, 3)), ("svd", (6, 3))]
+        assert shapes == [("svd", (3, 3)), ("svd", (1, 2)), ("eigvals", (1, 1)), ("svd", (1, 1))]
+        np.testing.assert_array_equal(np.abs(res.certificate.z), [0.0, 0.0, 1.0])
         assert verify_certificate(sys, res.certificate).valid
-
-    def test_empty_pencil_kernel_costs_one_svd(self, monkeypatch):
-        # |e2^T B| = 3e-9 is within the decision cut 1e-9 (2 + |A|_F + |B|_F)
-        # but above the pencil's rank cutoff 1e-9 sigma_1 ~ 1.4e-9, so the
-        # pencil has no kernel; its closest singular direction, close to e2,
-        # comes from the same SVD.
-        sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.array([[1.0], [3e-9]]))
-        counts = count_linalg_calls(monkeypatch)
-        res = check_condition_i(sys)
-        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
-        cert = res.certificate
-        assert cert.eigenvalue == 2.0
-        assert abs(cert.z[0]) < 1e-8 and abs(cert.z[1]) == 1.0
-        assert verify_certificate(sys, cert).valid
-
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            (np.diag([1.0, 2.0]), [[1.0], [0.0]]),
-            ([[0.0, -1.0], [1.0, 0.0]], [[0.0], [0.0]]),  # lambda = +/- i
-            ([[0.0, 100.0], [-1e-16, 0.0]], [[1.0], [0.0]]),  # lambda = +/- 1e-7 i
-        ],
-        ids=["real", "complex", "nearly-real"],
-    )
-    def test_certificate_pencil_is_pbh_ranks(self, monkeypatch, a, b):
-        # The certificate's pencil is, byte for byte, the one pbh_rank ranks
-        # at the certificate's eigenvalue.
-        sys = SystemPair(A=a, B=b)
-        transposed, ranked = [], []
-        null_space = controllability.null_space_basis
-
-        def recording_null_space(m, *args, **kwargs):
-            transposed.append(m)
-            return null_space(m, *args, **kwargs)
-
-        def recording_rank(m, tol):
-            ranked.append(m)
-            return 0
-
-        monkeypatch.setattr(controllability, "null_space_basis", recording_null_space)
-        monkeypatch.setattr(matrixcore, "rank", recording_rank)
-        cert = check_condition_i(sys).certificate
-        pbh_rank(sys.A, sys.B, cert.eigenvalue)
-        (pencil,) = [m.T for m in transposed]
-        assert pencil.dtype == ranked[-1].dtype
-        assert pencil.tobytes() == ranked[-1].tobytes()
-
-    def test_passing_check_runs_no_pencil_svd(self, monkeypatch):
-        sys = SystemPair(A=np.diag([1.0, 2.0]), B=np.ones((2, 1)))
-        counts = count_linalg_calls(monkeypatch)
-        assert check_condition_i(sys).passed
-        assert counts == {"eigvals": 1, "eig": 1, "svd": 0}
 
 
 def _pbh_violations(sys):
@@ -330,7 +313,9 @@ def _planted_double(seed):
 
 
 class TestConditionIAgainstPencil:
-    """Condition i decided on the left eigenbases matches the pencil rank test."""
+    """Condition i decided by the staircase matches the pencil rank test:
+    pass/fail exactly, and each violation within the clustering radius of a
+    reference group, and the reverse."""
 
     def _assert_matches_reference(self, sys):
         res = check_condition_i(sys)
@@ -339,7 +324,11 @@ class TestConditionIAgainstPencil:
         if res.passed:
             assert res.certificate is None and res.other_violations == ()
             return
-        assert [res.certificate.eigenvalue, *res.other_violations] == reference
+        found = [res.certificate.eigenvalue, *res.other_violations]
+        radius = left_eigensystem(sys.A).cluster_radius
+        assert len(found) == len(reference)
+        for ours, theirs in ((found, reference), (reference, found)):
+            assert all(min(abs(v - w) for w in theirs) <= radius for v in ours)
         assert verify_certificate(sys, res.certificate).valid
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -359,6 +348,34 @@ class TestConditionIAgainstPencil:
             assert len(found) == len(planted)
             for lam, expected in zip(sorted(found, key=lambda v: v.imag), planted):
                 assert abs(lam - expected) <= 1e-8
+
+
+def _defective(lam_index, lam, k, seed, annihilate=True):
+    rng = np.random.default_rng([seed, lam_index, k, 8])
+    return defective_condition_i_system(lam, k, 8, 2, rng, annihilate)
+
+
+class TestDefectiveConditionI:
+    """A condition-i violation planted at a Jordan block J_k(lam), in a basis
+    whose columns are scaled by up to 10 either way: the staircase finds it,
+    and the certificate verifies, however far the eigenvalue splits. With a
+    full Gaussian B_J the same systems pass."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("lam_index, lam", list(enumerate((0.0, 0.5, 1.0))))
+    def test_planted_violation_is_found(self, lam_index, lam, k):
+        for seed in range(10):
+            sys = _defective(lam_index, lam, k, seed)
+            res = check_condition_i(sys)
+            assert not res.passed
+            assert abs(res.certificate.eigenvalue - lam) <= 1e-3
+            assert verify_certificate(sys, res.certificate).valid
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("lam_index, lam", list(enumerate((0.0, 0.5, 1.0))))
+    def test_gaussian_input_passes(self, lam_index, lam, k):
+        for seed in range(10):
+            assert check_condition_i(_defective(lam_index, lam, k, seed, annihilate=False)).passed
 
 
 class TestConditionII:
@@ -509,18 +526,23 @@ def _fresh_reports(calls) -> list[str]:
 
 
 class TestSharedAnalysis:
-    """Consecutive calls on the same A and tol share one eigen-analysis and
-    one rank(A); anything else gets a fresh analysis."""
+    """Consecutive calls on the same pair (A, B) and tol share one staircase,
+    one eigen-analysis and one rank(A); anything else gets a fresh analysis."""
 
     def test_check_then_min_sparsity_analyses_once(self, monkeypatch):
         sys = _paired_system(5)
-        counts = count_linalg_calls(monkeypatch)
+        shapes = []
+        counts = count_linalg_calls(monkeypatch, shapes=shapes)
         report = check_nonneg_sparse(sys, 2)
         assert min_sparsity(sys) == 1
         assert report.controllable
         # One eigvals and one eig for the eigen-analysis (well separated
-        # eigenvalues, one-column eigenspaces); the one SVD is rank(A).
-        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+        # eigenvalues, one-column eigenspaces). The SVDs are rank(A), then
+        # the staircase: B (rank 4), and three coupling blocks of rank 4.
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 5}
+        assert [shape for name, shape in shapes if name == "svd"] == [
+            (16, 16), (16, 8), (12, 4), (8, 4), (4, 4)
+        ]
 
     def test_every_entry_point_reads_the_analysis(self, monkeypatch):
         sys = _paired_system(6)
@@ -532,7 +554,7 @@ class TestSharedAnalysis:
         check_sparse(sys, 1)
         input_count_bound_check(sys)
         min_sparsity(sys)
-        assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 5}
 
     def test_interleaved_systems_match_fresh_calls(self, monkeypatch):
         a1, a2 = _paired_system(1), _paired_system(2)
@@ -564,8 +586,19 @@ class TestSharedAnalysis:
         assert counts["eigvals"] == 2
         assert memoized == _fresh_reports(calls)
 
+    def test_one_bit_of_b_gives_a_fresh_analysis(self, monkeypatch):
+        sys = _paired_system(3)
+        b = sys.B.copy()
+        b[0, 0] = np.nextafter(b[0, 0], np.inf)
+        calls = [(sys, DEFAULT_TOL), (SystemPair(A=sys.A, B=b), DEFAULT_TOL)]
+        counts = count_linalg_calls(monkeypatch, ("eigvals",))
+        memoized = _memoized_reports(calls)
+        assert counts["eigvals"] == 2
+        assert memoized == _fresh_reports(calls)
+
     def test_same_a_different_b(self, monkeypatch):
-        # diag(1, -2): left eigenvectors e1 and e2; condition ii looks at 1 only.
+        # diag(1, -2): left eigenvectors e1 and e2; condition ii looks at 1
+        # only. The memo is keyed on the pair, so each B is a fresh analysis.
         a = np.diag([1.0, -2.0])
         inputs = {
             "both pass": np.hstack([np.eye(2), -np.eye(2)]),
@@ -574,7 +607,7 @@ class TestSharedAnalysis:
         }
         counts = count_linalg_calls(monkeypatch, ("eigvals",))
         results = {label: check_nonneg(SystemPair(A=a, B=b)) for label, b in inputs.items()}
-        assert counts["eigvals"] == 1
+        assert counts["eigvals"] == 4  # three eigen-analyses, and A_u where i fails
         passed = {
             label: (report.condition_i.passed, report.condition_ii.passed)
             for label, report in results.items()
@@ -584,7 +617,7 @@ class TestSharedAnalysis:
             "i fails at -2": (False, True),
             "ii fails": (True, False),
         }
-        assert results["i fails at -2"].certificate.eigenvalue == -2.0
+        assert results["i fails at -2"].certificate.eigenvalue == pytest.approx(-2.0, abs=1e-15)
         for label, b in inputs.items():
             controllability._analysis_of.cache_clear()
             assert results[label].to_dict() == check_nonneg(SystemPair(A=a, B=b)).to_dict()
@@ -597,6 +630,18 @@ class TestSharedAnalysis:
         check_condition_i(sys)
         sys.A[:] = 0.0
         assert check_condition_iii(SystemPair(A=saved, B=sys.B), 1).rank_a == 16
+
+    def test_mutating_b_after_a_check_does_not_reach_the_memo(self, monkeypatch):
+        # The staircase is computed on first use, after B has been zeroed in
+        # place; the memo reads B from the bytes it was keyed on, so
+        # condition i still passes, on the same analysis.
+        sys = _paired_system(7)
+        saved = sys.B.copy()
+        check_condition_iii(sys, 1)
+        sys.B[:] = 0.0
+        counts = count_linalg_calls(monkeypatch)
+        assert check_condition_i(SystemPair(A=sys.A, B=saved)).passed
+        assert counts == {"eigvals": 0, "eig": 0, "svd": 4}
 
 
 class TestInputCountBound:
@@ -856,7 +901,9 @@ def _outcome(sys, s):
 
 class TestMetamorphic:
     """Verdicts and each condition's pass/fail are invariant under a state
-    similarity, a permutation of B's columns and a positive scaling of them."""
+    similarity, a permutation of B's columns and a positive scaling of them;
+    condition i's pass/fail also under A -> 2^e A and column scalings of B
+    up to 2^30."""
 
     @staticmethod
     def _cases(kind, n):
@@ -891,6 +938,23 @@ class TestMetamorphic:
         for sys, s, rng in self._cases(kind, n):
             moved = SystemPair(A=sys.A, B=sys.B * rng.uniform(0.1, 10.0, size=sys.m))
             assert _outcome(moved, s) == _outcome(sys, s)
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_condition_i_under_scaling(self, kind, n):
+        # The staircase cuts B's block at rank_rtol ||B||_F and A's blocks at
+        # rank_rtol ||A||_F, so no scaling of A or B moves a rank decision.
+        for m in (1, 2, 3, 6):
+            for seed in range(3):
+                sys = generate_system(kind, n, m, seed).system
+                passed = check_condition_i(sys).passed
+                moved = [SystemPair(A=sys.A * 2.0**e, B=sys.B) for e in (-30, -10, 10, 30)]
+                moved += [
+                    SystemPair(A=sys.A, B=sys.B * 2.0 ** (e * np.arange(1, m + 1) / m))
+                    for e in (-30, 30)
+                ]
+                assert [check_condition_i(mv).passed for mv in moved] == [passed] * 6
 
 
 def _assert_verdict_is_and(report):
@@ -962,11 +1026,25 @@ class TestMinSparsityAgainstBruteForce:
             levels.add(expected)
         assert levels == {None, 1, 2}
 
-    def test_rank_cut_disagreement_raises(self):
+    def test_rank_cut_fixture_fails_condition_i(self):
+        # rank(A) = 1 at rank_rtol, and the staircase, cut at rank_rtol times
+        # ||A||_F, leaves states unreached: condition i fails with a
+        # certificate that verifies, so no sparsity level works.
         sys = rank_cut_disagreement()
+        report = check_nonneg(sys)
+        assert not report.condition_i.passed
+        check = verify_certificate(sys, report.certificate)
+        assert check.valid and check.residual_eig < 1e-9 and check.max_zb < 1e-15
+        assert min_sparsity(sys) is None
+
+    def test_rank_cut_disagreement_raises(self, monkeypatch):
+        # A rank(A) below what condition i allows (N - rank(A) > m) cannot
+        # happen in exact arithmetic; a rank that reads 0 stands in for it.
+        sys = SystemPair(A=np.diag([-1.0, -2.0]), B=np.ones((2, 1)))
         assert check_nonneg(sys).controllable
+        monkeypatch.setattr(controllability, "rank", lambda a, tol: 0)
         with pytest.raises(
             NoFeasibleSparsityError,
-            match=r"^N - rank\(A\) = 3 exceeds the input dimension m = 2$",
+            match=r"^N - rank\(A\) = 2 exceeds the input dimension m = 1$",
         ):
             min_sparsity(sys)

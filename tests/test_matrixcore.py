@@ -41,7 +41,6 @@ from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_matrix, as_vect
 from helpers import (
     _reference_cluster,
     count_linalg_calls,
-    reference_condition_i,
     reference_left_eigensystem,
 )
 
@@ -708,8 +707,8 @@ def _lines_run(func, call):
 
 
 class TestLeftEigensystemAgainstReference:
-    """The shared shift buffer, the single eigenvector match and the stacked
-    B^T Z product give the bytes of the per-group loops in ``helpers``."""
+    """The shared shift buffer and the single eigenvector match give the
+    bytes of the per-group loop in ``helpers``."""
 
     def test_byte_identical_to_per_group_loops(self, monkeypatch):
         systems = list(_reference_systems())
@@ -719,7 +718,6 @@ class TestLeftEigensystemAgainstReference:
             _assert_same_eigensystem(left_eigensystem(a), reference_left_eigensystem(a + 0.0))
         reports = [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
         monkeypatch.setattr(controllability, "left_eigensystem", reference_left_eigensystem)
-        monkeypatch.setattr(controllability, "_condition_i", reference_condition_i)
         controllability._analysis_of.cache_clear()  # the next check runs the reference
         assert reports == [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
 
