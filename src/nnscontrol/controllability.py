@@ -46,6 +46,7 @@ from .matrixcore import (
     as_vector,
     left_eigensystem,
     rank,
+    scale_unit,
     validate_sparsity,
 )
 
@@ -255,7 +256,9 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
     change no rank decision."""
     n, cut = a.shape[0], tol.rank_rtol * _frobenius(a)
     q, s, _ = np.linalg.svd(b)
-    a = q.T @ a @ q
+    # An entry may overflow; left_eigensystem refuses an A whose eigenvalue does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = q.T @ a @ q
     lo, hi = 0, int(np.count_nonzero(s > tol.rank_rtol * _frobenius(b)))
     while lo < hi < n:
         u, s, _ = np.linalg.svd(a[hi:, lo:hi])
@@ -499,7 +502,8 @@ def verify_certificate(
     """Independently re-check a certificate's algebra against (A, B).
 
     Accepts any nonzero scaling of z; the vector is max-normalized before
-    the tolerance comparisons so the slacks are scale-free.
+    the tolerance comparisons so the slacks are scale-free. The residual bound
+    eig_imag_tol * (1 + ||A||_2) is compared in units of u = max(1, ``scale_unit(A)``).
     """
     z = np.asarray(cert.z)
     if z.ndim != 1 or z.size != sys.n:
@@ -508,9 +512,10 @@ def verify_certificate(
         return CertificateCheck(False, np.inf, np.inf, False, False, False)
     z = z / np.abs(z).max()  # positive scaling keeps sign constraints intact
     lam = cert.eigenvalue
-    scale = 1.0 + float(np.linalg.norm(sys.A, 2))
+    unit = max(1.0, scale_unit(sys.A))
     residual = _eig_residual(sys, lam, z)
-    eig_ok = residual <= tol.eig_imag_tol * scale
+    bound = tol.eig_imag_tol * (1.0 / unit + float(np.linalg.norm(sys.A / unit, 2)))
+    eig_ok = residual / unit <= bound
     zb = z @ sys.B
     if cert.kind == VIOLATES_CONDITION_I:
         max_zb = float(np.abs(zb).max())

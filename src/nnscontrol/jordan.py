@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_square, mat_pow, rank
+from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_square, mat_pow, rank, scale_unit
 
 __all__ = [
     "ZeroStructure",
@@ -66,21 +66,22 @@ class ZeroStructure:
         }
 
 
-def _staircase(a: np.ndarray, tol: Tolerances) -> tuple[ZeroStructure, np.ndarray, np.ndarray]:
-    """The zero structure by Kublanovskaya's staircase, with the factors U and
-    V^H of the SVD of A that its first step took.
+def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
+    """Block statistics of the eigenvalue 0 from the rank sequence rank(A^k),
+    read off Kublanovskaya's staircase: no power of A is formed.
 
-    Every step cuts at the one scale ``rank_rtol * sigma_1(A)``. A block M of
-    rank r below its size deflates to V_r^T M V_r, with V_r its first r right
-    singular vectors (the complement of its kernel), so the k-th block has
-    rank(A^k). The blocks shrink until one has full rank, so the loop always
-    breaks, and no power of A is formed.
+    The staircase runs on A / ``scale_unit(A)``, A rescaled by an exact power
+    of two, so sigma_1 cannot overflow and no rank decision moves. Every step
+    cuts at the one scale ``rank_rtol * sigma_1``. A block M of rank r below
+    its size deflates to V_r^T M V_r, with V_r its first r right singular
+    vectors (the complement of its kernel), so the k-th block has rank(A^k).
+    The blocks shrink until one has full rank, so the loop always breaks.
     """
-    n_dim = a.shape[0]
-    u, s, vh = np.linalg.svd(a)
-    cut = tol.rank_rtol * s[0] if s.size else 0.0
-    ranks = [n_dim]
-    block, values, rows = a, s, vh
+    a = as_square(a, "A")
+    block = a / scale_unit(a)
+    _, values, rows = np.linalg.svd(block)
+    cut = tol.rank_rtol * values[0] if values.size else 0.0
+    ranks = [a.shape[0]]
     while True:
         ranks.append(int(np.count_nonzero(values > cut)))
         if ranks[-1] == ranks[-2]:
@@ -99,20 +100,13 @@ def _staircase(a: np.ndarray, tol: Tolerances) -> tuple[ZeroStructure, np.ndarra
         if qi < 0:
             raise NumericError(f"negative block count at size {i}: rank drops not convex")
         q_sizes.append(qi)
-    structure = ZeroStructure(
+    return ZeroStructure(
         n=n,
         q=ranks[n],
         q_sizes=tuple(q_sizes),
         r_tail=tuple(drops),
         rank_sequence=tuple(ranks),
     )
-    return structure, u, vh
-
-
-def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
-    """Block statistics of the eigenvalue 0 from the rank sequence rank(A^k),
-    read off Kublanovskaya's staircase: no power of A is formed."""
-    return _staircase(as_square(a, "A"), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -186,11 +180,11 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     The basis is [range(A^n) | zero chains], chains ordered by block size
     ascending and each chain listed bottom-up, so the change of basis block
     diagonalizes A into the nonsingular J and shift blocks. ker(A^k) and
-    range(A^n) come from the SVD of A^k (the staircase's at k = 1), cut at
-    the rank the staircase decided.
+    range(A^n) come from the SVD of A^k, cut at the rank ``zero_structure``
+    decided. A P A P^-1 that overflows raises ``NumericError``.
     """
     a = as_square(a, "A")
-    structure, u, vh = _staircase(a, tol)
+    structure = zero_structure(a, tol)
     n_dim = a.shape[0]
     if structure.n == 0:
         return RowSplitDecomposition(
@@ -199,8 +193,7 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
 
     kernels = [np.zeros((n_dim, 0))]
     for k in range(1, structure.n + 1):
-        if k > 1:
-            u, _, vh = np.linalg.svd(mat_pow(a, k, "A"))
+        u, _, vh = np.linalg.svd(mat_pow(a, k, "A"))
         kernels.append(vh[structure.rank_sequence[k] :].copy().T)  # V^H itself is not kept
     q = structure.q
     chains = _zero_chains(a, structure, kernels)
@@ -228,7 +221,10 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     if not cond <= 1e12:  # also refuses inf and nan
         raise NumericError(f"assembled basis is numerically singular (cond {cond:.2e})")
 
-    transformed = p @ a @ basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = p @ a @ basis
+    if not np.isfinite(transformed).all():
+        raise NumericError("P A P^-1 overflows")
     j_block = transformed[:q, :q]
     parts = []
     for i in range(1, structure.n + 1):

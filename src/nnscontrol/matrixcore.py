@@ -189,12 +189,20 @@ def validate_sparsity(s, m: int) -> int:
 DEFAULT_TOL = Tolerances()
 
 
+def scale_unit(m: np.ndarray) -> float:
+    """The power of two u = 2^(e-1), with max|m| = f * 2^e and 0.5 <= f < 1 (0.5 if m = 0):
+    m / u is exact and its largest entry lies in [1, 2), for every finite m, subnormal included."""
+    return float(np.ldexp(1.0, np.frexp(np.abs(m).max(initial=0.0))[1] - 1))
+
+
 def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values exceeding ``rank_rtol * sigma_max``."""
+    """Numerical rank: singular values exceeding ``rank_rtol * sigma_max``,
+    taken on m / ``scale_unit(m)`` so that sigma_max cannot overflow."""
     m = as_matrix(m, "matrix", allow_complex=True)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    # Real and imaginary parts divide apart: complex division by a subnormal u overflows.
+    s = np.linalg.svd((m.view(np.float64) / scale_unit(m)).view(m.dtype), compute_uv=False)
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
 
 
@@ -301,14 +309,12 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     unit eigenvector as its basis (a real group only when both eigenvalues
     are exactly real). Every other group (several members, a crowded
     one-member group, which may be a split copy of a defective eigenvalue,
-    or an unmatched one) takes the kernel of A^T - lambda I from an SVD. A
-    is real, so a complex group whose exact conjugate group was already
-    solved takes the conjugate of that basis.
+    or an unmatched one) takes the kernel of A^T - lambda I from an SVD.
+    An eigenvalue that overflows raises ``NumericError``.
 
     A^T - lambda I is not built per group: each group overwrites the
-    diagonal of a C-ordered copy of A^T shared by the groups (one real
-    copy, and one complex copy once a complex group appears), which also
-    serves the residual product.
+    diagonal of a C-ordered copy of A^T shared by the groups (one real and
+    one complex copy), which also serves the residual product.
     """
     a = as_square(a, "A")
     n = a.shape[0]
@@ -316,6 +322,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         return LeftEigenSystem(groups=(), cluster_radius=0.0)
     try:
         values = np.linalg.eigvals(a)
+        if not np.isfinite(values).all():
+            raise NumericError("an eigenvalue of A overflows")
         radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
         gaps = np.abs(values[:, None] - values[None, :])
         isolated = np.count_nonzero(gaps <= radius, axis=1) == 1
@@ -333,9 +341,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
 
     diagonal = a.diagonal()
-    shifts: dict[bool, np.ndarray] = {}  # keyed by is_real
+    shifts = {True: a.T.astype(np.float64, order="C"), False: a.T.astype(np.complex128, order="C")}
     groups = []
-    complex_bases: dict[tuple[complex, int], np.ndarray] = {}
     for idx in _cluster(gaps <= radius):
         i = int(idx[0])
         if idx.size == 1:
@@ -347,30 +354,20 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
             spread = float(np.abs(members - center).max())
         is_real = abs(center.imag) <= tol.eig_imag_tol
         lam: complex = complex(center.real) if is_real else center
-        shifted = shifts.get(is_real)
-        if shifted is None:
-            dtype = np.float64 if is_real else np.complex128
-            shifted = shifts[is_real] = a.T.astype(dtype, order="C")
+        shifted = shifts[is_real]
         shifted.reshape(-1)[:: n + 1] = diagonal - (lam.real if is_real else lam)
-        mirror = complex_bases.get((lam.conjugate(), idx.size))
-        if mirror is not None:
-            basis = mirror.conj()
-        else:
-            basis = None
-            if isolated[i]:
-                column = vectors[:, match[i] : match[i] + 1]
-                if not is_real:
-                    basis = column.astype(np.complex128)
-                elif exactly_real[i]:
-                    basis = column.real
-            if basis is None:
-                # The cluster center is within `radius` of a true eigenvalue,
-                # so sigma_min <= radius; if rounding pushed it past the
-                # cutoff, keep the closest singular direction and report its
-                # residual.
-                basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6), closest=True)
+        basis = None
+        if isolated[i]:
+            column = vectors[:, match[i] : match[i] + 1]
             if not is_real:
-                complex_bases[(lam, idx.size)] = basis
+                basis = column.astype(np.complex128)
+            elif exactly_real[i]:
+                basis = column.real
+        if basis is None:
+            # The cluster center is within `radius` of a true eigenvalue, so
+            # sigma_min <= radius; if rounding pushed it past the cutoff, keep
+            # the closest singular direction and report its residual.
+            basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6), closest=True)
         residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))
         groups.append(
             EigenGroup(

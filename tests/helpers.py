@@ -308,8 +308,7 @@ def reference_left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSys
     group (several members, a crowded one-member group, which may be a
     split copy of a defective eigenvalue, or one that matches no single
     ``eig(A^T)`` eigenvalue) takes the kernel of A^T - lambda I from an
-    SVD. A is real, so a complex group whose exact conjugate group was
-    already solved takes the conjugate of that basis.
+    SVD.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
@@ -331,7 +330,6 @@ def reference_left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSys
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
 
     groups = []
-    complex_bases: dict[tuple[complex, int], np.ndarray] = {}
     for idx in _reference_cluster(gaps <= radius):
         members = values[idx]
         center = complex(members.mean())
@@ -342,23 +340,17 @@ def reference_left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSys
             shifted = a.T - lam.real * np.eye(n)
         else:
             shifted = a.T.astype(np.complex128) - lam * np.eye(n)
-        mirror = complex_bases.get((lam.conjugate(), members.size))
-        if mirror is not None:
-            basis = mirror.conj()
-        else:
-            basis = None
-            if isolated[idx[0]]:
-                basis = _reference_eig_column(members[0], w, vectors, radius, is_real)
-            if basis is None:
-                basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
-            if basis.shape[1] == 0:
-                # The cluster center is within `radius` of a true eigenvalue, so
-                # sigma_min <= radius; if rounding pushed it past the cutoff,
-                # keep the closest singular direction and report its residual.
-                _, _, vh = np.linalg.svd(shifted)
-                basis = vh[-1:].conj().T
-            if not is_real:
-                complex_bases[(lam, members.size)] = basis
+        basis = None
+        if isolated[idx[0]]:
+            basis = _reference_eig_column(members[0], w, vectors, radius, is_real)
+        if basis is None:
+            basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6))
+        if basis.shape[1] == 0:
+            # The cluster center is within `radius` of a true eigenvalue, so
+            # sigma_min <= radius; if rounding pushed it past the cutoff,
+            # keep the closest singular direction and report its residual.
+            _, _, vh = np.linalg.svd(shifted)
+            basis = vh[-1:].conj().T
         residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))
         groups.append(
             EigenGroup(

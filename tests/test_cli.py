@@ -301,6 +301,44 @@ class TestExitCodes:
         assert "numeric failure" in err
 
 
+class TestInternalOverflow:
+    """Valid entries whose analysis overflows: a numeric failure (exit 2), not
+    an input error, and no warning on the way."""
+
+    @pytest.fixture
+    def overflow_file(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"A": [[1e308, 1e308], [1e308, 1e308]], "B": [[1.0], [1.0]]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check"], "an eigenvalue of A overflows"),
+            (["min-sparsity"], "an eigenvalue of A overflows"),
+            (["check", "--variant", "sparse", "--s", "1"], "an eigenvalue of A overflows"),
+            (["decompose"], "P A P^-1 overflows"),
+        ],
+        ids=["check", "min-sparsity", "check-sparse", "decompose"],
+    )
+    def test_exits_two(self, capsys, overflow_file, argv, message):
+        code, out, err = run(capsys, *argv[:1], overflow_file, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"numeric failure: {message}\n"
+
+    def test_verify_cert_rejects_a_wrong_eigenvalue(self, capsys, overflow_file, tmp_path):
+        # z = -e1 is no left eigenvector (residual 1e308); the bound once was inf.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({
+            "kind": "violates_condition_ii", "lambda": {"re": 5.0, "im": 0.0},
+            "z": {"re": [-1.0, 0.0], "im": [0.0, 0.0]},
+        }))
+        code, out, _ = run(capsys, "verify-cert", overflow_file, "--cert", str(cert_path))
+        assert code == 0
+        assert json.loads(out)["result"]["check"]["valid"] is False
+
+
 class TestDeterminism:
     def strip_wall_time(self, report):
         report = dict(report)

@@ -415,6 +415,12 @@ class TestConditionIII:
         assert check_condition_iii(sys, 2).passed
         assert not check_condition_iii(sys, 1).passed
 
+    def test_huge_a_keeps_its_rank(self):
+        # Unscaled, sigma_1 = 2e308 overflowed and rank(A) came out 0.
+        res = check_condition_iii(SystemPair(A=np.full((2, 2), 1e308), B=np.eye(2)), 1)
+        assert res.passed
+        assert res.rank_a == 1
+
     @pytest.mark.parametrize("bad_s", [0, -1, 5, 2.5, "one"])
     def test_rejects_out_of_range_sparsity(self, bad_s):
         with pytest.raises(InputError):
@@ -699,6 +705,19 @@ class TestVerifyCertificate:
         return Certificate(
             kind=kind, eigenvalue=eigenvalue, z=np.asarray(z), residual_eig=0.0, max_zb=0.0
         )
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-310])
+    def test_bound_does_not_overflow(self, scale):
+        # z = -e1 is no left eigenvector of the all-1e308 matrix (residual
+        # 1e308), but ||A||_2 = 2e308 once made the bound inf.
+        sys = SystemPair(A=np.full((2, 2), scale), B=np.eye(2))
+        check = verify_certificate(sys, self._cert([-1.0, 0.0], eigenvalue=5.0))
+        assert not check.valid and not check.eig_ok
+        assert check.residual_eig == max(scale, 5.0)
+
+    def test_zero_a_accepts_its_witness(self):
+        sys = SystemPair(A=np.zeros((2, 2)), B=np.eye(2))
+        assert verify_certificate(sys, self._cert([-1.0, 0.0])).valid
 
     def test_wrong_length_is_an_input_error(self):
         with pytest.raises(InputError, match="length 3"):

@@ -67,6 +67,17 @@ class TestZeroStructure:
         assert captured.out == ""
         assert captured.err == "numeric failure: A^2 overflows\n"
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-310])
+    def test_huge_and_subnormal_entries_keep_the_rank_sequence(self, scale):
+        # sigma_1 of the all-1e308 matrix is 2e308; unscaled, the cut was inf
+        # and the rank sequence (2, 0, 0).
+        st = zero_structure(np.full((2, 2), scale))
+        assert (st.n, st.q, st.rank_sequence) == (1, 1, (2, 1, 1))
+
+    def test_overflowing_change_of_basis_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match=r"^P A P\^-1 overflows$"):
+            build_decomposition(np.full((2, 2), 1e308))
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n_dim", [8, 32])
     @pytest.mark.parametrize("mu", [0.5, 1.0])

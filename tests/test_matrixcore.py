@@ -36,7 +36,7 @@ from nnscontrol import (
 from nnscontrol import controllability, matrixcore
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
 from nnscontrol.oracle import OracleConfig, coverage_probe
-from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_matrix, as_vector
+from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_matrix, as_vector, scale_unit
 
 from helpers import (
     _reference_cluster,
@@ -339,6 +339,20 @@ class TestRank:
     def test_transpose_invariant(self, m):
         assert rank(m) == rank(m.T)
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-310, 5e-324])
+    def test_huge_and_subnormal_entries(self, scale):
+        # sigma_1 of the 1e308 matrix is 2e308: unscaled, it overflows and
+        # the cut rank_rtol * sigma_1 is inf, which gave rank 0.
+        assert rank(np.full((2, 2), scale)) == 1
+        assert rank(np.full((2, 2), scale) * [1.0, -1.0j]) == 1
+
+    @pytest.mark.parametrize("top", [1e308, 3.0, 1.0, 0.75, 1e-310, 5e-324])
+    def test_scale_unit_is_an_exact_power_of_two(self, top):
+        u = scale_unit(np.array([[0.0, -top]]))
+        assert np.frexp(u)[0] == 0.5
+        assert 1.0 <= top / u < 2.0 and (top / u) * u == top
+        assert scale_unit(np.zeros((2, 2))) == 0.5
+
 
 class TestNullSpaceBasis:
     def test_trivial_kernel(self):
@@ -459,6 +473,11 @@ class TestLeftEigensystem:
         eig = left_eigensystem(np.zeros((0, 0)))
         assert eig.groups == ()
         assert eig.cluster_radius == 0.0 and type(eig.cluster_radius) is float
+
+    def test_overflowing_eigenvalue_is_a_numeric_error(self):
+        # The eigenvalue 2e308 of the all-1e308 matrix overflows to inf.
+        with pytest.raises(NumericError, match="^an eigenvalue of A overflows$"):
+            left_eigensystem(np.full((2, 2), 1e308))
 
     @pytest.mark.parametrize(
         "a",
@@ -722,9 +741,9 @@ class TestLeftEigensystemAgainstReference:
         assert reports == [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
 
     def test_every_group_path_is_taken(self):
-        # Real and complex eig(A^T) columns, conjugate mirrors, crowded and
-        # unmatched one-member groups, multi-member clusters and the
-        # empty-kernel fallback: every line of the group loop runs.
+        # Real and complex eig(A^T) columns, crowded and unmatched
+        # one-member groups, multi-member clusters and the empty-kernel
+        # fallback: every line of the group loop runs.
         systems = list(_reference_systems())
         seen = _lines_run(left_eigensystem, lambda: [left_eigensystem(s.A) for s in systems])
         source, first = inspect.getsourcelines(left_eigensystem)
@@ -779,6 +798,13 @@ class TestLeftEigensystemCost:
         groups = left_eigensystem(a).groups
         assert counts == {"eigvals": 1, "eig": 1, "svd": 1}
         assert [g.algebraic_multiplicity for g in groups] == [1, 1, 2, 1, 1]
+
+    def test_conjugate_clusters_cost_one_svd_each(self, monkeypatch):
+        # +/- i twice each: each conjugate group takes its own kernel SVD.
+        counts = count_linalg_calls(monkeypatch)
+        groups = left_eigensystem(np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])).groups
+        assert counts == {"eigvals": 1, "eig": 0, "svd": 2}
+        assert [g.geometric_multiplicity for g in groups] == [2, 2]
 
 
 class TestPbhRank:
