@@ -67,7 +67,7 @@ def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, li
     cols = g.shape[1]
     u = np.zeros(cols)
     passive: list[int] = []
-    blocked = np.zeros(cols, dtype=bool)
+    excluded = np.zeros(cols, dtype=bool)  # passive or blocked
     dual_cut = _DUAL_RTOL * float(np.abs(g).max(initial=0.0))
     r = x.copy()
     for _ in range(100 + 10 * cols):
@@ -75,32 +75,31 @@ def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, li
         if size <= feas_tol or cols == 0:
             return u, passive
         dual = g.T @ r
-        dual[passive] = -np.inf
-        dual[blocked] = -np.inf
-        j = int(np.argmax(dual))
+        dual[excluded] = -np.inf
+        j = int(dual.argmax())
         if dual[j] <= dual_cut * size:
             return u, passive
         trial = passive + [j]
         z, _, trial_rank, _ = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)
+        excluded[j] = True
         if trial_rank < len(trial) or z[-1] <= 0.0:
-            blocked[j] = True
             continue
         new_u = u.copy()
-        while np.any(z <= 0.0):
+        while (z <= 0.0).any():
             # Step from u towards z until the first coefficient reaches 0.
             current = new_u[trial]
             bad = np.flatnonzero(z <= 0.0)
             ratios = current[bad] / (current[bad] - z[bad])
             step = current + ratios.min() * (z - current)
-            step[bad[np.argmin(ratios)]] = 0.0
+            step[bad[ratios.argmin()]] = 0.0
             new_u[trial] = np.maximum(step, 0.0)
             trial = [c for c in trial if new_u[c] > 0.0]
             z = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)[0]
         new_u[:] = 0.0
         new_u[trial] = z
-        if not np.array_equal(new_u, u):
-            blocked[:] = False
-        blocked[j] = j not in trial
+        if not (new_u == u).all():  # u moved: unblock all, then block j if it left
+            excluded[:] = False
+            excluded[trial + [j]] = True
         u, passive = new_u, trial
         r = x - g @ u
     raise NumericError("non-negative least squares iteration guard exceeded")

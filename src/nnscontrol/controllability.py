@@ -239,12 +239,6 @@ class ControllabilityReport:
         }
 
 
-def _frobenius(x: np.ndarray) -> float:
-    """||X||_F as top * ||X / top||_F, top = max |X|: no square overflows."""
-    top = float(np.abs(x).max(initial=0.0))
-    return top * float(np.linalg.norm(x / top)) if top else 0.0
-
-
 def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The orthogonal controllability staircase (Paige 1981; Van Dooren 1981):
     (Q_u, A_u) with orthonormal Q_u spanning what no input reaches,
@@ -253,13 +247,15 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
     the unreached coordinates to those reached last (cut at
     ``rank_rtol * ||A||_F``) and rotates only the unreached ones, until a
     block has rank 0. Cuts relative to each matrix make scaling A or B
-    change no rank decision."""
-    n, cut = a.shape[0], tol.rank_rtol * _frobenius(a)
+    change no rank decision. It runs on A and B divided by their
+    ``scale_unit``, exact powers of two, so no norm or product overflows;
+    A_u is multiplied back, and may overflow only there."""
+    unit = scale_unit(a)
+    a, b = a / unit, b / scale_unit(b)
+    n, cut = a.shape[0], tol.rank_rtol * float(np.linalg.norm(a))
     q, s, _ = np.linalg.svd(b)
-    # An entry may overflow; left_eigensystem refuses an A whose eigenvalue does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = q.T @ a @ q
-    lo, hi = 0, int(np.count_nonzero(s > tol.rank_rtol * _frobenius(b)))
+    a = q.T @ a @ q
+    lo, hi = 0, int(np.count_nonzero(s > tol.rank_rtol * float(np.linalg.norm(b))))
     while lo < hi < n:
         u, s, _ = np.linalg.svd(a[hi:, lo:hi])
         lo, hi = hi, hi + int(np.count_nonzero(s > cut))
@@ -267,7 +263,8 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
             a[lo:] = u.T @ a[lo:]
             a[:, lo:] = a[:, lo:] @ u
             q[:, lo:] = q[:, lo:] @ u
-    return q[:, hi:], a[hi:, hi:]
+    with np.errstate(over="ignore"):
+        return q[:, hi:], a[hi:, hi:] * unit
 
 
 class _Analysis:

@@ -11,14 +11,16 @@ positive evidence of controllability; an uncovered one is inconclusive on
 its own (no horizon bound exists) and gains meaning when paired with an
 uncontrollability certificate.
 
-Four semantics-preserving shortcuts keep the enumeration tractable:
+Five semantics-preserving shortcuts keep the enumeration tractable:
 
   * a probe outside the convex relaxation (all supports merged) is outside
     every sequence cone, costing one solve instead of the full sweep;
   * sequences whose generator sets coincide after dropping zero columns
     and rescaling each column to unit norm define the same cone, so each
-    distinct set is solved once per probe. The distinct sets of horizon k
-    are built from those of horizon k-1, keying each A^j B column once;
+    distinct set is solved once per probe. Each distinct A^j B column is
+    numbered once per sweep, a set is keyed by its packed boolean row over
+    those numbers, and the distinct rows of horizon k are those of horizon
+    k-1 joined with each support's row;
   * every solve that finds a probe outside a cone G returns a Farkas
     separator w (w^T G >= 0 > w^T p), scaled to unit max modulus and kept
     when w^T G >= -1e-12 max|G| holds. One sweep shares them across every
@@ -30,8 +32,9 @@ Four semantics-preserving shortcuts keep the enumeration tractable:
     ||w||_1 <= N, so the residual exceeds feas_tol for every u with
     1e-12 max|G| ||u||_1 < (10^3 - N) feas_tol: the shortcut stays sound
     while N < 10^3. Whether w is valid for G does not depend on the probe,
-    so each grid (below) decides it once for every stored w and every G of
-    the grid, and once when a solve in the grid returns w;
+    so each grid (below) decides it once, against the floor of each G, for
+    every stored w that some probe of the grid lies that far beyond and
+    every G of the grid, and once when a solve in the grid returns w;
   * every solve that finds a probe inside a cone with exactly N positive
     coefficients, on columns P, leaves the simplicial basis G_P of that
     cone (a relaxation, or one key set of a horizon) with its inverse.
@@ -39,11 +42,14 @@ Four semantics-preserving shortcuts keep the enumeration tractable:
     "member" when c = G_P^{-1} p has c >= 0 and ||p - G_P c||_inf <=
     feas_tol. That is the solver's own member test, applied to the u >= 0
     that is c on P and 0 elsewhere, so the answer carries a witness that
-    the solver would accept.
+    the solver would accept;
+  * a probe inside the horizon-(k-1) relaxation is inside the horizon-k
+    one, whose columns [A^{k-1} B | ... | B] include all of its, so that
+    question is counted as asked and answered "member" without a solve.
 
 Each horizon asks two grids of (probe, cone) questions: the uncovered
-probes against the relaxation, then those inside it against the sequence
-cones. Stored witnesses answer a grid with array operations; the lowest
+probes not yet known inside the relaxation against it, then those inside
+it against the sequence cones. Stored witnesses answer a grid with array operations; the lowest
 probe whose next question they leave open gets a solve, whose witness is
 folded into the grid. A probe asks its cones up to its first member cone,
 less those it is known to lie outside, so the count and the survivors do
@@ -118,8 +124,8 @@ class OracleVerdict:
     outcome "uncovered": the listed directions survived through k_max;
     inconclusive without a certificate. ``lp_count`` is the number of
     membership questions the sweep settled, by a cone solve, a stored
-    separating hyperplane or a stored basis; fewer solves than that
-    actually run.
+    separating hyperplane, a stored basis or the previous horizon's
+    relaxation; fewer solves than that actually run.
     """
 
     outcome: str  # "covered_at" | "uncovered"
@@ -218,30 +224,38 @@ def _canonical_column(col: np.ndarray) -> bytes | None:
 
 def _sequence_cone_ladder(
     sys: SystemPair, supports: list[tuple[int, ...]], blocks: list[np.ndarray]
-) -> Iterator[tuple[list[frozenset[bytes]], np.ndarray]]:
+) -> Iterator[tuple[list[bytes], np.ndarray]]:
     """Yield, for k = 1..len(blocks), the distinct horizon-k sequence cones as
-    (keys, stack): their sets of nonzero canonical columns, in the order the
-    lexicographic sequences first reach them, and their generators sorted by
-    bytes, padded with NaN and gathered from one table of the horizon's
-    columns. A horizon-k sequence is a support on A^{k-1} B followed by a
-    horizon-(k-1) sequence, so each support's key set is joined with each
-    key set of horizon k-1 in turn.
+    (keys, stack), in the order the lexicographic sequences first reach them.
+    Each distinct nonzero canonical column is numbered once per ladder; a
+    cone's key packs its boolean row over the m * len(blocks) numbers, so a
+    recurring column set has the same key at every horizon. Its generators
+    are sorted by bytes, padded with NaN and gathered from one table of the
+    numbered columns. A horizon-k sequence is a support on A^{k-1} B followed
+    by a horizon-(k-1) sequence, so each support's row is joined with each
+    row of horizon k-1 in turn.
     """
-    tails: list[frozenset[bytes]] = [frozenset()]
+    width = sys.m * len(blocks)
+    number: dict[bytes, int] = {}
+    tails = np.zeros((1, width), dtype=bool)
     for block in blocks:
-        column_keys = [_canonical_column(block[:, j]) for j in range(sys.m)]
-        heads = [frozenset(column_keys[j] for j in sup) - {None} for sup in supports]
-        keys = list(dict.fromkeys(head | tail for head in heads for tail in tails))
-        columns = sorted(frozenset().union(*keys))
-        number = {key: i for i, key in enumerate(columns)}
-        rows = [sorted(number[key] for key in merged) for merged in keys]
-        sizes = np.array([len(row) for row in rows])
-        index = np.full((len(keys), sizes.max()), len(columns))
-        index[np.arange(sizes.max()) < sizes[:, None]] = list(itertools.chain.from_iterable(rows))
+        keys = [_canonical_column(block[:, j]) for j in range(sys.m)]
+        column = np.array([number.setdefault(key, len(number)) if key else width for key in keys])
+        heads = np.zeros((len(supports), width + 1), dtype=bool)  # zero columns: the spare last
+        heads[np.arange(len(supports))[:, None], column[np.array(supports)]] = True
+        merged = (heads[:, None, :width] | tails[None]).reshape(-1, width)
+        packed = np.packbits(merged, axis=1)
+        first = np.sort(np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)[1])
+        tails = merged[first]
+        columns = sorted(number)
+        rows = tails[:, [number[key] for key in columns]]
+        sizes = rows.sum(axis=1)
+        index = np.argsort(~rows, axis=1, kind="stable")[:, : sizes.max()]
+        index[np.arange(sizes.max()) >= sizes[:, None]] = len(columns)
         table = np.full((sys.n, len(columns) + 1), np.nan)
         table[:, :-1] = np.frombuffer(b"".join(columns)).reshape(-1, sys.n).T
-        yield keys, table[np.arange(sys.n)[:, None], index[:, None, :]]
-        tails = keys
+        stack = table[np.arange(sys.n)[:, None], index[:, None, :]]
+        yield [row.tobytes() for row in packed[first]], stack
 
 
 @functools.lru_cache(maxsize=32)
@@ -301,7 +315,10 @@ class _Witnesses:
         position[ids] = np.arange(len(ids))
         held = position[self.basis_cones]  # each basis's grid column, -1 off the grid
         member = self._fits(held >= 0, rows).T @ (held[held >= 0, None] == np.arange(len(ids)))
-        out = self.near[:, rows].T @ _valid_separators(self.separators, stack)
+        floors = -_SEPARATOR_TAU * np.fmax.reduce(np.abs(stack), axis=(1, 2), initial=0.0)
+        near_rows = self.near[:, rows]
+        live = near_rows.any(axis=1)  # no other separator settles a question of the grid
+        out = near_rows[live].T @ _valid_separators(self.separators[live], stack, floors)
         open_ = ~skip & (member | ~out)
         every = np.arange(len(rows))
         while True:
@@ -327,7 +344,7 @@ class _Witnesses:
                 continue
             open_[i, c] = False
             w = result.separator / np.abs(result.separator).max()
-            valid = _valid_separators(w[None], stack)[0]
+            valid = _valid_separators(w[None], stack, floors)[0]
             if valid[c]:
                 near = self.probes @ w < self.cut
                 self.separators = np.vstack([self.separators, w])
@@ -351,18 +368,18 @@ class _Witnesses:
         )
 
 
-def _valid_separators(separators: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _valid_separators(
+    separators: np.ndarray, stack: np.ndarray, floors: np.ndarray
+) -> np.ndarray:
     """valid[i, c]: separator i may reject points for cone c,
-    min(w_i^T G_c) >= -tau max|G_c|, which every separator meets on a cone
-    with no generators. fmin and fmax skip the NaN padding of ``stack``.
+    min(w_i^T G_c) >= floors[c] = -tau max|G_c|, which every separator meets
+    on a cone with no generators. fmin skips the NaN padding of ``stack``.
     Decided in chunks of cones, to bound the products held at once."""
     valid = np.empty((len(separators), len(stack)), dtype=bool)
     step = max(1, _CHUNK // (len(separators) * stack.shape[2] or 1))
     for start in range(0, len(stack), step):
-        part = stack[start : start + step]
-        least = np.fmin.reduce(separators @ part, axis=2, initial=np.inf)
-        floors = -_SEPARATOR_TAU * np.fmax.reduce(np.abs(part), axis=(1, 2), initial=0.0)
-        valid[:, start : start + step] = (least >= floors[:, None]).T
+        least = np.fmin.reduce(separators @ stack[start : start + step], axis=2, initial=np.inf)
+        valid[:, start : start + step] = (least >= floors[start : start + step, None]).T
     return valid
 
 
@@ -374,7 +391,7 @@ def _sweep_coverage(
     Zero inputs are admissible, so per-probe coverage is monotone in the
     horizon and only still-uncovered probes are retested as K grows. The
     count is of membership questions, whether a cone solve, a stored
-    separator or a stored basis settled them.
+    separator, a stored basis or an earlier relaxation settled them.
     """
     supports = enumerate_supports(sys.m, s)
     blocks = _powers_times_b(sys, k_max)
@@ -382,9 +399,14 @@ def _sweep_coverage(
     reached = 0  # horizons drawn from the ladder
     witnesses = _Witnesses(np.asarray(probes, dtype=float), tol)
     uncovered = np.arange(len(probes))
+    known = np.zeros(len(probes), dtype=bool)  # inside an earlier, hence this, relaxation
     for k in range(1, k_max + 1):
         relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
-        inside = witnesses.settle(uncovered, [k], relaxation[None])
+        inside = known[uncovered]
+        witnesses.questions += int(inside.sum())
+        if not inside.all():
+            inside[~inside] = witnesses.settle(uncovered[~inside], [k], relaxation[None])
+        known[uncovered[inside]] = True
         if s < sys.m and inside.any():  # at s == m the relaxation is the exact cone
             _guard_sequences(supports, k)
             keys, stack = next(itertools.islice(ladder, k - reached - 1, None))

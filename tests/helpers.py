@@ -1,12 +1,14 @@
 """Shared construction helpers for the test suite, and the code that faster
 paths replaced, kept as their reference: the dense two-phase simplex of
-the cone primitives, and the per-group eigen-analysis loop."""
+the cone primitives, their Lawson-Hanson loop before it kept one mask of
+excluded columns, and the per-group eigen-analysis loop."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from nnscontrol import SystemPair
+from nnscontrol.conelp import _BLOCK_RCOND, _DUAL_RTOL
 from nnscontrol.errors import InputError, NumericError
 from nnscontrol.matrixcore import (
     _CROWDING_FACTOR,
@@ -242,6 +244,63 @@ def _box_lp_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     if best_rho is None or best_value <= tol.ineq_tol:
         return None
     return best_rho / np.abs(best_rho).max()
+
+
+# The Lawson-Hanson loop of the cone primitives with the passive columns as a
+# list and the blocked ones as a mask, each excluded from the dual on its own.
+
+
+def reference_nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, list[int]]:
+    """Lawson-Hanson as it was before ``conelp._nnls`` kept one mask of the
+    passive and blocked columns: u >= 0 minimising ||x - g u||_2, and its
+    positive columns.
+
+    Stops early once ||x - g u||_inf <= feas_tol. The positive columns stay
+    linearly independent: a column that would make them rank-deficient, or
+    whose coefficient is not positive on entry, is blocked until u changes,
+    which also rules out cycling on degenerate cones. The iteration cap is a
+    guard against numerical trouble, not a tuning knob.
+    """
+    cols = g.shape[1]
+    u = np.zeros(cols)
+    passive: list[int] = []
+    blocked = np.zeros(cols, dtype=bool)
+    dual_cut = _DUAL_RTOL * float(np.abs(g).max(initial=0.0))
+    r = x.copy()
+    for _ in range(100 + 10 * cols):
+        size = float(np.abs(r).max(initial=0.0))
+        if size <= feas_tol or cols == 0:
+            return u, passive
+        dual = g.T @ r
+        dual[passive] = -np.inf
+        dual[blocked] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] <= dual_cut * size:
+            return u, passive
+        trial = passive + [j]
+        z, _, trial_rank, _ = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)
+        if trial_rank < len(trial) or z[-1] <= 0.0:
+            blocked[j] = True
+            continue
+        new_u = u.copy()
+        while np.any(z <= 0.0):
+            # Step from u towards z until the first coefficient reaches 0.
+            current = new_u[trial]
+            bad = np.flatnonzero(z <= 0.0)
+            ratios = current[bad] / (current[bad] - z[bad])
+            step = current + ratios.min() * (z - current)
+            step[bad[np.argmin(ratios)]] = 0.0
+            new_u[trial] = np.maximum(step, 0.0)
+            trial = [c for c in trial if new_u[c] > 0.0]
+            z = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)[0]
+        new_u[:] = 0.0
+        new_u[trial] = z
+        if not np.array_equal(new_u, u):
+            blocked[:] = False
+        blocked[j] = j not in trial
+        u, passive = new_u, trial
+        r = x - g @ u
+    raise NumericError("non-negative least squares iteration guard exceeded")
 
 
 # The eigen-analysis and condition i as one Python step per eigenvalue group:

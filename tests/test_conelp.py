@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import _box_lp_ray, _solve_lp, ladder_cones
+from helpers import _box_lp_ray, _solve_lp, ladder_cones, reference_nnls
 
 from nnscontrol import (
     DEFAULT_TOL,
@@ -17,6 +17,7 @@ from nnscontrol import (
     rank,
     sparsify_positive_combination,
 )
+from nnscontrol import conelp
 from nnscontrol.conelp import membership_tol
 from nnscontrol.generators import generate_system
 from nnscontrol.oracle import _powers_times_b, _sequence_cone_ladder, enumerate_supports
@@ -270,6 +271,55 @@ class TestNearBoundary:
         cones = list(ladder_cones(*list(itertools.islice(ladder, 6))[-1]).values())
         for index in (72, 84, 2111, 40332):
             self.assert_consistent(cones[index])
+
+
+def degenerate_nnls_problem(seed):
+    """A seeded cone in R^n, n in {2, 3, 4}, of up to 24 columns, some of
+    them repeated, positively or negatively parallel, nearly parallel or
+    zero, and a target inside it, outside it or near its boundary."""
+    rng = np.random.default_rng([7, seed])
+    n = int(rng.integers(2, 5))
+    g = rng.standard_normal((n, int(rng.integers(1, 9))))
+    picks = rng.integers(0, g.shape[1], size=4)
+    scales = rng.uniform(0.1, 10.0, size=3) * [1.0, 1.0, -1.0]
+    g = np.column_stack(
+        [g, g[:, picks[0]], scales[0] * g[:, picks[1]], scales[2] * g[:, picks[2]]]
+        + [g[:, picks[3]] + 10.0 ** -rng.uniform(6, 12) * rng.standard_normal(n)]
+        + [np.zeros(n)] * int(rng.integers(0, 3))
+    )
+    g = g[:, rng.permutation(g.shape[1])[: int(rng.integers(1, 25))]]
+    u = rng.uniform(0.0, 1.0, g.shape[1]) * (rng.uniform(size=g.shape[1]) < 0.5)
+    x = [g @ u, -(g @ u), rng.standard_normal(n), g @ u + 1e-9 * rng.standard_normal(n)]
+    return g, x[int(rng.integers(0, 4))]
+
+
+class TestLawsonHansonReference:
+    """``conelp._nnls`` against the loop it replaced (``helpers.reference_nnls``):
+    the same arithmetic, so the same bits."""
+
+    PROBLEMS = [degenerate_nnls_problem(seed) for seed in range(1000)]
+
+    def test_bitwise_equal_to_reference(self):
+        members = 0
+        for g, x in self.PROBLEMS:
+            feas_tol = membership_tol(x, DEFAULT_TOL)
+            u, passive = conelp._nnls(g, x, feas_tol)
+            expected_u, expected_passive = reference_nnls(g, x, feas_tol)
+            assert u.tobytes() == expected_u.tobytes()
+            assert passive == expected_passive
+            members += bool(np.abs(x - g @ u).max() <= feas_tol)
+        assert 200 < members < 800  # both answers are exercised
+
+    def test_feasible_nonneg_solution_is_unchanged(self, monkeypatch):
+        results = [feasible_nonneg_solution(g, x) for g, x in self.PROBLEMS]
+        monkeypatch.setattr(conelp, "_nnls", reference_nnls)
+        for (g, x), result in zip(self.PROBLEMS, results):
+            expected = feasible_nonneg_solution(g, x)
+            assert (result.member, result.residual) == (expected.member, expected.residual)
+            pairs = [(result.coefficients, expected.coefficients)]
+            for got, want in pairs + [(result.separator, expected.separator)]:
+                assert (got is None) == (want is None)
+                assert got is None or got.tobytes() == want.tobytes()
 
 
 class TestHomogeneousNonzero:

@@ -195,7 +195,7 @@ class TestConditionI:
         assert verify_certificate(sys, cert).valid
 
     def test_huge_entry_does_not_overflow(self):
-        # ||A||_F is taken as max|A| times ||A / max|A| ||_F, which cannot
+        # The staircase runs on A / scale_unit(A), whose norm cannot
         # overflow; condition ii fails at 1e200 with z = -e1.
         sys = SystemPair(A=np.diag([1e200, 1.0]), B=np.eye(2))
         with warnings.catch_warnings():
@@ -205,6 +205,15 @@ class TestConditionI:
             cert = report.condition_ii.certificate
             assert cert.eigenvalue == 1e200
             assert verify_certificate(sys, cert).valid
+
+    def test_huge_nilpotent_a_passes(self):
+        # A is nilpotent and B = e1 reaches e2 through A's second row. Unscaled,
+        # ||A||_F = 2e308 overflowed, the cut rank_rtol ||A||_F was inf, every
+        # coupling block ranked 0 and condition i failed at lambda = -1e308.
+        sys = SystemPair(A=np.array([[1e308, 1e308], [-1e308, -1e308]]), B=np.eye(2)[:, :1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_condition_i(sys).passed
 
     def test_shift_block_with_input_on_wrong_node(self):
         # z^T A = (0, z1) forces z = e2, and e2^T B = 0: certificate (0, e2).

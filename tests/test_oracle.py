@@ -322,6 +322,25 @@ def product_sequence_cones(sys, supports, k, blocks):
     return generators
 
 
+def assert_ladder_matches_product(sys, s, horizons):
+    """Each horizon of the ladder holds the product enumeration's cones, cone
+    by cone: in its order, one distinct key per cone, the same generator
+    bytes, NaN padding after them. Returns the keys of each horizon."""
+    supports = enumerate_supports(sys.m, s)
+    blocks = _powers_times_b(sys, horizons)
+    ladder = list(_sequence_cone_ladder(sys, supports, blocks))
+    assert len(ladder) == horizons
+    for k, (keys, stack) in enumerate(ladder, start=1):
+        expected = list(product_sequence_cones(sys, supports, k, blocks).values())
+        assert len(set(keys)) == len(keys) == len(expected)
+        assert stack.shape == (len(keys), sys.n, max(g.shape[1] for g in expected))
+        for cone, generators in zip(stack, expected):
+            width = generators.shape[1]
+            assert cone[:, :width].tobytes() == generators.tobytes()
+            assert np.isnan(cone[:, width:]).all()
+    return [keys for keys, _ in ladder]
+
+
 SHIFT = SystemPair(A=np.eye(3, k=1), B=np.eye(3))  # nilpotent: key sets recur
 ZERO_B = SystemPair(A=np.eye(2), B=np.zeros((2, 2)))  # one cone of width 0 per horizon
 # At s = 1 the support {0} picks only the zero column: an all-NaN cone.
@@ -343,18 +362,33 @@ class TestSequenceConeLadder:
         ids=["cob", "cob_t", "scalar_flip", "shift", "generated", "zero_b", "zero_column"],
     )
     def test_matches_product_enumeration(self, sys, s):
-        supports = enumerate_supports(sys.m, s)
-        blocks = _powers_times_b(sys, 4)
-        ladder = list(_sequence_cone_ladder(sys, supports, blocks))
-        assert len(ladder) == 4
+        assert_ladder_matches_product(sys, s, 4)
+
+    def test_keys_longer_than_a_machine_word(self):
+        # 66 distinct canonical columns over three horizons: each key packs
+        # 66 bits, so it spans two 64-bit words.
+        sys = generate_system("random_nonsingular_paired", 3, 22, 0).system
+        blocks = _powers_times_b(sys, 3)
+        assert len({_canonical_column(b[:, j]) for b in blocks for j in range(22)}) == 66
+        keys = assert_ladder_matches_product(sys, 1, 3)
+        assert {len(key) for key in keys[-1]} == {9}
+
+    @pytest.mark.parametrize("s", (1, 2))
+    def test_recurring_key_sets_keep_their_key(self, s):
+        # SHIFT's powers repeat columns (A e2 = e1, A^2 e3 = e1), so one set of
+        # generators is a cone at several horizons: it has one key at all of
+        # them, and no two sets share a key.
+        ladder = _sequence_cone_ladder(SHIFT, enumerate_supports(3, s), _powers_times_b(SHIFT, 4))
+        horizons_of = collections.defaultdict(set)
+        cone_of = collections.defaultdict(set)
         for k, (keys, stack) in enumerate(ladder, start=1):
-            expected = product_sequence_cones(sys, supports, k, blocks)
-            assert keys == list(expected)
-            assert stack.shape == (len(keys), sys.n, max(len(key) for key in keys))
-            for cone, (key, generators) in zip(stack, ladder_cones(keys, stack).items()):
-                assert generators.shape == expected[key].shape
-                assert generators.tobytes() == expected[key].tobytes()
-                assert np.isnan(cone[:, len(key) :]).all()
+            for key, generators in ladder_cones(keys, stack).items():
+                cone = (generators.shape, generators.tobytes())
+                horizons_of[cone].add(k)
+                cone_of[cone].add(key)
+        assert all(len(keys) == 1 for keys in cone_of.values())
+        assert len(set.union(*cone_of.values())) == len(cone_of)
+        assert max(len(horizons) for horizons in horizons_of.values()) == 4
 
     def test_coverage_guard(self):
         # 18 singleton supports: 18^3 = 5,832 sequences pass, 18^4 do not.
@@ -465,14 +499,14 @@ def watched_validity(monkeypatch):
             returned.append((result.separator / np.abs(result.separator).max()).tobytes())
         return result
 
-    def watched_decision(separators, stack):
+    def watched_decision(separators, stack, floors):
         decisions.append(len(separators))
         pairs.extend(
             (w.tobytes(), cone[:, ~np.isnan(cone[0])].tobytes())
             for w in separators
             for cone in stack
         )
-        return valid_separators(separators, stack)
+        return valid_separators(separators, stack, floors)
 
     monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched_solve)
     monkeypatch.setattr(oracle, "_valid_separators", watched_decision)
@@ -573,8 +607,9 @@ class TestSeparatorReuse:
 
     def test_heavy_tail_lp_guard(self, monkeypatch):
         # The acceptance suite's costliest system: 11,598 membership
-        # questions, nearly all settled by reused hyperplanes, with 51
-        # solves. No key set recurs across horizons here, so each (separator,
+        # questions, nearly all settled by reused hyperplanes or an earlier
+        # horizon's relaxation, with 40 solves (51 while every relaxation
+        # question was asked afresh). No key set recurs across horizons here, so each (separator,
         # cone) validity is decided at most once in the sweep, and the grid of
         # open questions is updated once per solve (each returned separator is
         # decided against it once), not once per question.
@@ -583,7 +618,7 @@ class TestSeparatorReuse:
         sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
         verdict = coverage_probe(sys, 1, OracleConfig(seed=2024))
         assert verdict.lp_count == 11598
-        assert len(calls) < 1000
+        assert len(calls) <= 40
         assert_decided_once(returned, pairs)
         # One decision per separator a solve returns, plus one decision of
         # the stored separators per grid: two grids (the relaxation, the
@@ -616,22 +651,47 @@ class TestSeparatorReuse:
     def test_valid_separators(self):
         # A cone with no generators, padded or of width 0, is valid for every
         # separator; cone(e1, e2) only for those with w >= 0 on both.
+        # The floors are -tau max|G_c|: -0 for no generators, -tau for cone(e1, e2).
         separators = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         stack = np.full((2, 2, 2), np.nan)
         stack[1] = np.eye(2)
-        valid = _valid_separators(separators, stack)
+        floors = -oracle._SEPARATOR_TAU * np.array([0.0, 1.0])
+        valid = _valid_separators(separators, stack, floors)
         assert valid.tolist() == [[True, True], [True, False], [True, False]]
-        assert _valid_separators(separators, np.zeros((1, 2, 0))).all()
+        assert _valid_separators(separators, np.zeros((1, 2, 0)), -np.zeros(1)).all()
 
     def test_controllable_solve_guard(self, monkeypatch):
         # A covered system: 210 membership questions, most of them members
-        # settled by a stored basis (14 solves; 142 before bases were kept).
+        # settled by a stored basis or an earlier horizon's relaxation (14
+        # solves; 142 before bases were kept).
         sys = generate_system("random_nonsingular_paired", 3, 4, 0).system
         expected = lp_coverage_probe(sys, 2, OracleConfig(seed=2024))
         calls = counted_solves(monkeypatch)
         verdict = coverage_probe(sys, 2, OracleConfig(seed=2024))
         assert verdict.lp_count == expected.lp_count == 210
-        assert len(calls) < 30
+        assert len(calls) <= 14
+
+    def test_earlier_relaxation_settles_without_a_solve(self, monkeypatch):
+        # The probe lies in cone(B), the horizon-1 relaxation, but in neither
+        # one-column sequence cone; cone(B) lies inside [A B | B], so the
+        # horizon-2 relaxation question is counted as asked and answered
+        # "member", and no solve sees its four columns.
+        turn = np.pi / 6
+        rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        sys = SystemPair(A=rotation, B=np.eye(2))
+        probes = [np.array([1.0, 1.0]) / np.sqrt(2.0)]
+        widths = []
+        solve = oracle.feasible_nonneg_solution
+
+        def watched(generators, *args, **kwargs):
+            widths.append(generators.shape[1])
+            return solve(generators, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched)
+        result = _sweep_coverage(sys, 1, probes, 2, DEFAULT_TOL)
+        assert result == lp_sweep_coverage(sys, 1, probes, 2)
+        assert result[0] == 2
+        assert 2 in widths and 4 not in widths
 
 
 def assert_order_free(sys, s, probes, seed):
