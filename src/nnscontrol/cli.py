@@ -303,3 +303,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m nnscontrol.cli
+    console_main()

@@ -20,10 +20,10 @@ that decided it; condition ii's is the eigenspace vector that did.
 
 The work on one pair and tol (the staircase, the left eigensystem of A and
 rank(A)) is one analysis, shared by every entry point: consecutive calls on
-the same pair, such as ``check_nonneg_sparse`` then ``min_sparsity``, run
-each once. The memo holds one entry, keyed bit for bit on A, B and tol;
-both come through ``matrixcore.as_matrix`` in canonical form, so equal
-values give equal keys.
+equal pairs, such as ``check_nonneg_sparse`` then ``min_sparsity``, run
+each once. The memo holds one entry, keyed on the pair and tol; a
+``SystemPair`` is a read-only value, so equal values give equal keys and
+no later write can reach the memo.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .conelp import homogeneous_nonzero
-from .errors import InputError, NoFeasibleSparsityError
+from .errors import InputError, NoFeasibleSparsityError, NumericError
 from .matrixcore import (
     DEFAULT_TOL,
     LeftEigenSystem,
@@ -74,12 +74,13 @@ VIOLATES_CONDITION_I = "violates_condition_i"
 VIOLATES_CONDITION_II = "violates_condition_ii"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemPair:
-    """The matrix pair (A, B) of x_k = A x_{k-1} + B u_k.
+    """The matrix pair (A, B) of x_k = A x_{k-1} + B u_k: an immutable value.
 
-    A and B are stored in the canonical form of ``matrixcore.as_matrix``,
-    so the reports depend only on the values of the entries.
+    A and B are read-only copies in the canonical form of
+    ``matrixcore.as_matrix``, so the reports depend only on the values of
+    the entries; equal values are equal bytes, and pairs compare and hash by them.
     """
 
     A: np.ndarray
@@ -92,6 +93,16 @@ class SystemPair:
         object.__setattr__(self, "B", as_input_matrix(self.B, self.A.shape[0]))
         if self.B.shape[1] < 1:
             raise InputError("B must have at least one column")
+        self.A.flags.writeable = self.B.flags.writeable = False
+
+    def _bytes(self) -> tuple[bytes, bytes]:
+        return self.A.tobytes(), self.B.tobytes()  # A's length fixes N, then B's fixes m
+
+    def __eq__(self, other) -> bool:
+        return self._bytes() == other._bytes() if isinstance(other, SystemPair) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._bytes())
 
     @property
     def n(self) -> int:
@@ -249,7 +260,7 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
     block has rank 0. Cuts relative to each matrix make scaling A or B
     change no rank decision. It runs on A and B divided by their
     ``scale_unit``, exact powers of two, so no norm or product overflows;
-    A_u is multiplied back, and may overflow only there."""
+    A_u is multiplied back, and an overflowing A_u raises ``NumericError``."""
     unit = scale_unit(a)
     a, b = a / unit, b / scale_unit(b)
     n, cut = a.shape[0], tol.rank_rtol * float(np.linalg.norm(a))
@@ -264,40 +275,36 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
             a[:, lo:] = a[:, lo:] @ u
             q[:, lo:] = q[:, lo:] @ u
     with np.errstate(over="ignore"):
-        return q[:, hi:], a[hi:, hi:] * unit
+        a_u = a[hi:, hi:] * unit
+    if not np.isfinite(a_u).all():
+        raise NumericError("the block of A that no input reaches overflows")
+    return q[:, hi:], a_u
 
 
+@dataclass(frozen=True)
 class _Analysis:
     """The work on one pair (A, B) under tol: the staircase of (A, B), the
     left eigensystem of A and rank(A), each computed on first use."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
-        self._a, self._b, self._tol = a, b, tol
+    sys: SystemPair
+    tol: Tolerances
 
     @cached_property
     def unreached(self) -> tuple[np.ndarray, np.ndarray]:
-        return _staircase(self._a, self._b, self._tol)
+        return _staircase(self.sys.A, self.sys.B, self.tol)
 
     @cached_property
     def eig(self) -> LeftEigenSystem:
-        return left_eigensystem(self._a, self._tol)
+        return left_eigensystem(self.sys.A, self.tol)
 
     @cached_property
     def rank_a(self) -> int:
-        return rank(self._a, self._tol)
+        return rank(self.sys.A, self.tol)
 
 
-@lru_cache(maxsize=1)
-def _analysis_of(n: int, a: bytes, b: bytes, tol: Tolerances) -> _Analysis:
-    """The one-entry memo. A and B are read-only views of the key's bytes,
-    so no later write to the caller's arrays can reach it."""
-    return _Analysis(np.frombuffer(a).reshape(n, n), np.frombuffer(b).reshape(n, -1), tol)
-
-
-def _analysis(sys: SystemPair, tol: Tolerances) -> _Analysis:
-    """The analysis of (A, B) under tol, reused when the previous call had
-    the same A, B (bit for bit) and tol."""
-    return _analysis_of(sys.n, sys.A.tobytes(), sys.B.tobytes(), tol)
+# The one-entry memo: a call with a pair and tol equal to the previous call's
+# reuses its analysis, and a new pair or tol replaces it.
+_analysis = lru_cache(maxsize=1)(_Analysis)
 
 
 def _normalize_max(z: np.ndarray) -> np.ndarray:

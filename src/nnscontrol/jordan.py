@@ -199,20 +199,10 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     chains = _zero_chains(a, structure, kernels)
     chains.sort(key=len)  # block sizes ascending, matching q_sizes order
 
-    columns = [u[:, j] for j in range(q)]
-    # part_rows[i-1] = row indices of P belonging to part i.
-    part_rows: list[list[int]] = [[] for _ in range(structure.n)]
-    col_index = q
-    for chain in chains:
-        size = len(chain)
-        # Chain stored head-first (height size .. 1); basis order is
-        # bottom-up: w_r = A^{size-1-r} head, so row r dies at power size - r.
-        for r in range(size):
-            columns.append(chain[size - 1 - r])
-            part_rows[size - r - 1].append(col_index)
-            col_index += 1
-
-    basis = np.column_stack(columns)
+    # Chains are stored head-first and enter the basis bottom-up (w_r = A^{s-1-r} head),
+    # so row r of a size-s chain is in part s - r, the power that kills it; P0's are level 0.
+    basis = np.column_stack([u[:, :q], *(np.column_stack(chain[::-1]) for chain in chains)])
+    level = np.concatenate([np.zeros(q, int), *(np.arange(len(chain), 0, -1) for chain in chains)])
     try:
         p = np.linalg.inv(basis)
     except np.linalg.LinAlgError as exc:
@@ -226,15 +216,8 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     if not np.isfinite(transformed).all():
         raise NumericError("P A P^-1 overflows")
     j_block = transformed[:q, :q]
-    parts = []
-    for i in range(1, structure.n + 1):
-        part = np.zeros((n_dim, n_dim))
-        rows = part_rows[i - 1]
-        part[rows, :] = p[rows, :]
-        parts.append(part)
-    return RowSplitDecomposition(
-        P=p, J=j_block, P0=p[:q, :], parts=tuple(parts), structure=structure
-    )
+    parts = tuple(np.where((level == i)[:, None], p, 0.0) for i in range(1, structure.n + 1))
+    return RowSplitDecomposition(P=p, J=j_block, P0=p[:q, :], parts=parts, structure=structure)
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,9 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
 
     A^T - lambda I is not built per group: each group overwrites the
     diagonal of a C-ordered copy of A^T shared by the groups (one real and
-    one complex copy), which also serves the residual product.
+    one complex copy), which also serves the residual product. They hold A
+    and lambda divided by ``scale_unit(A)``, an exact power of two, as does
+    the SVD cut; the residual is multiplied back, so neither overflows.
     """
     a = as_square(a, "A")
     n = a.shape[0]
@@ -340,6 +342,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
 
+    unit = scale_unit(a)
+    a = a / unit
     diagonal = a.diagonal()
     shifts = {True: a.T.astype(np.float64, order="C"), False: a.T.astype(np.complex128, order="C")}
     groups = []
@@ -355,7 +359,7 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
         is_real = abs(center.imag) <= tol.eig_imag_tol
         lam: complex = complex(center.real) if is_real else center
         shifted = shifts[is_real]
-        shifted.reshape(-1)[:: n + 1] = diagonal - (lam.real if is_real else lam)
+        shifted.reshape(-1)[:: n + 1] = diagonal - (lam.real if is_real else lam) / unit
         basis = None
         if isolated[i]:
             column = vectors[:, match[i] : match[i] + 1]
@@ -367,8 +371,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
             # The cluster center is within `radius` of a true eigenvalue, so
             # sigma_min <= radius; if rounding pushed it past the cutoff, keep
             # the closest singular direction and report its residual.
-            basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6), closest=True)
-        residual = float(max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1])))
+            basis = null_space_basis(shifted, tol, atol=radius * (1.0 + 1e-6) / unit, closest=True)
+        residual = max(np.linalg.norm(shifted @ basis[:, j]) for j in range(basis.shape[1]))
         groups.append(
             EigenGroup(
                 eigenvalue=lam,
@@ -377,7 +381,7 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
                 is_real=is_real,
                 basis=basis,
                 spread=spread,
-                max_residual=residual,
+                max_residual=unit * float(residual),
             )
         )
     groups.sort(key=lambda g: (g.eigenvalue.real, g.eigenvalue.imag))

@@ -7,6 +7,6 @@ from nnscontrol import controllability
 def fresh_analysis_memo():
     """Start and end every test with no memoized analysis, so call counts
     and monkeypatched eigen-solvers never see an earlier test's pair."""
-    controllability._analysis_of.cache_clear()
+    controllability._analysis.cache_clear()
     yield
-    controllability._analysis_of.cache_clear()
+    controllability._analysis.cache_clear()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -286,6 +287,20 @@ class TestConsoleMain:
         assert (capsys.readouterr().out == "") == missing
 
 
+class TestModuleMain:
+    def test_python_m_runs_the_cli(self):
+        # python -m nnscontrol.cli prints the report that main prints.
+        paths = [str(Path(controllability.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nnscontrol.cli", "check", COB, "--s", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report, _ = run_command(["check", COB, "--s", "1"])
+        assert json.loads(proc.stdout)["result"] == report["result"]
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_two(self, capsys, monkeypatch):
         from nnscontrol import cli
@@ -326,6 +341,28 @@ class TestInternalOverflow:
         assert code == 2
         assert out == ""
         assert err == f"numeric failure: {message}\n"
+
+    def test_unreached_block_exits_two(self, capsys, tmp_path):
+        # B spans ker A, so the block of A that no input reaches is 2e308.
+        path = tmp_path / "unreached.json"
+        path.write_text(json.dumps({"A": [[1e308, 1e308], [1e308, 1e308]], "B": [[1.0], [-1.0]]}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "numeric failure: the block of A that no input reaches overflows\n"
+
+    def test_huge_nilpotent_report_is_strict_json(self, capsys, tmp_path):
+        # The eigen-residuals once overflowed to inf and the report held Infinity.
+        path = tmp_path / "nilpotent.json"
+        path.write_text(json.dumps({"A": [[1e308, 1e308], [-1e308, -1e308]], "B": [[1.0], [0.0]]}))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert all(group["max_residual"] < 1e308 for group in report["result"]["eigenvalues"])
 
     def test_verify_cert_rejects_a_wrong_eigenvalue(self, capsys, overflow_file, tmp_path):
         # z = -e1 is no left eigenvector (residual 1e308); the bound once was inf.

@@ -20,6 +20,7 @@ from nnscontrol import (
     pbh_rank,
     rank,
 )
+from nnscontrol.cli import run_command
 from nnscontrol.controllability import (
     Certificate,
     SystemPair,
@@ -35,7 +36,7 @@ from nnscontrol.controllability import (
     min_sparsity,
     verify_certificate,
 )
-from nnscontrol.errors import NoFeasibleSparsityError
+from nnscontrol.errors import NoFeasibleSparsityError, NumericError
 from nnscontrol.fixtures import (
     change_of_basis_matrix,
     change_of_basis_system,
@@ -104,7 +105,7 @@ class TestReportsDependOnValuesOnly:
     def _reports(a: np.ndarray, b: np.ndarray) -> set[str]:
         reports = set()
         for variant in (np.ascontiguousarray(a), np.asfortranarray(a), _negate_zeros(a)):
-            controllability._analysis_of.cache_clear()
+            controllability._analysis.cache_clear()
             reports.add(json.dumps(check_nonneg_sparse(SystemPair(variant, b), 2).to_dict()))
         return reports
 
@@ -214,6 +215,14 @@ class TestConditionI:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert check_condition_i(sys).passed
+
+    @pytest.mark.parametrize("check", [check_condition_i, check_nonneg])
+    def test_overflowing_unreached_block_is_a_numeric_error(self, check):
+        # B spans ker A, and A maps nothing into it, so A_u = 2e308 overflows
+        # when multiplied back: refused before eigvals sees an inf.
+        sys = SystemPair(A=np.full((2, 2), 1e308), B=np.array([[1.0], [-1.0]]))
+        with pytest.raises(NumericError, match="the block of A that no input reaches overflows"):
+            check(sys)
 
     def test_shift_block_with_input_on_wrong_node(self):
         # z^T A = (0, z1) forces z = e2, and e2^T B = 0: certificate (0, e2).
@@ -533,9 +542,9 @@ def _memoized_reports(calls) -> list[str]:
 def _fresh_reports(calls) -> list[str]:
     reports = []
     for sys, tol in calls:
-        controllability._analysis_of.cache_clear()
+        controllability._analysis.cache_clear()
         report = check_nonneg_sparse(sys, 1, tol).to_dict()
-        controllability._analysis_of.cache_clear()
+        controllability._analysis.cache_clear()
         reports.append(json.dumps([report, min_sparsity(sys, tol)]))
     return reports
 
@@ -634,29 +643,79 @@ class TestSharedAnalysis:
         }
         assert results["i fails at -2"].certificate.eigenvalue == pytest.approx(-2.0, abs=1e-15)
         for label, b in inputs.items():
-            controllability._analysis_of.cache_clear()
+            controllability._analysis.cache_clear()
             assert results[label].to_dict() == check_nonneg(SystemPair(A=a, B=b)).to_dict()
 
-    def test_mutating_a_after_a_check_does_not_reach_the_memo(self):
-        # rank(A) is computed on first use, after A has been zeroed in place;
-        # the memo reads A from the bytes it was keyed on.
+    def test_pairs_are_read_only(self):
+        # So no write after a check can reach the memo, which holds the pair.
         sys = _paired_system(4)
-        saved = sys.A.copy()
         check_condition_i(sys)
-        sys.A[:] = 0.0
-        assert check_condition_iii(SystemPair(A=saved, B=sys.B), 1).rank_a == 16
+        for matrix in (sys.A, sys.B):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
 
-    def test_mutating_b_after_a_check_does_not_reach_the_memo(self, monkeypatch):
-        # The staircase is computed on first use, after B has been zeroed in
-        # place; the memo reads B from the bytes it was keyed on, so
-        # condition i still passes, on the same analysis.
-        sys = _paired_system(7)
-        saved = sys.B.copy()
-        check_condition_iii(sys, 1)
-        sys.B[:] = 0.0
+    def test_equal_pairs_built_apart_share_one_analysis(self, monkeypatch):
+        sys = _paired_system(5)
+        layouts = [SystemPair(np.asfortranarray(sys.A), np.asfortranarray(sys.B))]
         counts = count_linalg_calls(monkeypatch)
-        assert check_condition_i(SystemPair(A=sys.A, B=saved)).passed
-        assert counts == {"eigvals": 0, "eig": 0, "svd": 4}
+        check_nonneg_sparse(sys, 1)
+        min_sparsity(layouts[0])
+        assert counts == {"eigvals": 1, "eig": 1, "svd": 5}
+
+    def test_cli_check_then_min_sparsity_analyse_once(self, monkeypatch, tmp_path):
+        # Each command parses the file into a new pair: the cli-commands traffic.
+        sys = _paired_system(5)
+        path = tmp_path / "paired.json"
+        path.write_text(json.dumps({"A": sys.A.tolist(), "B": sys.B.tolist()}))
+        counts = count_linalg_calls(monkeypatch, ("eigvals", "eig"))
+        assert run_command(["check", str(path)])[0]["result"]["verdict"] == "controllable"
+        assert run_command(["min-sparsity", str(path)])[0]["result"]["min_sparsity"] == 1
+        assert counts == {"eigvals": 1, "eig": 1}
+
+
+class TestSystemPairValue:
+    """A SystemPair is a value: pairs with equal entries are equal, whatever
+    the memory layout or the sign of a zero, and hash alike."""
+
+    @staticmethod
+    def _variants(sys: SystemPair) -> list[SystemPair]:
+        return [
+            SystemPair(np.ascontiguousarray(sys.A), np.ascontiguousarray(sys.B)),
+            SystemPair(np.asfortranarray(sys.A), np.asfortranarray(sys.B)),
+            SystemPair(_negate_zeros(sys.A), _negate_zeros(sys.B)),
+            SystemPair(sys.A.tolist(), sys.B.tolist()),
+        ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_values_are_equal_pairs(self, kind):
+        sys = generate_system(kind, 5, 3, 0).system
+        for other in self._variants(sys):
+            assert other == sys and not other != sys
+            assert hash(other) == hash(sys)
+
+    def test_pairs_are_dict_keys(self):
+        sys = SystemPair(A=np.array([[0.0, 1.0], [0.0, 0.0]]), B=np.array([[0.0], [1.0]]))
+        keys = {pair: i for i, pair in enumerate(self._variants(sys))}
+        assert list(keys.values()) == [3]
+        assert len({sys, SystemPair(sys.A, -sys.B), SystemPair(2.0 * sys.A, sys.B)}) == 3
+
+    def test_same_bytes_split_differently_are_unequal(self):
+        # A's length fixes N and B's then fixes m: (1 x 1, 1 x 7) is not (2 x 2, 2 x 2).
+        entries = np.arange(1.0, 9.0)
+        small = SystemPair(entries[:1].reshape(1, 1), entries[1:].reshape(1, 7))
+        square = SystemPair(entries[:4].reshape(2, 2), entries[4:].reshape(2, 2))
+        assert small != square
+        assert small.A.tobytes() + small.B.tobytes() == square.A.tobytes() + square.B.tobytes()
+
+    def test_other_types_are_unequal(self):
+        sys = SystemPair(A=np.eye(2), B=np.ones((2, 1)))
+        assert sys != (sys.A, sys.B)
+        assert sys != "pair"
+
+    def test_callers_arrays_stay_writable(self):
+        a, b = np.eye(2), np.ones((2, 1))
+        SystemPair(a, b)
+        a[0, 0] = b[0, 0] = 2.0
 
 
 class TestInputCountBound:

@@ -479,6 +479,14 @@ class TestLeftEigensystem:
         with pytest.raises(NumericError, match="^an eigenvalue of A overflows$"):
             left_eigensystem(np.full((2, 2), 1e308))
 
+    def test_huge_nilpotent_residuals_do_not_overflow(self):
+        # Unscaled, the group residual ||(A^T - lambda I) z|| overflowed in the
+        # product. On A / scale_unit(A), multiplied back, it stays finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = left_eigensystem(np.array([[1e308, 1e308], [-1e308, -1e308]]))
+        assert all(g.max_residual < 1e308 for g in eig.groups)
+
     @pytest.mark.parametrize(
         "a",
         [
@@ -737,7 +745,7 @@ class TestLeftEigensystemAgainstReference:
             _assert_same_eigensystem(left_eigensystem(a), reference_left_eigensystem(a + 0.0))
         reports = [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
         monkeypatch.setattr(controllability, "left_eigensystem", reference_left_eigensystem)
-        controllability._analysis_of.cache_clear()  # the next check runs the reference
+        controllability._analysis.cache_clear()  # the next check runs the reference
         assert reports == [json.dumps(check_nonneg_sparse(s, s.m).to_dict()) for s in systems]
 
     def test_every_group_path_is_taken(self):
