@@ -35,7 +35,7 @@ _DUAL_RTOL = 1e-13
 _BLOCK_RCOND = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeMembershipResult:
     """Outcome of testing x in cone(M).
 

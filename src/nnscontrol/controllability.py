@@ -113,7 +113,7 @@ class SystemPair:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """An uncontrollability witness: an eigenpair (lambda, z).
 

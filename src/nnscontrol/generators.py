@@ -38,7 +38,7 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedWitness:
     """Ground truth planted by the generator: z^T A = eigenvalue * z^T and
     z^T B < 0 componentwise."""

@@ -109,7 +109,7 @@ def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowSplitDecomposition:
     """The invertible P with its row split, plus the nonsingular block J.
 

@@ -225,7 +225,7 @@ def null_space_basis(
     return vh[min(r, m.shape[1] - 1) if closest else r :].conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenGroup:
     """One clustered eigenvalue of A with its left eigenspace.
 
@@ -255,7 +255,7 @@ class EigenGroup:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeftEigenSystem:
     """All eigenvalues of A, grouped by numerical clustering, with left bases."""
 

@@ -11,7 +11,7 @@ positive evidence of controllability; an uncovered one is inconclusive on
 its own (no horizon bound exists) and gains meaning when paired with an
 uncontrollability certificate.
 
-Five semantics-preserving shortcuts keep the enumeration tractable:
+Seven semantics-preserving shortcuts keep the enumeration tractable:
 
   * a probe outside the convex relaxation (all supports merged) is outside
     every sequence cone, costing one solve instead of the full sweep;
@@ -45,16 +45,41 @@ Five semantics-preserving shortcuts keep the enumeration tractable:
     the solver would accept;
   * a probe inside the horizon-(k-1) relaxation is inside the horizon-k
     one, whose columns [A^{k-1} B | ... | B] include all of its, so that
-    question is counted as asked and answered "member" without a solve.
+    question is counted as asked and answered "member" without a solve;
+  * a stored separator with w^T G >= -1e-12 max|B| on the widest
+    relaxation G = [A^{k_max-1} B | ... | B] is valid for every relaxation:
+    each has a subset of those columns, and max|B| is the least of their
+    max|G|, so -1e-12 max|B| is the least negative of their floors. It is
+    decided once per stored separator. A probe it rejects is counted as
+    asked and answered "outside" at each later horizon without entering a
+    grid. No stored basis of a relaxation could have answered "member"
+    there: c >= 0 with ||p - G_P c||_inf <= feas_tol gives
+    w^T p >= -1e-12 max|G| ||c||_1 - N feas_tol, so the basis would need
+    ||c||_1 >= (10^3 - N) feas_tol / (1e-12 max|G|);
+  * a relaxation G that spans R^n positively holds every probe (Davis,
+    Amer. J. Math. 1954). One Stiemke question decides it for all the
+    probes still open (Schrijver, *Theory of Linear and Integer
+    Programming*, 1986, 7.8): is -G 1 in cone(G)? A member gives
+    y = u + 1 >= 1 with G y = 0 up to the solver's residual. Each open
+    probe p then gets the least-squares c of G c = p (singular values
+    below rank_rtol sigma_max cut; below rank N the question is not asked)
+    and u_p = max(c + t y, 0), t = max_i(-c_i / y_i) being the least shift
+    that makes c + t y nonnegative. p is answered "member" when
+    ||p - G u_p||_inf <= feas_tol, the solver's own member test on
+    u_p >= 0, as for a stored basis; the probes that fail it, or all of
+    them when the answer is no, go to the relaxation grid. A separator
+    valid at every horizon shows that no relaxation spans R^n, so the
+    question is asked only while none is stored, and from horizon 2 on,
+    after the horizon-1 grid has had its chance to store one.
 
 Each horizon asks two grids of (probe, cone) questions: the uncovered
-probes not yet known inside the relaxation against it, then those inside
-it against the sequence cones. Stored witnesses answer a grid with array operations; the lowest
-probe whose next question they leave open gets a solve, whose witness is
-folded into the grid. A probe asks its cones up to its first member cone,
-less those it is known to lie outside, so the count and the survivors do
-not depend on the order of settling. Nothing is kept from one sweep to the
-next.
+probes that no shortcut above has settled against the relaxation, then
+those inside it against the sequence cones. Stored witnesses answer a grid
+with array operations; the lowest probe whose next question they leave
+open gets a solve, whose witness is folded into the grid. A probe asks its
+cones up to its first member cone, less those it is known to lie outside,
+so the count and the survivors do not depend on the order of settling.
+Nothing is kept from one sweep to the next.
 """
 
 from __future__ import annotations
@@ -116,7 +141,7 @@ class OracleConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleVerdict:
     """Outcome of a coverage run.
 
@@ -124,8 +149,9 @@ class OracleVerdict:
     outcome "uncovered": the listed directions survived through k_max;
     inconclusive without a certificate. ``lp_count`` is the number of
     membership questions the sweep settled, by a cone solve, a stored
-    separating hyperplane, a stored basis or the previous horizon's
-    relaxation; fewer solves than that actually run.
+    separating hyperplane (one valid at every horizon included), a stored
+    basis, the previous horizon's relaxation or a relaxation that spans R^n
+    positively; fewer solves than that actually run.
     """
 
     outcome: str  # "covered_at" | "uncovered"
@@ -278,22 +304,26 @@ def _probe_directions(n: int, cfg: OracleConfig) -> np.ndarray:
 
 
 class _Witnesses:
-    """The witnesses of one sweep's solves (the third and fourth shortcuts
-    above) as arrays over the sweep's probes and the cones of its grids,
-    numbered in the order they first enter a grid.
+    """The witnesses of one sweep's solves (the third, fourth and sixth
+    shortcuts above) as arrays over the sweep's probes and the cones of its
+    grids, numbered in the order they first enter a grid.
 
-    ``near[i, p]``: separator i has w^T p < cut(p). ``outside[p, c]``: probe
-    p was asked about cone c and lies outside it. Bases are stacked with
+    ``near[i, p]``: separator i has w^T p < cut(p). ``lasting[i]``:
+    separator i is valid for every relaxation. ``outside[p, c]``: probe p
+    was asked about cone c and lies outside it. Bases are stacked with
     their inverses and the number of their cone."""
 
-    def __init__(self, probes: np.ndarray, tol: Tolerances) -> None:
+    def __init__(self, probes: np.ndarray, tol: Tolerances, blocks: list[np.ndarray]) -> None:
         count, n = probes.shape
         self.probes, self.tol = probes, tol
+        self.widest = np.hstack(blocks[::-1])
+        self.floor = -_SEPARATOR_TAU * np.abs(blocks[0]).max(initial=0.0)
         self.feas_tol = membership_tol(probes, tol)
         self.cut = -_REJECT_FACTOR * self.feas_tol
         self.ids: dict[Hashable, int] = {}
         self.separators = np.zeros((0, n))
         self.near = np.zeros((0, count), dtype=bool)
+        self.lasting = np.zeros(0, dtype=bool)
         self.outside = np.zeros((count, 0), dtype=bool)
         self.basis_cones = np.zeros(0, dtype=int)
         self.bases = np.zeros((0, n, n))
@@ -349,6 +379,7 @@ class _Witnesses:
                 near = self.probes @ w < self.cut
                 self.separators = np.vstack([self.separators, w])
                 self.near = np.vstack([self.near, near])
+                self.lasting = np.append(self.lasting, (w @ self.widest).min() >= self.floor)
                 open_ &= ~(near[rows, None] & valid) | member
         found = open_.any(axis=1)
         first = np.where(found, open_.argmax(axis=1), len(ids))
@@ -356,6 +387,23 @@ class _Witnesses:
         self.outside[np.ix_(rows, ids)] |= asked
         self.questions += int(asked.sum()) + int(found.sum())
         return found
+
+    def spanned(self, rows: np.ndarray, relaxation: np.ndarray) -> np.ndarray:
+        """Which probes of ``rows`` the relaxation G holds when it spans R^n
+        positively (the seventh shortcut above), from one solve for them all;
+        none when G is rank-deficient or does not span R^n positively."""
+        points = self.probes[rows].T
+        c, _, rank, _ = np.linalg.lstsq(relaxation, points, rcond=self.tol.rank_rtol)
+        if rank < len(points):
+            return np.zeros(len(rows), dtype=bool)
+        result = feasible_nonneg_solution(relaxation, -relaxation.sum(axis=1), self.tol)
+        if not result.member:
+            return np.zeros(len(rows), dtype=bool)
+        y = result.coefficients[:, None] + 1.0
+        u = np.maximum(c + (-c / y).max(axis=0) * y, 0.0)
+        fits = np.abs(points - relaxation @ u).max(axis=0) <= self.feas_tol[rows]
+        self.questions += int(fits.sum())
+        return fits
 
     def _fits(self, which, rows: np.ndarray) -> np.ndarray:
         """fits[b, r]: c = G_b^{-1} p has c >= 0 and ||p - G_b c||_inf <=
@@ -391,21 +439,28 @@ def _sweep_coverage(
     Zero inputs are admissible, so per-probe coverage is monotone in the
     horizon and only still-uncovered probes are retested as K grows. The
     count is of membership questions, whether a cone solve, a stored
-    separator, a stored basis or an earlier relaxation settled them.
+    separator (one valid at every horizon included), a stored basis, an
+    earlier relaxation or a relaxation that spans R^n positively settled
+    them.
     """
     supports = enumerate_supports(sys.m, s)
     blocks = _powers_times_b(sys, k_max)
     ladder = _sequence_cone_ladder(sys, supports, blocks)
     reached = 0  # horizons drawn from the ladder
-    witnesses = _Witnesses(np.asarray(probes, dtype=float), tol)
+    witnesses = _Witnesses(np.asarray(probes, dtype=float), tol, blocks)
     uncovered = np.arange(len(probes))
     known = np.zeros(len(probes), dtype=bool)  # inside an earlier, hence this, relaxation
     for k in range(1, k_max + 1):
         relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
         inside = known[uncovered]
-        witnesses.questions += int(inside.sum())
-        if not inside.all():
-            inside[~inside] = witnesses.settle(uncovered[~inside], [k], relaxation[None])
+        out = witnesses.near[witnesses.lasting][:, uncovered].any(axis=0)  # out for good
+        open_ = ~inside & ~out
+        witnesses.questions += int((~open_).sum())
+        if k > 1 and open_.any() and not witnesses.lasting.any():  # may span R^n
+            inside[open_] = witnesses.spanned(uncovered[open_], relaxation)
+            open_ &= ~inside
+        if open_.any():
+            inside[open_] = witnesses.settle(uncovered[open_], [k], relaxation[None])
         known[uncovered[inside]] = True
         if s < sys.m and inside.any():  # at s == m the relaxation is the exact cone
             _guard_sequences(supports, k)

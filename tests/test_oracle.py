@@ -11,6 +11,7 @@ from nnscontrol import DEFAULT_TOL, InputError, NumericError, oracle
 from nnscontrol.controllability import (
     SystemPair,
     certificate_direction,
+    check_nonneg,
     check_nonneg_sparse,
 )
 from nnscontrol.conelp import feasible_nonneg_solution
@@ -154,6 +155,22 @@ class TestCoverageProbe:
     def test_lp_count_reported(self):
         verdict = coverage_probe(SCALAR_FLIP, 1, OracleConfig(seed=1, n_directions=4))
         assert verdict.lp_count > 0
+
+
+class TestRecordEquality:
+    def test_reports_and_verdicts_of_one_pair(self):
+        # The report carries a certificate and the verdict its uncovered
+        # directions, both arrays: == compares the records without raising,
+        # and the two runs agree value for value.
+        sys = SystemPair(A=np.array([[0.0, 0.0], [1.0, 0.0]]), B=np.array([[1.0], [0.0]]))
+        reports = (check_nonneg(sys), check_nonneg(sys))
+        verdicts = (coverage_probe(sys, 1), coverage_probe(sys, 1))
+        assert reports[0].condition_ii.certificate is not None
+        assert verdicts[0].outcome == "uncovered" and verdicts[0].uncovered_directions
+        for first, second in (reports, verdicts):
+            assert isinstance(first == second, bool)
+            assert first == first
+            assert first.to_dict() == second.to_dict()
 
 
 class TestRandomRollout:
@@ -609,10 +626,12 @@ class TestSeparatorReuse:
         # The acceptance suite's costliest system: 11,598 membership
         # questions, nearly all settled by reused hyperplanes or an earlier
         # horizon's relaxation, with 40 solves (51 while every relaxation
-        # question was asked afresh). No key set recurs across horizons here, so each (separator,
-        # cone) validity is decided at most once in the sweep, and the grid of
-        # open questions is updated once per solve (each returned separator is
-        # decided against it once), not once per question.
+        # question was asked afresh). A hyperplane valid at every horizon is
+        # stored at horizon 1, so no whole-space question is asked. No key
+        # set recurs across horizons here, so each (separator, cone)
+        # validity is decided at most once in the sweep, and the grid of
+        # open questions is updated once per solve (each returned separator
+        # is decided against it once), not once per question.
         calls = counted_solves(monkeypatch)
         returned, decisions, pairs = watched_validity(monkeypatch)
         sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
@@ -662,14 +681,16 @@ class TestSeparatorReuse:
 
     def test_controllable_solve_guard(self, monkeypatch):
         # A covered system: 210 membership questions, most of them members
-        # settled by a stored basis or an earlier horizon's relaxation (14
-        # solves; 142 before bases were kept).
+        # settled by a stored basis, an earlier horizon's relaxation or a
+        # relaxation that spans R^3 positively (7 solves; 14 while each
+        # relaxation question was asked in its grid, 142 before bases were
+        # kept).
         sys = generate_system("random_nonsingular_paired", 3, 4, 0).system
         expected = lp_coverage_probe(sys, 2, OracleConfig(seed=2024))
         calls = counted_solves(monkeypatch)
         verdict = coverage_probe(sys, 2, OracleConfig(seed=2024))
         assert verdict.lp_count == expected.lp_count == 210
-        assert len(calls) <= 14
+        assert len(calls) <= 7
 
     def test_earlier_relaxation_settles_without_a_solve(self, monkeypatch):
         # The probe lies in cone(B), the horizon-1 relaxation, but in neither
@@ -692,6 +713,134 @@ class TestSeparatorReuse:
         assert result == lp_sweep_coverage(sys, 1, probes, 2)
         assert result[0] == 2
         assert 2 in widths and 4 not in widths
+
+
+def rotation(degrees):
+    turn = np.radians(degrees)
+    return np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+
+
+def unit(degrees):
+    return rotation(degrees)[:, 0]
+
+
+def watched_sweep(monkeypatch):
+    """Wrap the oracle's solver, grids and whole-space rule. Returns the
+    generator widths of the solves, the (keys, rows) of each grid, and the
+    (rows, fits) of each whole-space answer, as lists of plain values."""
+    solve = oracle.feasible_nonneg_solution
+    settle, spanned = oracle._Witnesses.settle, oracle._Witnesses.spanned
+    widths, grids, spans = [], [], []
+
+    def watched_solve(generators, *args, **kwargs):
+        widths.append(generators.shape[1])
+        return solve(generators, *args, **kwargs)
+
+    def watched_settle(witnesses, rows, keys, stack):
+        grids.append((list(keys), rows.tolist()))
+        return settle(witnesses, rows, keys, stack)
+
+    def watched_spanned(witnesses, rows, relaxation):
+        fits = spanned(witnesses, rows, relaxation)
+        spans.append((rows.tolist(), fits.tolist()))
+        return fits
+
+    monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched_solve)
+    monkeypatch.setattr(oracle._Witnesses, "settle", watched_settle)
+    monkeypatch.setattr(oracle._Witnesses, "spanned", watched_spanned)
+    return widths, grids, spans
+
+
+class TestKnownOutside:
+    """A stored separator valid for the widest relaxation, against the
+    least negative floor, answers "outside" at every later horizon."""
+
+    def test_separator_valid_for_every_block_keeps_its_probe_out(self, monkeypatch):
+        # cone(B) is the first quadrant and A shears it upwards: w = (1, 1),
+        # the separator of the third-quadrant probe at horizon 1, has
+        # w^T A^j B >= 0 for every block. That probe never enters a later
+        # relaxation grid, and no solve sees the 4 or 6 relaxation columns;
+        # the other probe is covered at horizon 2 by a sequence cone.
+        sys = SystemPair(A=np.array([[1.0, 0.0], [1.0, 1.0]]), B=np.eye(2))
+        probes = [unit(225), np.array([1.0, 2.0]) / np.sqrt(5.0)]
+        expected = lp_sweep_coverage(sys, 1, probes, 3)
+        widths, grids, spans = watched_sweep(monkeypatch)
+        assert _sweep_coverage(sys, 1, probes, 3, DEFAULT_TOL) == expected
+        assert expected[:2] == (None, [0])
+        assert grids[0] == ([1], [0, 1])
+        assert [rows for keys, rows in grids if keys in ([2], [3])] == []
+        assert 4 not in widths and 6 not in widths
+        assert spans == []
+
+    def test_separator_valid_only_at_first_returns_to_the_grid(self, monkeypatch):
+        # B = (1, 1) and A reflects it to (1, -1). The horizon-1 separator of
+        # the probe -e2 is w = e2, valid for cone(B) but not for A B, so at
+        # horizon 2 the probe is asked in the relaxation grid again and
+        # solved. That solve's separator (1, 1) is valid for every block, so
+        # at horizon 3 the probe stays out without entering a grid.
+        sys = SystemPair(A=np.diag([1.0, -1.0]), B=np.array([[1.0], [1.0]]))
+        probes = [np.array([0.0, -1.0])]
+        expected = lp_sweep_coverage(sys, 1, probes, 3)
+        widths, grids, _ = watched_sweep(monkeypatch)
+        assert _sweep_coverage(sys, 1, probes, 3, DEFAULT_TOL) == expected
+        assert expected == (None, [0], 3)
+        assert grids == [([1], [0]), ([2], [0])]
+        assert 3 not in widths
+
+
+class TestWholeSpace:
+    """A relaxation that spans R^n positively holds every probe; one
+    Stiemke question finds it, and each probe's witness is checked."""
+
+    def test_one_solve_settles_every_open_probe(self, monkeypatch):
+        # Rotations by 120 degrees: the horizon-3 relaxation spans R^2
+        # positively, and no horizon-1 separator is valid for it. The
+        # Stiemke question of horizon 3 is its only solve, and it settles
+        # every probe still open there.
+        sys = SystemPair(A=rotation(120), B=np.array([[1.0], [0.0]]))
+        probes = _probe_directions(2, SWEEP_CONFIG)
+        expected = lp_sweep_coverage(sys, 1, probes, 3)
+        widths, grids, spans = watched_sweep(monkeypatch)
+        assert _sweep_coverage(sys, 1, probes, 3, DEFAULT_TOL) == expected
+        assert expected[0] == 3
+        assert widths.count(3) == 1
+        rows, fits = spans[-1]
+        assert rows and all(fits)
+        assert [keys for keys, _ in grids if keys == [3]] == []
+
+    def test_cone_short_of_a_half_plane_falls_back_to_solves(self, monkeypatch):
+        # Generators at 0, 90 and 170 degrees, then turned by 5: the
+        # horizon-2 relaxation covers 0 to 175 degrees and misses the thin
+        # wedge beyond it. The Stiemke question says no, and each open probe
+        # is solved: the one at 172.5 degrees is inside, the one at 177.5
+        # is not.
+        sys = SystemPair(A=rotation(5), B=np.column_stack([unit(0), unit(90), unit(170)]))
+        probes = [unit(60), unit(172.5), unit(177.5)]
+        expected = lp_sweep_coverage(sys, 3, probes, 2)
+        widths, grids, spans = watched_sweep(monkeypatch)
+        assert _sweep_coverage(sys, 3, probes, 2, DEFAULT_TOL) == expected
+        assert expected == (None, [2], 5)
+        assert spans == [([1, 2], [False, False])]
+        assert grids[-1] == ([2], [1, 2])
+        assert widths.count(6) == 3
+
+    def test_witness_failing_the_residual_test_goes_to_settle(self, monkeypatch):
+        # The horizon-2 relaxation has columns (-1, 9e-9), (0, -eps), (1, 0)
+        # and (0, eps): G 1 = (0, 9e-9) is within the solver's tolerance, so
+        # the Stiemke question is answered with y = 1 and G y is not 0. The
+        # probe -e1 needs t = 1/2 and passes; -e2 needs t = 1/(2 eps), which
+        # leaves a residual of 9e-9 t, and goes to settle, where it is
+        # solved and found inside.
+        eps = 0.01
+        a = np.array([[-1.0, 0.0], [9e-9, -1.0]])
+        sys = SystemPair(A=a, B=np.diag([1.0, eps]))
+        probes = [np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
+        expected = lp_sweep_coverage(sys, 2, probes, 2)
+        _, grids, spans = watched_sweep(monkeypatch)
+        assert _sweep_coverage(sys, 2, probes, 2, DEFAULT_TOL) == expected
+        assert expected == (2, [], 4)
+        assert spans == [([0, 1], [True, False])]
+        assert grids[-1] == ([2], [1])
 
 
 def assert_order_free(sys, s, probes, seed):

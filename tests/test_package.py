@@ -1,7 +1,18 @@
 import importlib
 
+import numpy as np
+import pytest
+
 import nnscontrol
-from nnscontrol import errors
+from nnscontrol import (
+    conelp,
+    controllability,
+    errors,
+    generators,
+    jordan,
+    matrixcore,
+    oracle,
+)
 
 LIBRARY_MODULES = (
     "errors", "matrixcore", "conelp", "controllability", "jordan", "oracle", "generators",
@@ -42,3 +53,30 @@ def test_cli_and_fixtures_are_not_exported():
     for module in ("cli", "fixtures"):
         names = importlib.import_module(f"nnscontrol.{module}").__all__
         assert not set(names) & set(nnscontrol.__all__)
+
+
+SHIFT_A = np.array([[0.0, 0.0], [1.0, 0.0]])
+SHIFT = controllability.SystemPair(A=SHIFT_A, B=np.array([[1.0], [0.0]]))
+# Each record holds an array; each builder makes a fresh record from one input.
+ARRAY_RECORDS = {
+    "Certificate": lambda: controllability.check_nonneg(SHIFT).condition_ii.certificate,
+    "EigenGroup": lambda: matrixcore.left_eigensystem(SHIFT_A).groups[0],
+    "LeftEigenSystem": lambda: matrixcore.left_eigensystem(SHIFT_A),
+    "RowSplitDecomposition": lambda: jordan.build_decomposition(SHIFT_A),
+    "ConeMembershipResult": lambda: conelp.feasible_nonneg_solution(SHIFT_A, [1.0, 1.0]),
+    "OracleVerdict": lambda: oracle.coverage_probe(SHIFT, 1),
+    "PlantedWitness": lambda: generators.generate_system(
+        "planted_uncontrollable_ii", 3, 2, 0
+    ).planted,
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_without_raising(name):
+    # A generated == would ask numpy for the truth value of an array and
+    # raise; these records compare by identity, and hash by it.
+    first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and not first != first
+    assert first != second
+    assert len({first, second}) == 2
