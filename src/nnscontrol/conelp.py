@@ -131,14 +131,19 @@ def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembers
     # them out removes the rounding. When they are ill-conditioned, a column
     # refused as dependent on them can still see w^T g < 0 beyond rounding;
     # then the subspace that best fits both is tried too, and the separator
-    # that leaves its worst generator least far below zero is kept.
-    w = _separator(r, np.linalg.qr(m[:, passive])[0])
+    # that leaves its worst generator least far below zero is kept. When the
+    # positive columns span the whole space, projecting leaves nothing, and
+    # -r itself is the separator: it is nonzero, as r exceeds feas_tol.
+    candidates = [_separator(r, np.linalg.qr(m[:, passive])[0])]
     stuck = m.T @ r > _DUAL_RTOL * float(np.abs(m).max(initial=0.0)) * residual
     stuck[passive] = False
     if stuck.any():
         near = m[:, passive + list(np.flatnonzero(stuck))]
-        fit = _separator(r, np.linalg.svd(near, full_matrices=False)[0][:, : len(passive)])
-        w = max(w, fit, key=lambda v: float((v @ m).min()) / float(np.abs(v).max()))
+        candidates.append(
+            _separator(r, np.linalg.svd(near, full_matrices=False)[0][:, : len(passive)])
+        )
+    candidates = [v for v in candidates if v.any()] or [-r]
+    w = max(candidates, key=lambda v: float((v @ m).min(initial=np.inf)) / float(np.abs(v).max()))
     return ConeMembershipResult(False, None, residual, w)
 
 

@@ -36,13 +36,13 @@ Seven semantics-preserving shortcuts keep the enumeration tractable:
     every stored w that some probe of the grid lies that far beyond and
     every G of the grid, and once when a solve in the grid returns w;
   * every solve that finds a probe inside a cone with exactly N positive
-    coefficients, on columns P, leaves the simplicial basis G_P of that
-    cone (a relaxation, or one key set of a horizon) with its inverse.
-    Before any other test, a stored basis of the cone asked about answers
-    "member" when c = G_P^{-1} p has c >= 0 and ||p - G_P c||_inf <=
-    feas_tol. That is the solver's own member test, applied to the u >= 0
-    that is c on P and 0 elsewhere, so the answer carries a witness that
-    the solver would accept;
+    coefficients, on columns P, tests the simplicial basis G_P of that
+    cone on the other probes of its grid: one with c = G_P^{-1} p >= 0 and
+    ||p - G_P c||_inf <= feas_tol is a member of the cone. That is the
+    solver's own member test, applied to the u >= 0 that is c on P and 0
+    elsewhere, so the answer carries a witness that the solver would
+    accept. The basis is then dropped: the grid has settled every probe
+    it holds, and a later grid asks about other probes or other cones;
   * a probe inside the horizon-(k-1) relaxation is inside the horizon-k
     one, whose columns [A^{k-1} B | ... | B] include all of its, so that
     question is counted as asked and answered "member" without a solve;
@@ -52,8 +52,8 @@ Seven semantics-preserving shortcuts keep the enumeration tractable:
     max|G|, so -1e-12 max|B| is the least negative of their floors. It is
     decided once per stored separator. A probe it rejects is counted as
     asked and answered "outside" at each later horizon without entering a
-    grid. No stored basis of a relaxation could have answered "member"
-    there: c >= 0 with ||p - G_P c||_inf <= feas_tol gives
+    grid. No basis found in that grid could have answered "member": c >= 0
+    with ||p - G_P c||_inf <= feas_tol gives
     w^T p >= -1e-12 max|G| ||c||_1 - N feas_tol, so the basis would need
     ||c||_1 >= (10^3 - N) feas_tol / (1e-12 max|G|);
   * a relaxation G that spans R^n positively holds every probe (Davis,
@@ -66,7 +66,7 @@ Seven semantics-preserving shortcuts keep the enumeration tractable:
     and u_p = max(c + t y, 0), t = max_i(-c_i / y_i) being the least shift
     that makes c + t y nonnegative. p is answered "member" when
     ||p - G u_p||_inf <= feas_tol, the solver's own member test on
-    u_p >= 0, as for a stored basis; the probes that fail it, or all of
+    u_p >= 0, as for a basis G_P; the probes that fail it, or all of
     them when the answer is no, go to the relaxation grid. A separator
     valid at every horizon shows that no relaxation spans R^n, so the
     question is asked only while none is stored, and from horizon 2 on,
@@ -74,7 +74,7 @@ Seven semantics-preserving shortcuts keep the enumeration tractable:
 
 Each horizon asks two grids of (probe, cone) questions: the uncovered
 probes that no shortcut above has settled against the relaxation, then
-those inside it against the sequence cones. Stored witnesses answer a grid
+those inside it against the sequence cones. Stored separators answer a grid
 with array operations; the lowest probe whose next question they leave
 open gets a solve, whose witness is folded into the grid. A probe asks its
 cones up to its first member cone, less those it is known to lie outside,
@@ -149,9 +149,10 @@ class OracleVerdict:
     outcome "uncovered": the listed directions survived through k_max;
     inconclusive without a certificate. ``lp_count`` is the number of
     membership questions the sweep settled, by a cone solve, a stored
-    separating hyperplane (one valid at every horizon included), a stored
-    basis, the previous horizon's relaxation or a relaxation that spans R^n
-    positively; fewer solves than that actually run.
+    separating hyperplane (one valid at every horizon included), a basis
+    found in the same grid, the previous horizon's relaxation or a
+    relaxation that spans R^n positively; fewer solves than that actually
+    run.
     """
 
     outcome: str  # "covered_at" | "uncovered"
@@ -304,14 +305,14 @@ def _probe_directions(n: int, cfg: OracleConfig) -> np.ndarray:
 
 
 class _Witnesses:
-    """The witnesses of one sweep's solves (the third, fourth and sixth
-    shortcuts above) as arrays over the sweep's probes and the cones of its
-    grids, numbered in the order they first enter a grid.
+    """The separators of one sweep's solves and what its grids found (the
+    third and sixth shortcuts above), as arrays over the sweep's probes and
+    the cones of its grids, numbered in the order they first enter a grid.
 
     ``near[i, p]``: separator i has w^T p < cut(p). ``lasting[i]``:
     separator i is valid for every relaxation. ``outside[p, c]``: probe p
-    was asked about cone c and lies outside it. Bases are stacked with
-    their inverses and the number of their cone."""
+    was asked about cone c and lies outside it. A basis (the fourth
+    shortcut) lives only in the grid whose solve found it."""
 
     def __init__(self, probes: np.ndarray, tol: Tolerances, blocks: list[np.ndarray]) -> None:
         count, n = probes.shape
@@ -325,15 +326,12 @@ class _Witnesses:
         self.near = np.zeros((0, count), dtype=bool)
         self.lasting = np.zeros(0, dtype=bool)
         self.outside = np.zeros((count, 0), dtype=bool)
-        self.basis_cones = np.zeros(0, dtype=int)
-        self.bases = np.zeros((0, n, n))
-        self.inverses = np.zeros((0, n, n))
         self.questions = 0
 
     def settle(self, rows: np.ndarray, keys: list[Hashable], stack: np.ndarray) -> np.ndarray:
         """Ask each probe of ``rows`` about the cones ``keys`` (generators in
         ``stack``) in order, skipping those it is known to lie outside, up to
-        its first member cone; return which rows have one. Stored witnesses
+        its first member cone; return which rows have one. Stored separators
         answer the whole grid of questions at once; the lowest row whose next
         open question they leave unanswered gets a solve, and its witness is
         folded into the grid."""
@@ -341,15 +339,13 @@ class _Witnesses:
         new = len(self.ids) - self.outside.shape[1]
         self.outside = np.hstack([self.outside, np.zeros((len(self.probes), new), dtype=bool)])
         skip = self.outside[np.ix_(rows, ids)]
-        position = np.full(len(self.ids), -1)
-        position[ids] = np.arange(len(ids))
-        held = position[self.basis_cones]  # each basis's grid column, -1 off the grid
-        member = self._fits(held >= 0, rows).T @ (held[held >= 0, None] == np.arange(len(ids)))
+        member = np.zeros_like(skip)
+        points = self.probes[rows].T
         floors = -_SEPARATOR_TAU * np.fmax.reduce(np.abs(stack), axis=(1, 2), initial=0.0)
         near_rows = self.near[:, rows]
         live = near_rows.any(axis=1)  # no other separator settles a question of the grid
         out = near_rows[live].T @ _valid_separators(self.separators[live], stack, floors)
-        open_ = ~skip & (member | ~out)
+        open_ = ~skip & ~out
         every = np.arange(len(rows))
         while True:
             first = open_.argmax(axis=1)
@@ -363,12 +359,12 @@ class _Witnesses:
             if result.member:
                 member[i, c] = True
                 positive = np.flatnonzero(result.coefficients > 0.0)
-                if len(positive) == self.probes.shape[1]:
+                if len(positive) == len(points):
                     basis = generators[:, positive]
-                    self.basis_cones = np.append(self.basis_cones, ids[c])
-                    self.bases = np.concatenate([self.bases, basis[None]])
-                    self.inverses = np.concatenate([self.inverses, np.linalg.inv(basis)[None]])
-                    fits = self._fits(slice(-1, None), rows)[0]
+                    coefficients = np.linalg.inv(basis) @ points
+                    fits = (coefficients.min(axis=0) >= 0.0) & (
+                        np.abs(points - basis @ coefficients).max(axis=0) <= self.feas_tol[rows]
+                    )
                     member[:, c] |= fits
                     open_[:, c] |= fits & ~skip[:, c]
                 continue
@@ -405,16 +401,6 @@ class _Witnesses:
         self.questions += int(fits.sum())
         return fits
 
-    def _fits(self, which, rows: np.ndarray) -> np.ndarray:
-        """fits[b, r]: c = G_b^{-1} p has c >= 0 and ||p - G_b c||_inf <=
-        feas_tol, for the selected bases b and p the probe of rows[r]."""
-        points = self.probes[rows].T
-        coefficients = self.inverses[which] @ points
-        residuals = points - self.bases[which] @ coefficients
-        return (coefficients.min(axis=1) >= 0.0) & (
-            np.abs(residuals).max(axis=1) <= self.feas_tol[rows]
-        )
-
 
 def _valid_separators(
     separators: np.ndarray, stack: np.ndarray, floors: np.ndarray
@@ -439,8 +425,8 @@ def _sweep_coverage(
     Zero inputs are admissible, so per-probe coverage is monotone in the
     horizon and only still-uncovered probes are retested as K grows. The
     count is of membership questions, whether a cone solve, a stored
-    separator (one valid at every horizon included), a stored basis, an
-    earlier relaxation or a relaxation that spans R^n positively settled
+    separator (one valid at every horizon included), a basis found in the
+    same grid, an earlier relaxation or a relaxation that spans R^n positively settled
     them.
     """
     supports = enumerate_supports(sys.m, s)

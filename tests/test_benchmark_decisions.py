@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 U, C = "uncovered", "covered_at"
 # (outcome, k_used, lp_count) of coverage_probe on each case of
-# build_oracle_agreement(1, "full", ...), in build order.
+# build_oracle_agreement(seed, "full", ...), in build order.
 SEED_1 = [
     (U, 6, 379), (U, 6, 341), (U, 6, 418), (U, 6, 295), (U, 6, 263), (U, 6, 424), (U, 6, 371),
     (U, 6, 351), (U, 6, 335), (U, 6, 426), (U, 6, 396), (U, 6, 458), (U, 6, 408), (U, 6, 404),
@@ -25,6 +25,26 @@ SEED_1 = [
     (U, 6, 420), (C, 2, 296), (C, 2, 134), (C, 2, 468), (C, 2, 231), (C, 2, 94), (C, 2, 742),
     (C, 1, 294), (C, 1, 169), (C, 1, 68), (C, 3, 523), (C, 3, 206), (C, 3, 1185), (C, 2, 275),
     (C, 2, 140), (C, 3, 2035), (C, 2, 580), (C, 2, 244), (C, 2, 138),
+]
+SEED_2 = [
+    (U, 6, 369), (U, 6, 356), (U, 6, 438), (U, 6, 341), (U, 6, 303), (U, 6, 444), (U, 6, 344),
+    (U, 6, 336), (U, 6, 318), (U, 6, 426), (U, 6, 420), (U, 6, 458), (U, 6, 417), (U, 6, 411),
+    (U, 6, 11598), (U, 6, 443), (U, 6, 404), (U, 6, 393), (U, 6, 408), (C, 2, 136), (C, 2, 441),
+    (U, 6, 292), (C, 2, 96), (U, 6, 666), (C, 1, 292), (C, 1, 169), (C, 1, 68), (C, 3, 524),
+    (U, 6, 420), (U, 6, 717), (U, 6, 420), (C, 2, 140), (U, 6, 420), (C, 2, 575), (C, 2, 274),
+    (U, 6, 420), (C, 2, 305), (C, 2, 136), (C, 2, 401), (C, 2, 190), (C, 2, 104), (C, 2, 592),
+    (C, 1, 290), (C, 1, 184), (C, 1, 68), (C, 3, 515), (C, 3, 210), (C, 3, 855), (C, 3, 242),
+    (C, 3, 172), (C, 3, 1794), (C, 2, 294), (C, 2, 250), (C, 2, 140),
+]
+SEED_3 = [
+    (U, 6, 389), (U, 6, 347), (U, 6, 419), (U, 6, 344), (U, 6, 328), (U, 6, 456), (U, 6, 396),
+    (U, 6, 371), (U, 6, 340), (U, 6, 426), (U, 6, 408), (U, 6, 458), (U, 6, 420), (U, 6, 420),
+    (U, 6, 11598), (U, 6, 485), (U, 6, 379), (U, 6, 360), (U, 6, 408), (C, 2, 136), (C, 2, 451),
+    (U, 6, 306), (C, 2, 95), (U, 6, 680), (C, 1, 291), (C, 1, 174), (C, 1, 68), (C, 3, 504),
+    (U, 6, 420), (U, 6, 780), (U, 6, 416), (C, 2, 140), (U, 6, 420), (C, 2, 309), (C, 2, 259),
+    (U, 6, 420), (C, 2, 314), (C, 2, 136), (C, 2, 450), (C, 2, 172), (C, 2, 94), (C, 2, 650),
+    (C, 1, 301), (C, 1, 170), (C, 1, 68), (C, 3, 551), (C, 3, 210), (C, 3, 1275), (C, 2, 271),
+    (C, 2, 140), (C, 3, 2028), (C, 2, 380), (C, 2, 239), (C, 2, 138),
 ]
 
 
@@ -39,12 +59,25 @@ def load_workloads(monkeypatch):
     return module
 
 
-def test_oracle_agreement_seed_1(monkeypatch, tmp_path):
+def decisions(monkeypatch, tmp_path, seed):
     workloads = load_workloads(monkeypatch)
-    cases = workloads.build_oracle_agreement(1, "full", tmp_path)
-    decisions = []
-    for case in cases:
-        verdict = oracle.coverage_probe(case.system, case.s, workloads.ORACLE_CONFIG)
-        decisions.append((verdict.outcome, verdict.k_used, verdict.lp_count))
-    assert decisions == SEED_1
-    assert sum(lp_count for _, _, lp_count in decisions) == 32168
+    cases = workloads.build_oracle_agreement(seed, "full", tmp_path)
+    verdicts = [
+        oracle.coverage_probe(case.system, case.s, workloads.ORACLE_CONFIG) for case in cases
+    ]
+    return [(verdict.outcome, verdict.k_used, verdict.lp_count) for verdict in verdicts]
+
+
+def test_oracle_agreement_seed_1(monkeypatch, tmp_path):
+    assert decisions(monkeypatch, tmp_path, 1) == SEED_1
+    assert sum(lp_count for _, _, lp_count in SEED_1) == 32168
+
+
+def test_oracle_agreement_seed_2(monkeypatch, tmp_path):
+    assert decisions(monkeypatch, tmp_path, 2) == SEED_2
+    assert sum(lp_count for _, _, lp_count in SEED_2) == 31439
+
+
+def test_oracle_agreement_seed_3(monkeypatch, tmp_path):
+    assert decisions(monkeypatch, tmp_path, 3) == SEED_3
+    assert sum(lp_count for _, _, lp_count in SEED_3) == 32208

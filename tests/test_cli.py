@@ -157,6 +157,19 @@ class TestOracle:
         assert out == ""
         assert err == "numeric failure: A^2 B overflows\n"
 
+    def test_flat_cone_completes(self, capsys, tmp_path):
+        # A pair whose cone solve ends on positive columns that span R^2
+        # (tests/test_oracle.py::flat_cone_pair): one JSON report, exit 0.
+        turn = -1e-9
+        a = [[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]]
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"A": a, "B": [[1.0, -1.0], [0.0, 5e-9]]}))
+        code, out, err = run(capsys, "oracle", str(path), "--s", "2", "--kmax", "2")
+        assert code == 0
+        assert err == ""
+        result = json.loads(out)["result"]
+        assert (result["outcome"], result["k_used"]) == ("uncovered", 2)
+
 
 class TestDecompose:
     def test_cob_structure(self, capsys):

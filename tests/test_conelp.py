@@ -192,6 +192,16 @@ class TestSeparator:
     def test_member_has_none(self):
         assert feasible_nonneg_solution(Z_MPB, [1.0, 2.0]).separator is None
 
+    def test_positive_columns_spanning_the_space_leave_a_nonzero_separator(self):
+        # Lawson-Hanson ends on both columns, which span R^2, with a residual
+        # of 6e-8 left by rounding. Projecting it onto their orthogonal
+        # complement leaves zero, so -r itself is the separator.
+        g, x = np.array([[1.0, -1.0], [0.0, 5e-9]]), np.array([0.0, 1.0])
+        res = feasible_nonneg_solution(g, x)
+        assert not res.member
+        assert res.residual > membership_tol(x, DEFAULT_TOL)
+        assert np.abs(res.separator).max() > 0.0
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 29, 91, 153, 176])
     def test_separator_is_a_certificate(self, seed):
         outside = 0

@@ -843,6 +843,38 @@ class TestWholeSpace:
         assert grids[-1] == ([2], [1])
 
 
+def flat_cone_pair():
+    """B's columns (1, 0) and (-1, 5e-9) span a wedge just above the
+    horizontal axis, and A turns it by -1e-9 rad. The solve of (0, 1)
+    against B ends on both columns with a residual above tolerance, so its
+    separator is the negated residual (see tests/test_conelp.py)."""
+    turn = -1e-9
+    a = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    return SystemPair(A=a, B=np.array([[1.0, -1.0], [0.0, 5e-9]]))
+
+
+class TestSpanningPositiveColumns:
+    """A solve whose positive columns span R^n returns a nonzero separator,
+    which the sweep scales and stores like any other."""
+
+    def test_sweep_matches_reference(self):
+        sys = flat_cone_pair()
+        probes = [np.array([1.0, 0.0]), np.array([0.0, -1.0]), np.array([0.0, 1.0])]
+        result = _sweep_coverage(sys, 2, probes, 2, DEFAULT_TOL)
+        assert result == lp_sweep_coverage(sys, 2, probes, 2)
+        assert result == (None, [1, 2], 5)
+
+    def test_coverage_probe_completes(self):
+        # Under the suite's warnings-as-errors: a zero separator would warn
+        # when scaled to unit max modulus. The default probes are not
+        # compared with lp_sweep_coverage here: on this cone, with condition
+        # number 4e8, some probes pass the member test at G_P^{-1} p but not
+        # at the solver's own u.
+        verdict = coverage_probe(flat_cone_pair(), 2, OracleConfig(k_max=2))
+        assert (verdict.outcome, verdict.k_used) == ("uncovered", 2)
+        assert any((d == [0.0, -1.0]).all() for d in verdict.uncovered_directions)
+
+
 def assert_order_free(sys, s, probes, seed):
     """A permuted probe list permutes the survivors and keeps the covering
     horizon and the question count, and both match the LP reference."""
