@@ -159,25 +159,19 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
 
     With one column the cone is a sign test: rho = +1 when every entry of M
     is at most ``ineq_tol``, else rho = -1 when every entry of -M is, else
-    {0}. With g > 1 columns it asks one membership question (``_stiemke_ray``).
+    {0}. M rho is then exactly M or -M, so the test needs no re-verification.
+    With g > 1 columns it asks one membership question (``_stiemke_ray``).
     """
     m = as_matrix(m, "M")
     if m.shape[1] < 1:
         raise InputError("M must have at least one column")
     if m.shape[1] > 1:
-        rho = _stiemke_ray(m, tol)
-    elif m.max(initial=0.0) <= tol.ineq_tol:
-        rho = np.ones(1)
-    elif (-m).max(initial=0.0) <= tol.ineq_tol:
-        rho = -np.ones(1)
-    else:
-        rho = None
-    if rho is None:
-        return None
-    worst = float((m @ rho).max(initial=0.0))
-    if worst > tol.ineq_tol:
-        raise NumericError(f"homogeneous witness failed re-verification, violation {worst:.3e}")
-    return rho
+        return _stiemke_ray(m, tol)
+    if m.max(initial=0.0) <= tol.ineq_tol:
+        return np.ones(1)
+    if (-m).max(initial=0.0) <= tol.ineq_tol:
+        return -np.ones(1)
+    return None
 
 
 def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
@@ -190,7 +184,8 @@ def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     1986, 7.8) no rho has M rho <= 0 exactly when some y > 0 has M^T y = 0.
     One membership question decides that: is -M^T 1 in cone(M^T)? A member
     gives y = u + 1 >= 1; a non-member's separator w has M w >= 0 and
-    1^T M w > 0, so rho = -w.
+    1^T M w > 0, so rho = -w. Either ray is re-verified: NumericError when
+    M rho exceeds ``ineq_tol`` after all.
     """
     rows, g = m.shape
     _, sigma, vh = np.linalg.svd(m)
@@ -201,7 +196,11 @@ def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
         if result.member:
             return None
         rho = -result.separator
-    return rho / np.abs(rho).max()
+    rho = rho / np.abs(rho).max()
+    worst = float((m @ rho).max(initial=0.0))
+    if worst > tol.ineq_tol:
+        raise NumericError(f"homogeneous witness failed re-verification, violation {worst:.3e}")
+    return rho
 
 
 def sparsify_positive_combination(z_mat, z, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

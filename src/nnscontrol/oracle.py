@@ -18,9 +18,9 @@ Seven semantics-preserving shortcuts keep the enumeration tractable:
   * sequences whose generator sets coincide after dropping zero columns
     and rescaling each column to unit norm define the same cone, so each
     distinct set is solved once per probe. Each distinct A^j B column is
-    numbered once per sweep, a set is keyed by its packed boolean row over
-    those numbers, and the distinct rows of horizon k are those of horizon
-    k-1 joined with each support's row;
+    numbered in byte order and tabled once per sweep, a set is keyed by its
+    packed boolean row over those numbers, and the distinct rows of horizon
+    k are those of horizon k-1 joined with each support's row;
   * every solve that finds a probe outside a cone G returns a Farkas
     separator w (w^T G >= 0 > w^T p), scaled to unit max modulus and kept
     when w^T G >= -1e-12 max|G| holds. One sweep shares them across every
@@ -225,12 +225,11 @@ def reachable_membership(
         raise InputError(f"x must have length {sys.n}, got shape {x.shape}")
     supports = enumerate_supports(sys.m, s)
     _guard_sequences(supports, k)
-    blocks = _powers_times_b(sys, k)
+    stacked = np.hstack(_powers_times_b(sys, k)[::-1])  # [A^{k-1} B | ... | B]
     s_len = len(supports[0])
     for sequence in itertools.product(supports, repeat=k):
-        columns = [blocks[k - step - 1][:, list(sup)] for step, sup in enumerate(sequence)]
-        stacked = np.hstack(columns)
-        result = feasible_nonneg_solution(stacked, x, tol)
+        columns = [step * sys.m + j for step, sup in enumerate(sequence) for j in sup]
+        result = feasible_nonneg_solution(stacked[:, columns], x, tol)
         if result.member:
             inputs = []
             for step, sup in enumerate(sequence):
@@ -254,33 +253,32 @@ def _sequence_cone_ladder(
 ) -> Iterator[tuple[list[bytes], np.ndarray]]:
     """Yield, for k = 1..len(blocks), the distinct horizon-k sequence cones as
     (keys, stack), in the order the lexicographic sequences first reach them.
-    Each distinct nonzero canonical column is numbered once per ladder; a
-    cone's key packs its boolean row over the m * len(blocks) numbers, so a
-    recurring column set has the same key at every horizon. Its generators
-    are sorted by bytes, padded with NaN and gathered from one table of the
-    numbered columns. A horizon-k sequence is a support on A^{k-1} B followed
+    The distinct nonzero canonical columns of all blocks are numbered once,
+    in byte order, into one NaN-padded table. A cone's key packs its boolean
+    row over the m * len(blocks) numbers, so a recurring column set has the
+    same key at every horizon; its generators, in byte order, are gathered
+    from the table. A horizon-k sequence is a support on A^{k-1} B followed
     by a horizon-(k-1) sequence, so each support's row is joined with each
     row of horizon k-1 in turn.
     """
     width = sys.m * len(blocks)
-    number: dict[bytes, int] = {}
+    keys = [_canonical_column(block[:, j]) for block in blocks for j in range(sys.m)]
+    columns = sorted(set(keys) - {None})
+    number = {key: i for i, key in enumerate(columns)}
+    numbers = np.array([number.get(key, width) for key in keys]).reshape(len(blocks), sys.m)
+    table = np.full((sys.n, len(columns) + 1), np.nan)
+    table[:, :-1] = np.frombuffer(b"".join(columns)).reshape(-1, sys.n).T
     tails = np.zeros((1, width), dtype=bool)
-    for block in blocks:
-        keys = [_canonical_column(block[:, j]) for j in range(sys.m)]
-        column = np.array([number.setdefault(key, len(number)) if key else width for key in keys])
+    for column in numbers:
         heads = np.zeros((len(supports), width + 1), dtype=bool)  # zero columns: the spare last
         heads[np.arange(len(supports))[:, None], column[np.array(supports)]] = True
         merged = (heads[:, None, :width] | tails[None]).reshape(-1, width)
         packed = np.packbits(merged, axis=1)
         first = np.sort(np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)[1])
         tails = merged[first]
-        columns = sorted(number)
-        rows = tails[:, [number[key] for key in columns]]
-        sizes = rows.sum(axis=1)
-        index = np.argsort(~rows, axis=1, kind="stable")[:, : sizes.max()]
+        sizes = tails.sum(axis=1)
+        index = np.argsort(~tails, axis=1, kind="stable")[:, : sizes.max()]
         index[np.arange(sizes.max()) >= sizes[:, None]] = len(columns)
-        table = np.full((sys.n, len(columns) + 1), np.nan)
-        table[:, :-1] = np.frombuffer(b"".join(columns)).reshape(-1, sys.n).T
         stack = table[np.arange(sys.n)[:, None], index[:, None, :]]
         yield [row.tobytes() for row in packed[first]], stack
 
@@ -437,7 +435,7 @@ def _sweep_coverage(
     uncovered = np.arange(len(probes))
     known = np.zeros(len(probes), dtype=bool)  # inside an earlier, hence this, relaxation
     for k in range(1, k_max + 1):
-        relaxation = np.hstack([blocks[k - step - 1] for step in range(k)])
+        relaxation = witnesses.widest[:, (k_max - k) * sys.m :]  # [A^{k-1} B | ... | B]
         inside = known[uncovered]
         out = witnesses.near[witnesses.lasting][:, uncovered].any(axis=0)  # out for good
         open_ = ~inside & ~out

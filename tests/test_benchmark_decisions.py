@@ -3,7 +3,8 @@
 Every shortcut of the coverage sweep must leave each verdict and question
 count as the plain solve-every-question sweep has them, so a change that
 makes the sweep faster can be checked here against the benchmark's own
-systems, without a benchmark run."""
+systems, without a benchmark run. The cone solves of each seed may not
+exceed their recorded total: a change that lowers it lowers the record."""
 
 import importlib.util
 import sys
@@ -60,24 +61,41 @@ def load_workloads(monkeypatch):
 
 
 def decisions(monkeypatch, tmp_path, seed):
+    """(outcome, k_used, lp_count) of each case, and the cone solves the
+    oracle ran for them all."""
     workloads = load_workloads(monkeypatch)
     cases = workloads.build_oracle_agreement(seed, "full", tmp_path)
+    solves = 0
+    solve = oracle.feasible_nonneg_solution
+
+    def counted(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
     verdicts = [
         oracle.coverage_probe(case.system, case.s, workloads.ORACLE_CONFIG) for case in cases
     ]
-    return [(verdict.outcome, verdict.k_used, verdict.lp_count) for verdict in verdicts]
+    return [(verdict.outcome, verdict.k_used, verdict.lp_count) for verdict in verdicts], solves
 
 
 def test_oracle_agreement_seed_1(monkeypatch, tmp_path):
-    assert decisions(monkeypatch, tmp_path, 1) == SEED_1
+    found, solves = decisions(monkeypatch, tmp_path, 1)
+    assert found == SEED_1
     assert sum(lp_count for _, _, lp_count in SEED_1) == 32168
+    assert solves <= 627
 
 
 def test_oracle_agreement_seed_2(monkeypatch, tmp_path):
-    assert decisions(monkeypatch, tmp_path, 2) == SEED_2
+    found, solves = decisions(monkeypatch, tmp_path, 2)
+    assert found == SEED_2
     assert sum(lp_count for _, _, lp_count in SEED_2) == 31439
+    assert solves <= 570
 
 
 def test_oracle_agreement_seed_3(monkeypatch, tmp_path):
-    assert decisions(monkeypatch, tmp_path, 3) == SEED_3
+    found, solves = decisions(monkeypatch, tmp_path, 3)
+    assert found == SEED_3
     assert sum(lp_count for _, _, lp_count in SEED_3) == 32208
+    assert solves <= 596

@@ -874,6 +874,19 @@ class TestSpanningPositiveColumns:
         assert (verdict.outcome, verdict.k_used) == ("uncovered", 2)
         assert any((d == [0.0, -1.0]).all() for d in verdict.uncovered_directions)
 
+    def test_disagreements_are_members_the_reference_misses(self):
+        # Where the sweep and the solve-every-question reference differ on
+        # this cone, the sweep covers the probe and B^{-1} p >= 0: the probe
+        # is in cone(B), and the reference's solver is the one that misses
+        # it. The counts are not pinned, so a better solver still passes.
+        sys = flat_cone_pair()
+        probes = _probe_directions(2, OracleConfig(k_max=2))
+        swept = set(_sweep_coverage(sys, 2, probes, 2, DEFAULT_TOL)[1])
+        reference = set(lp_sweep_coverage(sys, 2, probes, 2)[1])
+        assert swept <= reference
+        missed = sorted(reference - swept)
+        assert (np.linalg.solve(sys.B, probes[missed].T) >= 0.0).all()
+
 
 def assert_order_free(sys, s, probes, seed):
     """A permuted probe list permutes the survivors and keeps the covering
