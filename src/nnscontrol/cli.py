@@ -146,32 +146,28 @@ def _cmd_check(args, parsed, tol: Tolerances) -> dict:
 
 
 def _cmd_min_sparsity(args, parsed, tol: Tolerances) -> dict:
-    sys_pair = parsed.system
     try:
-        level = min_sparsity(sys_pair, tol)
+        level = min_sparsity(parsed.system, tol)
     except NoFeasibleSparsityError as exc:
-        result = {
+        return {
             "min_sparsity": None,
             "feasible": False,
             "nonneg_controllable": True,
             "reason": str(exc),
         }
-    else:
-        if level is None:
-            result = {
-                "min_sparsity": None,
-                "feasible": False,
-                "nonneg_controllable": False,
-                "reason": "system is not controllable with nonnegative inputs",
-            }
-        else:
-            result = {
-                "min_sparsity": level,
-                "feasible": True,
-                "nonneg_controllable": True,
-                "required": check_condition_iii(sys_pair, level, tol).required,
-            }
-    return result
+    if level is None:
+        return {
+            "min_sparsity": None,
+            "feasible": False,
+            "nonneg_controllable": False,
+            "reason": "system is not controllable with nonnegative inputs",
+        }
+    return {
+        "min_sparsity": level,
+        "feasible": True,
+        "nonneg_controllable": True,
+        "required": check_condition_iii(parsed.system, level, tol).required,
+    }
 
 
 def _cmd_oracle(args, parsed, tol: Tolerances) -> dict:

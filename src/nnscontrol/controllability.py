@@ -18,12 +18,13 @@ eigenpair (lambda, z) that pins the reachable set inside a hyperplane or
 half-space. Condition i's comes from the orthogonal staircase of (A, B)
 that decided it; condition ii's is the eigenspace vector that did.
 
-The work on one pair and tol (the staircase, the left eigensystem of A and
-rank(A)) is one analysis, shared by every entry point: consecutive calls on
-equal pairs, such as ``check_nonneg_sparse`` then ``min_sparsity``, run
-each once. The memo holds one entry, keyed on the pair and tol; a
-``SystemPair`` is a read-only value, so equal values give equal keys and
-no later write can reach the memo.
+The work on one pair and tol (the staircase, the left eigensystem of A,
+rank(A) and conditions i and ii) is one analysis, shared by every entry
+point: consecutive calls on equal pairs, such as ``check_nonneg_sparse``
+then ``min_sparsity``, run each once. The memo holds one entry, keyed on
+the pair and tol; a ``SystemPair`` and the certificates the analysis
+builds are read-only, so equal pairs give equal keys and no later write
+can reach the memo.
 """
 
 from __future__ import annotations
@@ -283,8 +284,8 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
 
 @dataclass(frozen=True)
 class _Analysis:
-    """The work on one pair (A, B) under tol: the staircase of (A, B), the
-    left eigensystem of A and rank(A), each computed on first use."""
+    """The work on one pair (A, B) under tol: the staircase of (A, B), the left
+    eigensystem of A, rank(A) and conditions i and ii, each computed on first use."""
 
     sys: SystemPair
     tol: Tolerances
@@ -300,6 +301,57 @@ class _Analysis:
     @cached_property
     def rank_a(self) -> int:
         return rank(self.sys.A, self.tol)
+
+    @cached_property
+    def condition_i(self) -> ConditionResult:
+        # The eigenvalues of A_u, grouped at the eigen-analysis's radius; w is the
+        # left singular direction of A_u - lambda I closest to its kernel.
+        q_u, a_u = self.unreached
+        if not a_u.size:
+            return ConditionResult(passed=True)
+        values = np.linalg.eigvals(a_u)
+        close = np.abs(values[:, None] - values[None, :]) <= self.eig.cluster_radius
+        centers = [complex(values[idx].mean()) + 0.0 for idx in _cluster(close)]  # clears -0.0
+        violations = [
+            complex(c.real) if abs(c.imag) <= self.tol.eig_imag_tol else c for c in centers
+        ]
+        violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
+        lam = violations[0]
+        u = np.linalg.svd(a_u - (lam if lam.imag else lam.real) * np.eye(len(a_u)))[0]
+        return self._failed(VIOLATES_CONDITION_I, lam, q_u @ u[:, -1].conj(), violations[1:])
+
+    @cached_property
+    def condition_ii(self) -> ConditionResult:
+        pairs = []
+        for group in self.eig.groups:
+            if not group.is_real or group.eigenvalue.real < -self.tol.eig_imag_tol:
+                continue
+            witness = homogeneous_nonzero(self.sys.B.T @ group.basis, self.tol)
+            if witness is not None:
+                pairs.append((complex(group.eigenvalue.real), group.basis @ witness))
+        if not pairs:
+            return ConditionResult(passed=True)
+        pairs.sort(key=lambda pair: (-abs(pair[0]), pair[0].real))
+        (lam, z), others = pairs[0], [lam for lam, _ in pairs[1:]]
+        return self._failed(VIOLATES_CONDITION_II, lam, z, others)
+
+    def _failed(self, kind: str, lam: complex, z: np.ndarray, others: list) -> ConditionResult:
+        """A failed condition with its certificate (lam, z); a z whose imaginary
+        part is at most ``eig_imag_tol`` after max-normalization is made real.
+        z is read-only: the memo hands it to every report of the pair."""
+        z = _normalize_max(z)
+        if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= self.tol.eig_imag_tol:
+            z = z.real
+        z.flags.writeable = False
+        zb = z @ self.sys.B
+        cert = Certificate(
+            kind=kind,
+            eigenvalue=lam,
+            z=z,
+            residual_eig=_eig_residual(self.sys, lam, z),
+            max_zb=float(np.abs(zb).max() if kind == VIOLATES_CONDITION_I else zb.max()),
+        )
+        return ConditionResult(passed=False, certificate=cert, other_violations=tuple(others))
 
 
 # The one-entry memo: a call with a pair and tol equal to the previous call's
@@ -321,56 +373,6 @@ def _eig_residual(sys: SystemPair, lam: complex, z: np.ndarray) -> float:
     return float(np.abs(z @ sys.A - lam * z).max())
 
 
-def _failed(
-    sys: SystemPair, kind: str, lam: complex, z: np.ndarray, others: list, tol: Tolerances
-) -> ConditionResult:
-    """A failed condition with its certificate (lam, z); a z whose imaginary
-    part is at most ``eig_imag_tol`` after max-normalization is made real."""
-    z = _normalize_max(z)
-    if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= tol.eig_imag_tol:
-        z = z.real
-    zb = z @ sys.B
-    cert = Certificate(
-        kind=kind,
-        eigenvalue=lam,
-        z=z,
-        residual_eig=_eig_residual(sys, lam, z),
-        max_zb=float(np.abs(zb).max() if kind == VIOLATES_CONDITION_I else zb.max()),
-    )
-    return ConditionResult(passed=False, certificate=cert, other_violations=tuple(others))
-
-
-def _condition_i(sys: SystemPair, analysis: _Analysis, tol: Tolerances) -> ConditionResult:
-    # The eigenvalues of A_u, grouped at the eigen-analysis's radius; w is the
-    # left singular direction of A_u - lambda I closest to its kernel.
-    q_u, a_u = analysis.unreached
-    if not a_u.size:
-        return ConditionResult(passed=True)
-    values = np.linalg.eigvals(a_u)
-    close = np.abs(values[:, None] - values[None, :]) <= analysis.eig.cluster_radius
-    centers = [complex(values[idx].mean()) + 0.0 for idx in _cluster(close)]  # clears -0.0
-    violations = [complex(c.real) if abs(c.imag) <= tol.eig_imag_tol else c for c in centers]
-    violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
-    lam = violations[0]
-    u = np.linalg.svd(a_u - (lam if lam.imag else lam.real) * np.eye(len(a_u)))[0]
-    return _failed(sys, VIOLATES_CONDITION_I, lam, q_u @ u[:, -1].conj(), violations[1:], tol)
-
-
-def _condition_ii(sys: SystemPair, eig: LeftEigenSystem, tol: Tolerances) -> ConditionResult:
-    pairs = []
-    for group in eig.groups:
-        if not group.is_real or group.eigenvalue.real < -tol.eig_imag_tol:
-            continue
-        witness = homogeneous_nonzero(sys.B.T @ group.basis, tol)
-        if witness is not None:
-            pairs.append((complex(group.eigenvalue.real), group.basis @ witness))
-    if not pairs:
-        return ConditionResult(passed=True)
-    pairs.sort(key=lambda pair: (-abs(pair[0]), pair[0].real))
-    (lam, z), others = pairs[0], [lam for lam, _ in pairs[1:]]
-    return _failed(sys, VIOLATES_CONDITION_II, lam, z, others, tol)
-
-
 def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
     """No left eigenvector of A is orthogonal to every column of B.
 
@@ -380,7 +382,7 @@ def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Conditi
     z^T B = 0 up to rounding however defective lambda is.
     ``matrixcore.pbh_rank`` is the equivalent pencil test, kept as the reference.
     """
-    return _condition_i(sys, _analysis(sys, tol), tol)
+    return _analysis(sys, tol).condition_i
 
 
 def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
@@ -392,7 +394,7 @@ def check_condition_ii(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> Condit
     lemma, ``conelp.homogeneous_nonzero``). The pass is vacuous
     when A has no real nonnegative eigenvalue.
     """
-    return _condition_ii(sys, _analysis(sys, tol).eig, tol)
+    return _analysis(sys, tol).condition_ii
 
 
 def check_condition_iii(
@@ -417,8 +419,8 @@ def _check(
     ``nonneg`` and condition iii when ``s`` is given."""
     cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
     analysis = _analysis(sys, tol)
-    cond_i = _condition_i(sys, analysis, tol)
-    cond_ii = _condition_ii(sys, analysis.eig, tol) if nonneg else None
+    cond_i = analysis.condition_i
+    cond_ii = analysis.condition_ii if nonneg else None
     passed = all(
         cond.passed for cond in (cond_i, cond_ii, cond_iii) if cond is not None
     )
@@ -463,9 +465,10 @@ def min_sparsity(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> int | None:
     N - rank(A) = dim ker A^T <= m. The error therefore means that the cut
     of ``rank(A)`` disagrees with the staircase that decided condition i.
     """
-    if not check_nonneg(sys, tol).controllable:
+    analysis = _analysis(sys, tol)
+    if not (analysis.condition_i.passed and analysis.condition_ii.passed):
         return None
-    required = sys.n - _analysis(sys, tol).rank_a
+    required = sys.n - analysis.rank_a
     if required > sys.m:
         raise NoFeasibleSparsityError(
             f"N - rank(A) = {required} exceeds the input dimension m = {sys.m}"
@@ -479,10 +482,10 @@ def input_count_bound_check(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> b
     Returns that verdict; vacuously true when the system is not nonnegative
     controllable in the first place.
     """
-    report = check_nonneg_sparse(sys, max(1, sys.m - 1), tol)
-    if not (report.condition_i.passed and report.condition_ii.passed):
+    analysis = _analysis(sys, tol)
+    if not (analysis.condition_i.passed and analysis.condition_ii.passed):
         return True
-    return report.controllable
+    return check_condition_iii(sys, max(1, sys.m - 1), tol).passed
 
 
 @dataclass(frozen=True)

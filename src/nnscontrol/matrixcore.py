@@ -10,7 +10,7 @@ Floating-point decisions downstream use the thresholds of ``Tolerances``
 and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
 and the 1e-6 cutoff widening here; ``conelp._DUAL_RTOL`` and
 ``_BLOCK_RCOND``; ``oracle._SEPARATOR_TAU``, ``_REJECT_FACTOR``, the 1e-12
-zero-column cut and 12-digit rounding of ``_canonical_column`` and the
+zero-column cut and 12-digit rounding of ``_sequence_cone_ladder`` and the
 1e-9 redraw guard of ``_probe_directions``; ``certificate_direction``'s
 1e-12; and ``jordan``'s 1e-12 (``_orth``), 1e-8 (chain completion), 1e12
 (condition bound) and ``_VERIFY_RTOL``. Identical inputs and tolerances

@@ -240,32 +240,31 @@ def reachable_membership(
     return None
 
 
-def _canonical_column(col: np.ndarray) -> bytes | None:
-    """Positive-scale canonical key of a cone generator; None for zero columns."""
-    norm = float(np.linalg.norm(col))
-    if norm <= 1e-12:
-        return None
-    return (np.round(col / norm, 12) + 0.0).tobytes()
-
-
 def _sequence_cone_ladder(
     sys: SystemPair, supports: list[tuple[int, ...]], blocks: list[np.ndarray]
 ) -> Iterator[tuple[list[bytes], np.ndarray]]:
     """Yield, for k = 1..len(blocks), the distinct horizon-k sequence cones as
     (keys, stack), in the order the lexicographic sequences first reach them.
-    The distinct nonzero canonical columns of all blocks are numbered once,
-    in byte order, into one NaN-padded table. A cone's key packs its boolean
-    row over the m * len(blocks) numbers, so a recurring column set has the
-    same key at every horizon; its generators, in byte order, are gathered
-    from the table. A horizon-k sequence is a support on A^{k-1} B followed
-    by a horizon-(k-1) sequence, so each support's row is joined with each
-    row of horizon k-1 in turn.
+    Each column of the blocks is keyed once by its positive-scale canonical
+    form: its bytes after division by its norm and rounding to 12 digits; a
+    column of norm at most 1e-12 is zero and gets no key. The distinct keys
+    are numbered, in byte order, into one NaN-padded table. A cone's key
+    packs its boolean row over the m * len(blocks) numbers, so a recurring
+    column set has the same key at every horizon; its generators, in byte
+    order, are gathered from the table. A horizon-k sequence is a support on
+    A^{k-1} B followed by a horizon-(k-1) sequence, so each support's row is
+    joined with each row of horizon k-1 in turn.
     """
     width = sys.m * len(blocks)
-    keys = [_canonical_column(block[:, j]) for block in blocks for j in range(sys.m)]
-    columns = sorted(set(keys) - {None})
+    flat = np.ascontiguousarray(np.hstack(blocks).T)  # one row per column, block by block
+    norms = np.sqrt([row.dot(row) for row in flat])  # np.linalg.norm's arithmetic
+    live = norms > 1e-12
+    keys = [row.tobytes() for row in np.round(flat[live] / norms[live, None], 12) + 0.0]
+    columns = sorted(set(keys))
     number = {key: i for i, key in enumerate(columns)}
-    numbers = np.array([number.get(key, width) for key in keys]).reshape(len(blocks), sys.m)
+    numbers = np.full(width, width)
+    numbers[live] = [number[key] for key in keys]
+    numbers = numbers.reshape(len(blocks), sys.m)
     table = np.full((sys.n, len(columns) + 1), np.nan)
     table[:, :-1] = np.frombuffer(b"".join(columns)).reshape(-1, sys.n).T
     tails = np.zeros((1, width), dtype=bool)

@@ -1,7 +1,8 @@
 """Shared construction helpers for the test suite, and the code that faster
 paths replaced, kept as their reference: the dense two-phase simplex of
 the cone primitives, their Lawson-Hanson loop before it kept one mask of
-excluded columns, and the per-group eigen-analysis loop."""
+excluded columns, the per-group eigen-analysis loop and the per-column
+keying of the oracle's cone ladder."""
 
 from dataclasses import dataclass
 
@@ -36,6 +37,15 @@ def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd"), shapes=None
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def canonical_column(col: np.ndarray) -> bytes | None:
+    """Reference: the positive-scale canonical key of one cone generator, as
+    the oracle's cone ladder keys every column at once; None for zero columns."""
+    norm = float(np.linalg.norm(col))
+    if norm <= 1e-12:
+        return None
+    return (np.round(col / norm, 12) + 0.0).tobytes()
 
 
 def ladder_cones(keys, stack):

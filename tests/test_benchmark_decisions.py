@@ -1,10 +1,13 @@
-"""The oracle's decisions on the `oracle-agreement` benchmark inputs.
+"""The library's decisions on the benchmark's own inputs.
 
 Every shortcut of the coverage sweep must leave each verdict and question
 count as the plain solve-every-question sweep has them, so a change that
-makes the sweep faster can be checked here against the benchmark's own
+makes the sweep faster can be checked here against the `oracle-agreement`
 systems, without a benchmark run. The cone solves of each seed may not
-exceed their recorded total: a change that lowers it lowers the record."""
+exceed their recorded total: a change that lowers it lowers the record.
+The controllability layer's verdicts, condition results, ranks and
+sparsity levels on the seed-1 `eig-large` and `cli-commands` systems are
+pinned too; they are integers and booleans, so they hold on any machine."""
 
 import importlib.util
 import sys
@@ -46,6 +49,32 @@ SEED_3 = [
     (U, 6, 420), (C, 2, 314), (C, 2, 136), (C, 2, 450), (C, 2, 172), (C, 2, 94), (C, 2, 650),
     (C, 1, 301), (C, 1, 170), (C, 1, 68), (C, 3, 551), (C, 3, 210), (C, 3, 1275), (C, 2, 271),
     (C, 2, 140), (C, 3, 2028), (C, 2, 380), (C, 2, 239), (C, 2, 138),
+]
+
+T, F = True, False
+# (controllable, condition i, ii and iii passed, rank_a, min_sparsity) of
+# analyse_eig_large on each case of build_eig_large(1, "full", ...).
+EIG_LARGE_SEED_1 = [
+    (F, T, F, T, 64, None), (T, T, T, T, 63, 1), (T, T, T, T, 64, 1),
+    (F, T, F, T, 64, None), (T, T, T, T, 56, 8), (T, T, T, T, 64, 1),
+    (F, T, F, T, 64, None), (F, F, F, F, 48, None), (T, T, T, T, 64, 1),
+    (F, T, F, T, 64, None), (F, F, F, F, 32, None), (T, T, T, T, 64, 1),
+    (F, T, F, T, 64, None), (F, F, F, F, 16, None), (T, T, T, T, 64, 1),
+]
+# (controllable, min_sparsity, required, q_sizes, all_passed) of the check,
+# min-sparsity and decompose reports of analyse_cli on each case of
+# build_cli_commands(1, "full", ...).
+CLI_COMMANDS_SEED_1 = [
+    (F, None, None, (), T), (T, 1, 1, (1,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (T, 2, 2, (2,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (T, 4, 4, (4,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (F, None, None, (8,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (F, None, None, (12,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (T, 1, 1, (1,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (T, 2, 2, (2,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (F, 4, 4, (4,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (F, None, None, (8,), T), (T, 1, 0, (), T),
+    (F, None, None, (), T), (F, None, None, (12,), T), (T, 1, 0, (), T),
 ]
 
 
@@ -99,3 +128,30 @@ def test_oracle_agreement_seed_3(monkeypatch, tmp_path):
     assert found == SEED_3
     assert sum(lp_count for _, _, lp_count in SEED_3) == 32208
     assert solves <= 596
+
+
+def test_eig_large_seed_1(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    found = []
+    for case in workloads.build_eig_large(1, "full", tmp_path):
+        report, level = workloads.analyse_eig_large(case)
+        i, ii, iii = report.condition_i, report.condition_ii, report.condition_iii
+        found.append((report.controllable, i.passed, ii.passed, iii.passed, iii.rank_a, level))
+    assert found == EIG_LARGE_SEED_1
+
+
+def test_cli_commands_seed_1(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    found = []
+    for case in workloads.build_cli_commands(1, "full", tmp_path):
+        check, least, decomposition = (
+            report["result"] for report, _ in workloads.analyse_cli(case)
+        )
+        found.append((
+            check["verdict"] == "controllable",
+            least["min_sparsity"],
+            least.get("required"),
+            tuple(decomposition["structure"]["q_sizes"]),
+            decomposition["verification"]["all_passed"],
+        ))
+    assert found == CLI_COMMANDS_SEED_1

@@ -549,9 +549,30 @@ def _fresh_reports(calls) -> list[str]:
     return reports
 
 
+# diag(1, -2): left eigenvectors e1 and e2; condition ii looks at 1 only.
+SAME_A = np.diag([1.0, -2.0])
+SAME_A_INPUTS = {
+    "both pass": np.hstack([np.eye(2), -np.eye(2)]),
+    "i fails at -2": np.array([[1.0, -1.0], [0.0, 0.0]]),
+    "ii fails": np.eye(2),
+}
+
+
+def _call_every_entry_point(sys: SystemPair) -> None:
+    check_condition_i(sys)
+    check_condition_ii(sys)
+    check_condition_iii(sys, 1)
+    check_nonneg(sys)
+    check_sparse(sys, 1)
+    check_nonneg_sparse(sys, 1)
+    input_count_bound_check(sys)
+    min_sparsity(sys)
+
+
 class TestSharedAnalysis:
     """Consecutive calls on the same pair (A, B) and tol share one staircase,
-    one eigen-analysis and one rank(A); anything else gets a fresh analysis."""
+    one eigen-analysis, one rank(A) and one decision of conditions i and ii;
+    anything else gets a fresh analysis."""
 
     def test_check_then_min_sparsity_analyses_once(self, monkeypatch):
         sys = _paired_system(5)
@@ -571,14 +592,28 @@ class TestSharedAnalysis:
     def test_every_entry_point_reads_the_analysis(self, monkeypatch):
         sys = _paired_system(6)
         counts = count_linalg_calls(monkeypatch)
-        check_condition_i(sys)
-        check_condition_ii(sys)
-        check_condition_iii(sys, 1)
-        check_nonneg(sys)
-        check_sparse(sys, 1)
-        input_count_bound_check(sys)
-        min_sparsity(sys)
+        _call_every_entry_point(sys)
         assert counts == {"eigvals": 1, "eig": 1, "svd": 5}
+
+    @pytest.mark.parametrize(
+        "label, a_u_shapes", [("i fails at -2", [(1, 1)]), ("ii fails", [])]
+    )
+    def test_every_entry_point_decides_each_condition_once(self, monkeypatch, label, a_u_shapes):
+        # Condition ii's one cone question (at eigenvalue 1) and condition
+        # i's eigvals of A_u run once for all the entry points.
+        questions = []
+        decide = controllability.homogeneous_nonzero
+
+        def counted(m, tol):
+            questions.append(m.shape)
+            return decide(m, tol)
+
+        monkeypatch.setattr(controllability, "homogeneous_nonzero", counted)
+        shapes = []
+        count_linalg_calls(monkeypatch, ("eigvals",), shapes=shapes)
+        _call_every_entry_point(SystemPair(A=SAME_A, B=SAME_A_INPUTS[label]))
+        assert questions == [(2, 1)]
+        assert sorted(shape for _, shape in shapes) == sorted([(2, 2)] + a_u_shapes)
 
     def test_interleaved_systems_match_fresh_calls(self, monkeypatch):
         a1, a2 = _paired_system(1), _paired_system(2)
@@ -621,14 +656,8 @@ class TestSharedAnalysis:
         assert memoized == _fresh_reports(calls)
 
     def test_same_a_different_b(self, monkeypatch):
-        # diag(1, -2): left eigenvectors e1 and e2; condition ii looks at 1
-        # only. The memo is keyed on the pair, so each B is a fresh analysis.
-        a = np.diag([1.0, -2.0])
-        inputs = {
-            "both pass": np.hstack([np.eye(2), -np.eye(2)]),
-            "i fails at -2": np.array([[1.0, -1.0], [0.0, 0.0]]),
-            "ii fails": np.eye(2),
-        }
+        # The memo is keyed on the pair, so each B is a fresh analysis.
+        a, inputs = SAME_A, SAME_A_INPUTS
         counts = count_linalg_calls(monkeypatch, ("eigvals",))
         results = {label: check_nonneg(SystemPair(A=a, B=b)) for label, b in inputs.items()}
         assert counts["eigvals"] == 4  # three eigen-analyses, and A_u where i fails
@@ -653,6 +682,16 @@ class TestSharedAnalysis:
         for matrix in (sys.A, sys.B):
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 0.0
+
+    def test_certificates_are_read_only(self):
+        # The memo hands one certificate to every report of the pair, so no
+        # write to one report's certificate can reach another's.
+        for label in ("i fails at -2", "ii fails"):
+            sys = SystemPair(A=SAME_A, B=SAME_A_INPUTS[label])
+            cert = check_nonneg(sys).certificate
+            assert check_nonneg_sparse(sys, 1).certificate is cert
+            with pytest.raises(ValueError, match="read-only"):
+                cert.z[0] = 0.0
 
     def test_equal_pairs_built_apart_share_one_analysis(self, monkeypatch):
         sys = _paired_system(5)

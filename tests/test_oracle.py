@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import ladder_cones
+from helpers import canonical_column, ladder_cones
 
 from nnscontrol import DEFAULT_TOL, InputError, NumericError, oracle
 from nnscontrol.controllability import (
@@ -20,7 +20,6 @@ from nnscontrol.generators import KINDS, generate_system
 from nnscontrol.oracle import (
     OracleConfig,
     OracleVerdict,
-    _canonical_column,
     _guard_sequences,
     _powers_times_b,
     _probe_directions,
@@ -319,7 +318,7 @@ def product_sequence_cones(sys, supports, k, blocks):
         for sup in supports:
             keys = []
             for j in sup:
-                key = _canonical_column(block[:, j])
+                key = canonical_column(block[:, j])
                 if key is None:
                     continue
                 keys.append(key)
@@ -386,9 +385,22 @@ class TestSequenceConeLadder:
         # 66 bits, so it spans two 64-bit words.
         sys = generate_system("random_nonsingular_paired", 3, 22, 0).system
         blocks = _powers_times_b(sys, 3)
-        assert len({_canonical_column(b[:, j]) for b in blocks for j in range(22)}) == 66
+        assert len({canonical_column(b[:, j]) for b in blocks for j in range(22)}) == 66
         keys = assert_ladder_matches_product(sys, 1, 3)
         assert {len(key) for key in keys[-1]} == {9}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_keys_match_the_per_column_reference(self, seed):
+        # Seeded random columns at scales 1e-8, 1 and 1e8, two of them zero
+        # and one a positive multiple of another: the ladder keys them all at
+        # once, the product enumeration one column at a time.
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((3, 9)) * 10.0 ** rng.choice([-8, 0, 8], size=9)
+        b[:, 1 + rng.choice(7, size=2, replace=False)] = 0.0
+        b[:, 8] = 3.0 * b[:, 0]
+        sys = SystemPair(A=rng.standard_normal((3, 3)), B=b)
+        assert_ladder_matches_product(sys, 1, 3)
+        assert_ladder_matches_product(sys, 2, 2)
 
     @pytest.mark.parametrize("s", (1, 2))
     def test_recurring_key_sets_keep_their_key(self, s):

@@ -57,9 +57,18 @@ def test_cli_and_fixtures_are_not_exported():
 
 SHIFT_A = np.array([[0.0, 0.0], [1.0, 0.0]])
 SHIFT = controllability.SystemPair(A=SHIFT_A, B=np.array([[1.0], [0.0]]))
+
+
+def fresh_certificate():
+    # The memo hands every report of a pair one certificate; clearing it
+    # builds a new one.
+    controllability._analysis.cache_clear()
+    return controllability.check_nonneg(SHIFT).condition_ii.certificate
+
+
 # Each record holds an array; each builder makes a fresh record from one input.
 ARRAY_RECORDS = {
-    "Certificate": lambda: controllability.check_nonneg(SHIFT).condition_ii.certificate,
+    "Certificate": fresh_certificate,
     "EigenGroup": lambda: matrixcore.left_eigensystem(SHIFT_A).groups[0],
     "LeftEigenSystem": lambda: matrixcore.left_eigensystem(SHIFT_A),
     "RowSplitDecomposition": lambda: jordan.build_decomposition(SHIFT_A),
