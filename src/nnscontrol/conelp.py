@@ -9,6 +9,14 @@ its residual is either within tolerance of zero (a member, with at most
 rank(G) positive coefficients) or a Farkas separator. Problems here are
 desk scale (tens of variables), so each step re-solves a dense least
 squares problem rather than updating a factorisation.
+
+Outside input enters once, through a public function: the number rule
+(``as_matrix``, ``as_vector``), the row check and ``membership_tol``. The
+library's own questions, whose arrays it built from checked ones, go
+straight to the core, ``_solve``, with their tolerance. The core takes M
+in ``as_matrix``'s canonical form itself and refuses a target that
+overflowed, so each answer is the door's to the bit, or NumericError
+where the door would refuse the target.
 """
 
 from __future__ import annotations
@@ -55,8 +63,11 @@ class ConeMembershipResult:
     separator: np.ndarray | None = None
 
 
-def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Lawson-Hanson: u >= 0 minimising ||x - g u||_2, and its positive columns.
+def _nnls(
+    g: np.ndarray, x: np.ndarray, feas_tol: float
+) -> tuple[np.ndarray, list[int], np.ndarray, float]:
+    """Lawson-Hanson: u >= 0 minimising ||x - g u||_2, its positive columns,
+    the residual r = x - g u it stopped on and ||r||_inf.
 
     Stops early once ||x - g u||_inf <= feas_tol. The positive columns stay
     linearly independent: a column that would make them rank-deficient, or
@@ -69,16 +80,16 @@ def _nnls(g: np.ndarray, x: np.ndarray, feas_tol: float) -> tuple[np.ndarray, li
     passive: list[int] = []
     excluded = np.zeros(cols, dtype=bool)  # passive or blocked
     dual_cut = _DUAL_RTOL * float(np.abs(g).max(initial=0.0))
-    r = x.copy()
+    r = x - g @ u
     for _ in range(100 + 10 * cols):
         size = float(np.abs(r).max(initial=0.0))
         if size <= feas_tol or cols == 0:
-            return u, passive
+            return u, passive, r, size
         dual = g.T @ r
         dual[excluded] = -np.inf
         j = int(dual.argmax())
         if dual[j] <= dual_cut * size:
-            return u, passive
+            return u, passive, r, size
         trial = passive + [j]
         z, _, trial_rank, _ = np.linalg.lstsq(g[:, trial], x, rcond=_BLOCK_RCOND)
         excluded[j] = True
@@ -121,10 +132,19 @@ def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembers
     x = as_vector(x, "x")
     if m.shape[0] != x.size:
         raise InputError(f"M has {m.shape[0]} rows but x has {x.size} entries")
-    feas_tol = membership_tol(x, tol)
-    u, passive = _nnls(m, x, feas_tol)
-    r = x - m @ u
-    residual = float(np.abs(r).max(initial=0.0))
+    return _solve(m, x, membership_tol(x, tol))
+
+
+def _solve(m: np.ndarray, x: np.ndarray, feas_tol: float) -> ConeMembershipResult:
+    """``feasible_nonneg_solution`` on arrays the library built: M a finite
+    float64 matrix, x a float64 vector of M's row count, and feas_tol their
+    ``membership_tol``. M is taken in ``as_matrix``'s canonical form here,
+    so the caller's layout and signed zeros do not reach the bits. An x that
+    is not finite (a computed target that overflowed) raises NumericError."""
+    if not np.isfinite(x).all():
+        raise NumericError("the cone membership target overflows")
+    m = np.add(m, 0.0, order="C")  # as_matrix's canonical form
+    u, passive, r, residual = _nnls(m, x, feas_tol)
     if residual <= feas_tol:
         return ConeMembershipResult(True, u, residual)
     # Optimality leaves r orthogonal to the positive columns; projecting
@@ -192,7 +212,9 @@ def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     if rows < g or sigma[-1] * np.sqrt(g) <= tol.ineq_tol:
         rho = vh[-1]
     else:
-        result = feasible_nonneg_solution(m.T, -m.T @ np.ones(rows), tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses an overflow
+            x = -m.T @ np.ones(rows)
+        result = _solve(m.T, x, membership_tol(x, tol))
         if result.member:
             return None
         rho = -result.separator
@@ -216,7 +238,7 @@ def sparsify_positive_combination(z_mat, z, tol: Tolerances = DEFAULT_TOL) -> np
     # Zero columns can never carry weight in a basic solution; drop them.
     col_norms = np.abs(z_mat).max(axis=0, initial=0.0)
     keep = np.nonzero(col_norms > tol.ineq_tol)[0]
-    result = feasible_nonneg_solution(z_mat[:, keep], z, tol)
+    result = _solve(z_mat[:, keep], z, membership_tol(z, tol))
     if not result.member:
         raise NotInConeError(
             f"target is not in the positive span (distance {result.residual:.3e})"
@@ -238,4 +260,6 @@ def is_positive_spanning_subspace(z_mat, tol: Tolerances = DEFAULT_TOL) -> bool:
     some y > 0. One membership question decides it: is -Z 1 in cone(Z)?
     """
     z_mat = as_matrix(z_mat, "Z")
-    return feasible_nonneg_solution(z_mat, -z_mat.sum(axis=1), tol).member
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses an overflow
+        x = -z_mat.sum(axis=1)
+    return _solve(z_mat, x, membership_tol(x, tol)).member

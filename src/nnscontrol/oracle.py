@@ -3,13 +3,13 @@
 The reachable set from the origin at horizon K is the union, over all
 per-step support choices, of the positive spans of
 [A^{K-1} B_{S_1} | ... | B_{S_K}]. The oracle enumerates support
-sequences and settles each membership question with the cone solver
-(``conelp.feasible_nonneg_solution``, a non-negative least-squares
-solve; ``lp_count`` keeps its historical name), probing a seeded set of
-directions on the unit sphere. A covered verdict is
-positive evidence of controllability; an uncovered one is inconclusive on
-its own (no horizon bound exists) and gains meaning when paired with an
-uncontrollability certificate.
+sequences and settles each membership question with the cone solver's
+core (``conelp._solve``, a non-negative least-squares solve given the
+arrays and tolerance the sweep already holds; ``lp_count`` keeps its
+historical name), probing a seeded set of directions on the unit sphere.
+A covered verdict is positive evidence of controllability; an uncovered
+one is inconclusive on its own (no horizon bound exists) and gains
+meaning when paired with an uncontrollability certificate.
 
 Seven semantics-preserving shortcuts keep the enumeration tractable:
 
@@ -92,7 +92,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conelp import feasible_nonneg_solution, membership_tol
+from .conelp import _solve, membership_tol
 from .controllability import SystemPair
 from .errors import InputError, NumericError
 from .matrixcore import DEFAULT_TOL, Tolerances, as_vector, validate_count, validate_sparsity
@@ -226,10 +226,11 @@ def reachable_membership(
     supports = enumerate_supports(sys.m, s)
     _guard_sequences(supports, k)
     stacked = np.hstack(_powers_times_b(sys, k)[::-1])  # [A^{k-1} B | ... | B]
+    feas_tol = membership_tol(x, tol)
     s_len = len(supports[0])
     for sequence in itertools.product(supports, repeat=k):
         columns = [step * sys.m + j for step, sup in enumerate(sequence) for j in sup]
-        result = feasible_nonneg_solution(stacked[:, columns], x, tol)
+        result = _solve(stacked[:, columns], x, feas_tol)
         if result.member:
             inputs = []
             for step, sup in enumerate(sequence):
@@ -275,11 +276,19 @@ def _sequence_cone_ladder(
         packed = np.packbits(merged, axis=1)
         first = np.sort(np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)[1])
         tails = merged[first]
-        sizes = tails.sum(axis=1)
-        index = np.argsort(~tails, axis=1, kind="stable")[:, : sizes.max()]
-        index[np.arange(sizes.max()) >= sizes[:, None]] = len(columns)
+        index = _padded_columns(tails, len(columns))
         stack = table[np.arange(sys.n)[:, None], index[:, None, :]]
         yield [row.tobytes() for row in packed[first]], stack
+
+
+def _padded_columns(rows: np.ndarray, pad: int) -> np.ndarray:
+    """The True columns of each boolean row, ascending and padded with
+    ``pad`` to the longest row's count, from one ``np.nonzero``."""
+    sizes = rows.sum(axis=1)
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    index = np.full(filled.shape, pad)
+    index[filled] = np.nonzero(rows)[1]
+    return index
 
 
 @functools.lru_cache(maxsize=32)
@@ -352,7 +361,7 @@ class _Witnesses:
             i = int(needs.argmax())
             c = int(first[i])
             generators = stack[c][:, ~np.isnan(stack[c, 0])]
-            result = feasible_nonneg_solution(generators, self.probes[rows[i]], self.tol)
+            result = _solve(generators, self.probes[rows[i]], self.feas_tol[rows[i]])
             if result.member:
                 member[i, c] = True
                 positive = np.flatnonzero(result.coefficients > 0.0)
@@ -389,7 +398,9 @@ class _Witnesses:
         c, _, rank, _ = np.linalg.lstsq(relaxation, points, rcond=self.tol.rank_rtol)
         if rank < len(points):
             return np.zeros(len(rows), dtype=bool)
-        result = feasible_nonneg_solution(relaxation, -relaxation.sum(axis=1), self.tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses an overflow
+            x = -relaxation.sum(axis=1)
+        result = _solve(relaxation, x, membership_tol(x, self.tol))
         if not result.member:
             return np.zeros(len(rows), dtype=bool)
         y = result.coefficients[:, None] + 1.0

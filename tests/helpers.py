@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nnscontrol import SystemPair
+from nnscontrol import SystemPair, conelp, oracle
 from nnscontrol.conelp import _BLOCK_RCOND, _DUAL_RTOL
 from nnscontrol.errors import InputError, NumericError
 from nnscontrol.matrixcore import (
@@ -37,6 +37,24 @@ def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd"), shapes=None
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def count_cone_solves(monkeypatch):
+    """Wrap the cone solver's core, ``conelp._solve``, under both names it is
+    called by: the oracle's and conelp's own, which the public door and the
+    other cone primitives use. Returns the list of (generators, result) of
+    every solve, in call order."""
+    solves = []
+    solve = conelp._solve
+
+    def counted(m, x, feas_tol):
+        result = solve(m, x, feas_tol)
+        solves.append((m, result))
+        return result
+
+    monkeypatch.setattr(conelp, "_solve", counted)
+    monkeypatch.setattr(oracle, "_solve", counted)
+    return solves
 
 
 def canonical_column(col: np.ndarray) -> bytes | None:

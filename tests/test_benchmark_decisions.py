@@ -3,8 +3,9 @@
 Every shortcut of the coverage sweep must leave each verdict and question
 count as the plain solve-every-question sweep has them, so a change that
 makes the sweep faster can be checked here against the `oracle-agreement`
-systems, without a benchmark run. The cone solves of each seed may not
-exceed their recorded total: a change that lowers it lowers the record.
+systems, without a benchmark run. The cone solves of each seed are
+recorded too, counted where every solve runs: a change that moves them
+changes the record.
 The controllability layer's verdicts, condition results, ranks and
 sparsity levels on the seed-1 `eig-large` and `cli-commands` systems are
 pinned too; they are integers and booleans, so they hold on any machine."""
@@ -12,6 +13,8 @@ pinned too; they are integers and booleans, so they hold on any machine."""
 import importlib.util
 import sys
 from pathlib import Path
+
+from helpers import count_cone_solves
 
 from nnscontrol import oracle
 
@@ -94,40 +97,33 @@ def decisions(monkeypatch, tmp_path, seed):
     oracle ran for them all."""
     workloads = load_workloads(monkeypatch)
     cases = workloads.build_oracle_agreement(seed, "full", tmp_path)
-    solves = 0
-    solve = oracle.feasible_nonneg_solution
-
-    def counted(*args, **kwargs):
-        nonlocal solves
-        solves += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
+    solves = count_cone_solves(monkeypatch)
     verdicts = [
         oracle.coverage_probe(case.system, case.s, workloads.ORACLE_CONFIG) for case in cases
     ]
-    return [(verdict.outcome, verdict.k_used, verdict.lp_count) for verdict in verdicts], solves
+    found = [(verdict.outcome, verdict.k_used, verdict.lp_count) for verdict in verdicts]
+    return found, len(solves)
 
 
 def test_oracle_agreement_seed_1(monkeypatch, tmp_path):
     found, solves = decisions(monkeypatch, tmp_path, 1)
     assert found == SEED_1
     assert sum(lp_count for _, _, lp_count in SEED_1) == 32168
-    assert solves <= 627
+    assert solves == 627
 
 
 def test_oracle_agreement_seed_2(monkeypatch, tmp_path):
     found, solves = decisions(monkeypatch, tmp_path, 2)
     assert found == SEED_2
     assert sum(lp_count for _, _, lp_count in SEED_2) == 31439
-    assert solves <= 570
+    assert solves == 570
 
 
 def test_oracle_agreement_seed_3(monkeypatch, tmp_path):
     found, solves = decisions(monkeypatch, tmp_path, 3)
     assert found == SEED_3
     assert sum(lp_count for _, _, lp_count in SEED_3) == 32208
-    assert solves <= 596
+    assert solves == 596
 
 
 def test_eig_large_seed_1(monkeypatch, tmp_path):

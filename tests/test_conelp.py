@@ -11,6 +11,7 @@ from nnscontrol import (
     DEFAULT_TOL,
     InputError,
     NotInConeError,
+    NumericError,
     feasible_nonneg_solution,
     homogeneous_nonzero,
     is_positive_spanning_subspace,
@@ -19,6 +20,7 @@ from nnscontrol import (
 )
 from nnscontrol import conelp
 from nnscontrol.conelp import membership_tol
+from nnscontrol.matrixcore import Tolerances, as_matrix, as_vector
 from nnscontrol.generators import generate_system
 from nnscontrol.oracle import _powers_times_b, _sequence_cone_ladder, enumerate_supports
 
@@ -303,6 +305,22 @@ def degenerate_nnls_problem(seed):
     return g, x[int(rng.integers(0, 4))]
 
 
+def reference_nnls_residual(g, x, feas_tol):
+    """``helpers.reference_nnls`` with the residual x - g u and its max-abs,
+    computed afterwards as the solver did before ``_nnls`` returned them."""
+    u, passive = reference_nnls(g, x, feas_tol)
+    r = x - g @ u
+    return u, passive, r, float(np.abs(r).max(initial=0.0))
+
+
+def assert_same_result(got, want):
+    """Two membership results agree field by field, in bytes."""
+    assert (got.member, got.residual) == (want.member, want.residual)
+    for a, b in [(got.coefficients, want.coefficients), (got.separator, want.separator)]:
+        assert (a is None) == (b is None)
+        assert a is None or (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 class TestLawsonHansonReference:
     """``conelp._nnls`` against the loop it replaced (``helpers.reference_nnls``):
     the same arithmetic, so the same bits."""
@@ -313,23 +331,64 @@ class TestLawsonHansonReference:
         members = 0
         for g, x in self.PROBLEMS:
             feas_tol = membership_tol(x, DEFAULT_TOL)
-            u, passive = conelp._nnls(g, x, feas_tol)
+            u, passive, r, size = conelp._nnls(g, x, feas_tol)
             expected_u, expected_passive = reference_nnls(g, x, feas_tol)
             assert u.tobytes() == expected_u.tobytes()
             assert passive == expected_passive
-            members += bool(np.abs(x - g @ u).max() <= feas_tol)
+            assert r.tobytes() == (x - g @ u).tobytes()
+            assert size == float(np.abs(x - g @ u).max(initial=0.0))
+            members += bool(size <= feas_tol)
         assert 200 < members < 800  # both answers are exercised
 
     def test_feasible_nonneg_solution_is_unchanged(self, monkeypatch):
         results = [feasible_nonneg_solution(g, x) for g, x in self.PROBLEMS]
-        monkeypatch.setattr(conelp, "_nnls", reference_nnls)
+        monkeypatch.setattr(conelp, "_nnls", reference_nnls_residual)
         for (g, x), result in zip(self.PROBLEMS, results):
-            expected = feasible_nonneg_solution(g, x)
-            assert (result.member, result.residual) == (expected.member, expected.residual)
-            pairs = [(result.coefficients, expected.coefficients)]
-            for got, want in pairs + [(result.separator, expected.separator)]:
-                assert (got is None) == (want is None)
-                assert got is None or got.tobytes() == want.tobytes()
+            assert_same_result(result, feasible_nonneg_solution(g, x))
+
+
+def door_inputs():
+    """(M, x) as outside callers pass them: the reference problems, and the
+    same numbers as integer lists, with -0.0 entries, and as F-ordered or
+    strided views."""
+    cases = list(TestLawsonHansonReference.PROBLEMS)
+    rng = np.random.default_rng(11)
+    for g, x in cases[:50]:
+        signed = g.copy()
+        signed[rng.uniform(size=g.shape) < 0.3] = -0.0
+        wide = np.zeros((g.shape[0], 2 * g.shape[1]))
+        wide[:, ::2] = g
+        long = np.zeros(2 * x.size)
+        long[::2] = x
+        cases += [
+            (signed, np.where(rng.uniform(size=x.size) < 0.5, -0.0, x)),
+            (np.asfortranarray(g), x),
+            (wide[:, ::2], long[::2]),
+            (g.T.copy().T, x[::-1].copy()[::-1]),
+            (np.round(3 * g).astype(int).tolist(), np.round(3 * x).astype(int).tolist()),
+        ]
+    return cases
+
+
+class TestDoor:
+    """``feasible_nonneg_solution`` is its input checks followed by the core,
+    ``conelp._solve``, which the library's own questions call directly."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(ineq_tol=1e-6)])
+    def test_door_is_validation_then_core(self, tol):
+        for m, x in door_inputs():
+            canonical, vector = as_matrix(m), as_vector(x)
+            expected = conelp._solve(canonical, vector, membership_tol(vector, tol))
+            assert_same_result(feasible_nonneg_solution(m, x, tol), expected)
+
+    def test_core_takes_any_layout(self):
+        # F-ordered, strided and -0.0 matrices reach the core as they are;
+        # it answers as on their canonical copy, to the bit.
+        for m, x in door_inputs():
+            vector = np.asarray(x, dtype=float)
+            feas_tol = membership_tol(vector, DEFAULT_TOL)
+            expected = conelp._solve(as_matrix(m), vector, feas_tol)
+            assert_same_result(conelp._solve(np.asarray(m, dtype=float), vector, feas_tol), expected)
 
 
 class TestHomogeneousNonzero:
@@ -357,6 +416,14 @@ class TestHomogeneousNonzero:
     def test_rejects_zero_columns(self):
         with pytest.raises(InputError):
             homogeneous_nonzero(np.zeros((2, 0)))
+
+    def test_overflowing_stiemke_target_is_numeric_failure(self):
+        # Full rank, so the Stiemke question is asked, and its target
+        # -M^T 1 overflows: once the solver stopped at u = 0 on an infinite
+        # tolerance and called the cone {0}, though rho = (-1, -1) holds.
+        m = np.array([[1e308, 0.0], [0.0, 1e308], [1e308, 1e308]])
+        with pytest.raises(NumericError, match="target overflows"):
+            homogeneous_nonzero(m)
 
     @settings(max_examples=120, deadline=None)
     @given(arrays(np.int64, (4, 1), elements=small_ints))
@@ -469,6 +536,12 @@ class TestIsPositiveSpanningSubspace:
 
     def test_symmetric_pair_spans_a_line(self):
         assert is_positive_spanning_subspace(np.array([[1.0, -1.0], [0.0, 0.0]]))
+
+    def test_overflowing_target_is_numeric_failure(self):
+        # -Z 1 overflows; a half-line is no subspace, and the question
+        # must not be answered on an infinite tolerance.
+        with pytest.raises(NumericError, match="target overflows"):
+            is_positive_spanning_subspace(np.array([[1e308, 1e308]]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_per_column_criterion(self, seed):

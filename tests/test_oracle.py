@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import canonical_column, ladder_cones
+from helpers import canonical_column, count_cone_solves, ladder_cones
 
 from nnscontrol import DEFAULT_TOL, InputError, NumericError, oracle
 from nnscontrol.controllability import (
@@ -402,6 +402,22 @@ class TestSequenceConeLadder:
         assert_ladder_matches_product(sys, 1, 3)
         assert_ladder_matches_product(sys, 2, 2)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_padded_columns_match_stable_argsort(self, seed):
+        # Random boolean rows, with an empty and a full one among them, and a
+        # grid with no True entry at all: one np.nonzero lists each row's
+        # columns as the stable argsort of its negation did.
+        rng = np.random.default_rng(seed)
+        for rows in (rng.uniform(size=(40, 13)) < rng.uniform(), np.zeros((3, 5), dtype=bool)):
+            if rows.any():
+                rows[rng.choice(len(rows), size=2, replace=False)] = [[False], [True]]
+            sizes = rows.sum(axis=1)
+            index = np.argsort(~rows, axis=1, kind="stable")[:, : sizes.max()]
+            index[np.arange(sizes.max()) >= sizes[:, None]] = 99
+            padded = oracle._padded_columns(rows, 99)
+            assert (padded.dtype, padded.shape) == (index.dtype, index.shape)
+            assert padded.tolist() == index.tolist()
+
     @pytest.mark.parametrize("s", (1, 2))
     def test_recurring_key_sets_keep_their_key(self, s):
         # SHIFT's powers repeat columns (A e2 = e1, A^2 e3 = e1), so one set of
@@ -502,31 +518,27 @@ def assert_sweep_matches_lp_reference(sys, s, cfg):
 SWEEP_CONFIG = OracleConfig(n_directions=16, seed=2024)
 
 
-def counted_solves(monkeypatch):
-    """Replace the oracle's cone solver with a wrapper; returns its call list."""
-    calls = []
+def returned_separators(solves):
+    """The separators the solves returned, at unit max modulus, as bytes."""
+    return [
+        (result.separator / np.abs(result.separator).max()).tobytes()
+        for _, result in solves
+        if not result.member
+    ]
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return feasible_nonneg_solution(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "feasible_nonneg_solution", counted)
-    return calls
+def solve_widths(solves):
+    """The generator count of each solve."""
+    return [generators.shape[1] for generators, _ in solves]
 
 
 def watched_validity(monkeypatch):
-    """Wrap the oracle's solver and validity decisions. Returns the list of
-    separators the solves return (unit max modulus, as bytes), the list of
-    decision calls and the list of decided (separator, cone) pairs, as bytes."""
-    solve = oracle.feasible_nonneg_solution
+    """Wrap the cone solves and the oracle's validity decisions. Returns the
+    list of (generators, result) of the solves, the list of decision calls
+    and the list of decided (separator, cone) pairs, as bytes."""
+    solves = count_cone_solves(monkeypatch)
     valid_separators = oracle._valid_separators
-    returned, decisions, pairs = [], [], []
-
-    def watched_solve(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        if not result.member:
-            returned.append((result.separator / np.abs(result.separator).max()).tobytes())
-        return result
+    decisions, pairs = [], []
 
     def watched_decision(separators, stack, floors):
         decisions.append(len(separators))
@@ -537,9 +549,8 @@ def watched_validity(monkeypatch):
         )
         return valid_separators(separators, stack, floors)
 
-    monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched_solve)
     monkeypatch.setattr(oracle, "_valid_separators", watched_decision)
-    return returned, decisions, pairs
+    return solves, decisions, pairs
 
 
 def assert_decided_once(returned, pairs):
@@ -618,7 +629,7 @@ class TestSeparatorReuse:
             np.array([1.0, -1e-6]),
         ]
         expected = lp_sweep_coverage(sys, 3, probes, 1)
-        calls = counted_solves(monkeypatch)
+        calls = count_cone_solves(monkeypatch)
         assert _sweep_coverage(sys, 3, probes, 1, DEFAULT_TOL) == expected
         assert expected == (None, [4], 5)
         assert len(calls) == 4
@@ -629,7 +640,7 @@ class TestSeparatorReuse:
         sys = SystemPair(A=np.eye(3), B=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
         probes = [np.array([1.0, t, 0.0]) / np.hypot(1.0, t) for t in (0.0, 0.5, 1.0, 2.0)]
         expected = lp_sweep_coverage(sys, 2, probes, 2)
-        calls = counted_solves(monkeypatch)
+        calls = count_cone_solves(monkeypatch)
         assert _sweep_coverage(sys, 2, probes, 2, DEFAULT_TOL) == expected
         assert expected == (1, [], 4)
         assert len(calls) == 4
@@ -644,12 +655,12 @@ class TestSeparatorReuse:
         # validity is decided at most once in the sweep, and the grid of
         # open questions is updated once per solve (each returned separator
         # is decided against it once), not once per question.
-        calls = counted_solves(monkeypatch)
-        returned, decisions, pairs = watched_validity(monkeypatch)
+        calls, decisions, pairs = watched_validity(monkeypatch)
         sys = generate_system("planted_uncontrollable_ii", 3, 4, 0).system
         verdict = coverage_probe(sys, 1, OracleConfig(seed=2024))
         assert verdict.lp_count == 11598
         assert len(calls) <= 40
+        returned = returned_separators(calls)
         assert_decided_once(returned, pairs)
         # One decision per separator a solve returns, plus one decision of
         # the stored separators per grid: two grids (the relaxation, the
@@ -666,18 +677,44 @@ class TestSeparatorReuse:
         # afresh against the stored separators, and against each separator a
         # solve in it returns, so a pair is decided at most once per grid
         # for each solve that returned its separator.
-        returned, _, pairs = watched_validity(monkeypatch)
+        solves, _, pairs = watched_validity(monkeypatch)
         settle = oracle._Witnesses.settle
 
         def watched_settle(witnesses, *args):
             start = len(pairs)
             found = settle(witnesses, *args)
-            assert_decided_once(returned, pairs[start:])
+            assert_decided_once(returned_separators(solves), pairs[start:])
             return found
 
         monkeypatch.setattr(oracle._Witnesses, "settle", watched_settle)
         verdict = coverage_probe(sys, s, OracleConfig(seed=2024))
         assert verdict.lp_count == lp_coverage_probe(sys, s, OracleConfig(seed=2024)).lp_count
+
+    def test_grids_without_new_cones(self, monkeypatch):
+        # A e2 = e1 and A^2 = 0, so every block past A B is zero and each
+        # horizon from 3 on has horizon 2's cones: cone(e1, e2), cone(e1, e3),
+        # cone(e2) and cone(e3). The probe (1, 1, 1) lies in the relaxation,
+        # the first orthant, and in none of them, so it is asked about them
+        # again at every later horizon, in grids that bring no new cone.
+        a = np.zeros((3, 3))
+        a[0, 1] = 1.0
+        sys = SystemPair(A=a, B=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        probes = list(_probe_directions(3, SWEEP_CONFIG)) + [np.ones(3) / np.sqrt(3.0)]
+        expected = lp_sweep_coverage(sys, 1, probes, 6)
+        settle = oracle._Witnesses.settle
+        grown = []
+
+        def watched_settle(witnesses, rows, keys, stack):
+            before = witnesses.outside.shape[1]
+            found = settle(witnesses, rows, keys, stack)
+            grown.append((len(keys), witnesses.outside.shape[1] - before))
+            return found
+
+        monkeypatch.setattr(oracle._Witnesses, "settle", watched_settle)
+        result = _sweep_coverage(sys, 1, probes, 6, DEFAULT_TOL)
+        assert result == expected
+        assert result[0] is None and len(probes) - 1 in result[1]
+        assert grown[-4:] == [(4, 0)] * 4
 
     def test_valid_separators(self):
         # A cone with no generators, padded or of width 0, is valid for every
@@ -699,7 +736,7 @@ class TestSeparatorReuse:
         # kept).
         sys = generate_system("random_nonsingular_paired", 3, 4, 0).system
         expected = lp_coverage_probe(sys, 2, OracleConfig(seed=2024))
-        calls = counted_solves(monkeypatch)
+        calls = count_cone_solves(monkeypatch)
         verdict = coverage_probe(sys, 2, OracleConfig(seed=2024))
         assert verdict.lp_count == expected.lp_count == 210
         assert len(calls) <= 7
@@ -713,18 +750,12 @@ class TestSeparatorReuse:
         rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
         sys = SystemPair(A=rotation, B=np.eye(2))
         probes = [np.array([1.0, 1.0]) / np.sqrt(2.0)]
-        widths = []
-        solve = oracle.feasible_nonneg_solution
-
-        def watched(generators, *args, **kwargs):
-            widths.append(generators.shape[1])
-            return solve(generators, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched)
+        expected = lp_sweep_coverage(sys, 1, probes, 2)
+        solves = count_cone_solves(monkeypatch)
         result = _sweep_coverage(sys, 1, probes, 2, DEFAULT_TOL)
-        assert result == lp_sweep_coverage(sys, 1, probes, 2)
+        assert result == expected
         assert result[0] == 2
-        assert 2 in widths and 4 not in widths
+        assert 2 in solve_widths(solves) and 4 not in solve_widths(solves)
 
 
 def rotation(degrees):
@@ -737,16 +768,12 @@ def unit(degrees):
 
 
 def watched_sweep(monkeypatch):
-    """Wrap the oracle's solver, grids and whole-space rule. Returns the
-    generator widths of the solves, the (keys, rows) of each grid, and the
-    (rows, fits) of each whole-space answer, as lists of plain values."""
-    solve = oracle.feasible_nonneg_solution
+    """Wrap the cone solves and the oracle's grids and whole-space rule.
+    Returns the (generators, result) of the solves, the (keys, rows) of each
+    grid, and the (rows, fits) of each whole-space answer, as lists."""
+    solves = count_cone_solves(monkeypatch)
     settle, spanned = oracle._Witnesses.settle, oracle._Witnesses.spanned
-    widths, grids, spans = [], [], []
-
-    def watched_solve(generators, *args, **kwargs):
-        widths.append(generators.shape[1])
-        return solve(generators, *args, **kwargs)
+    grids, spans = [], []
 
     def watched_settle(witnesses, rows, keys, stack):
         grids.append((list(keys), rows.tolist()))
@@ -757,10 +784,9 @@ def watched_sweep(monkeypatch):
         spans.append((rows.tolist(), fits.tolist()))
         return fits
 
-    monkeypatch.setattr(oracle, "feasible_nonneg_solution", watched_solve)
     monkeypatch.setattr(oracle._Witnesses, "settle", watched_settle)
     monkeypatch.setattr(oracle._Witnesses, "spanned", watched_spanned)
-    return widths, grids, spans
+    return solves, grids, spans
 
 
 class TestKnownOutside:
@@ -776,12 +802,12 @@ class TestKnownOutside:
         sys = SystemPair(A=np.array([[1.0, 0.0], [1.0, 1.0]]), B=np.eye(2))
         probes = [unit(225), np.array([1.0, 2.0]) / np.sqrt(5.0)]
         expected = lp_sweep_coverage(sys, 1, probes, 3)
-        widths, grids, spans = watched_sweep(monkeypatch)
+        solves, grids, spans = watched_sweep(monkeypatch)
         assert _sweep_coverage(sys, 1, probes, 3, DEFAULT_TOL) == expected
         assert expected[:2] == (None, [0])
         assert grids[0] == ([1], [0, 1])
         assert [rows for keys, rows in grids if keys in ([2], [3])] == []
-        assert 4 not in widths and 6 not in widths
+        assert 4 not in solve_widths(solves) and 6 not in solve_widths(solves)
         assert spans == []
 
     def test_separator_valid_only_at_first_returns_to_the_grid(self, monkeypatch):
@@ -793,11 +819,11 @@ class TestKnownOutside:
         sys = SystemPair(A=np.diag([1.0, -1.0]), B=np.array([[1.0], [1.0]]))
         probes = [np.array([0.0, -1.0])]
         expected = lp_sweep_coverage(sys, 1, probes, 3)
-        widths, grids, _ = watched_sweep(monkeypatch)
+        solves, grids, _ = watched_sweep(monkeypatch)
         assert _sweep_coverage(sys, 1, probes, 3, DEFAULT_TOL) == expected
         assert expected == (None, [0], 3)
         assert grids == [([1], [0]), ([2], [0])]
-        assert 3 not in widths
+        assert 3 not in solve_widths(solves)
 
 
 class TestWholeSpace:
@@ -812,10 +838,10 @@ class TestWholeSpace:
         sys = SystemPair(A=rotation(120), B=np.array([[1.0], [0.0]]))
         probes = _probe_directions(2, SWEEP_CONFIG)
         expected = lp_sweep_coverage(sys, 1, probes, 3)
-        widths, grids, spans = watched_sweep(monkeypatch)
+        solves, grids, spans = watched_sweep(monkeypatch)
         assert _sweep_coverage(sys, 1, probes, 3, DEFAULT_TOL) == expected
         assert expected[0] == 3
-        assert widths.count(3) == 1
+        assert solve_widths(solves).count(3) == 1
         rows, fits = spans[-1]
         assert rows and all(fits)
         assert [keys for keys, _ in grids if keys == [3]] == []
@@ -829,12 +855,12 @@ class TestWholeSpace:
         sys = SystemPair(A=rotation(5), B=np.column_stack([unit(0), unit(90), unit(170)]))
         probes = [unit(60), unit(172.5), unit(177.5)]
         expected = lp_sweep_coverage(sys, 3, probes, 2)
-        widths, grids, spans = watched_sweep(monkeypatch)
+        solves, grids, spans = watched_sweep(monkeypatch)
         assert _sweep_coverage(sys, 3, probes, 2, DEFAULT_TOL) == expected
         assert expected == (None, [2], 5)
         assert spans == [([1, 2], [False, False])]
         assert grids[-1] == ([2], [1, 2])
-        assert widths.count(6) == 3
+        assert solve_widths(solves).count(6) == 3
 
     def test_witness_failing_the_residual_test_goes_to_settle(self, monkeypatch):
         # The horizon-2 relaxation has columns (-1, 9e-9), (0, -eps), (1, 0)
@@ -962,3 +988,12 @@ class TestPowerOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"A\^2 B overflows"):
                 coverage_probe(sys, 1)
+
+    def test_overflowing_whole_space_target_is_numeric_failure(self):
+        # The relaxation [1e308, 1e308, -1e308] spans R^1 but its row sum
+        # overflows: the whole-space question is refused, not answered on
+        # an infinite tolerance.
+        relaxation = np.array([[1e308, 1e308, -1e308]])
+        witnesses = oracle._Witnesses(np.array([[1.0], [-1.0]]), DEFAULT_TOL, [relaxation])
+        with pytest.raises(NumericError, match="target overflows"):
+            witnesses.spanned(np.arange(2), relaxation)
