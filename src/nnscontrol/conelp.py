@@ -14,9 +14,10 @@ Outside input enters once, through a public function: the number rule
 (``as_matrix``, ``as_vector``), the row check and ``membership_tol``. The
 library's own questions, whose arrays it built from checked ones, go
 straight to the core, ``_solve``, with their tolerance. The core takes M
-in ``as_matrix``'s canonical form itself and refuses a target that
-overflowed, so each answer is the door's to the bit, or NumericError
-where the door would refuse the target.
+in ``as_matrix``'s canonical form itself, so each answer is the door's to
+the bit. The one target the library computes, Stiemke's -G 1, is built by
+``_stiemke`` under ``matrixcore.finite``: finite, or NumericError where the
+door would refuse it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConeError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_vector, rank
+from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_vector, finite, rank
 
 __all__ = [
     "ConeMembershipResult",
@@ -137,12 +138,9 @@ def feasible_nonneg_solution(m, x, tol: Tolerances = DEFAULT_TOL) -> ConeMembers
 
 def _solve(m: np.ndarray, x: np.ndarray, feas_tol: float) -> ConeMembershipResult:
     """``feasible_nonneg_solution`` on arrays the library built: M a finite
-    float64 matrix, x a float64 vector of M's row count, and feas_tol their
-    ``membership_tol``. M is taken in ``as_matrix``'s canonical form here,
-    so the caller's layout and signed zeros do not reach the bits. An x that
-    is not finite (a computed target that overflowed) raises NumericError."""
-    if not np.isfinite(x).all():
-        raise NumericError("the cone membership target overflows")
+    float64 matrix, x a finite float64 vector of M's row count, and feas_tol
+    their ``membership_tol``. M is taken in ``as_matrix``'s canonical form
+    here, so the caller's layout and signed zeros do not reach the bits."""
     m = np.add(m, 0.0, order="C")  # as_matrix's canonical form
     u, passive, r, residual = _nnls(m, x, feas_tol)
     if residual <= feas_tol:
@@ -194,6 +192,12 @@ def homogeneous_nonzero(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     return None
 
 
+def _stiemke(g: np.ndarray, tol: Tolerances) -> ConeMembershipResult:
+    """Stiemke's question on the library's own G, is -G 1 in cone(G)? -G 1 passes ``finite``."""
+    x = finite(lambda: -g @ np.ones(g.shape[1]), "the cone membership target")
+    return _solve(g, x, membership_tol(x, tol))
+
+
 def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     """A nonzero rho with M rho <= 0 scaled to unit max modulus, or None.
 
@@ -212,9 +216,7 @@ def _stiemke_ray(m: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     if rows < g or sigma[-1] * np.sqrt(g) <= tol.ineq_tol:
         rho = vh[-1]
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses an overflow
-            x = -m.T @ np.ones(rows)
-        result = _solve(m.T, x, membership_tol(x, tol))
+        result = _stiemke(m.T, tol)
         if result.member:
             return None
         rho = -result.separator
@@ -259,7 +261,4 @@ def is_positive_spanning_subspace(z_mat, tol: Tolerances = DEFAULT_TOL) -> bool:
     it contains the negation of every generator, that is, when Z y = 0 for
     some y > 0. One membership question decides it: is -Z 1 in cone(Z)?
     """
-    z_mat = as_matrix(z_mat, "Z")
-    with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses an overflow
-        x = -z_mat.sum(axis=1)
-    return _solve(z_mat, x, membership_tol(x, tol)).member
+    return _stiemke(as_matrix(z_mat, "Z"), tol).member

@@ -35,16 +35,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .conelp import homogeneous_nonzero
-from .errors import InputError, NoFeasibleSparsityError, NumericError
+from .errors import InputError, NoFeasibleSparsityError
 from .matrixcore import (
     DEFAULT_TOL,
     LeftEigenSystem,
     Tolerances,
-    _cluster,
     as_input_matrix,
     as_matrix,
     as_square,
     as_vector,
+    eigen_clusters,
+    finite,
     left_eigensystem,
     rank,
     scale_unit,
@@ -275,11 +276,7 @@ def _staircase(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
             a[lo:] = u.T @ a[lo:]
             a[:, lo:] = a[:, lo:] @ u
             q[:, lo:] = q[:, lo:] @ u
-    with np.errstate(over="ignore"):
-        a_u = a[hi:, hi:] * unit
-    if not np.isfinite(a_u).all():
-        raise NumericError("the block of A that no input reaches overflows")
-    return q[:, hi:], a_u
+    return q[:, hi:], finite(lambda: a[hi:, hi:] * unit, "the block of A that no input reaches")
 
 
 @dataclass(frozen=True)
@@ -311,10 +308,7 @@ class _Analysis:
             return ConditionResult(passed=True)
         values = np.linalg.eigvals(a_u)
         close = np.abs(values[:, None] - values[None, :]) <= self.eig.cluster_radius
-        centers = [complex(values[idx].mean()) + 0.0 for idx in _cluster(close)]  # clears -0.0
-        violations = [
-            complex(c.real) if abs(c.imag) <= self.tol.eig_imag_tol else c for c in centers
-        ]
+        violations = [centre for _, centre, _, _ in eigen_clusters(values, close, self.tol)]
         violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
         lam = violations[0]
         u = np.linalg.svd(a_u - (lam if lam.imag else lam.real) * np.eye(len(a_u)))[0]
@@ -562,13 +556,14 @@ def certificate_direction(cert: Certificate) -> np.ndarray:
 
     For a real z this is z itself; for a complex kind-i witness both the
     real and imaginary parts annihilate the reachable set, so whichever is
-    nonzero serves as a probe direction.
+    nonzero serves as a probe direction. Both are taken on z divided by its
+    largest modulus, so no norm over- or underflows.
     """
     z = np.asarray(cert.z)
-    direction = np.real(z)
-    if np.linalg.norm(direction) <= 1e-12 * max(1.0, np.abs(z).max()):
-        direction = np.imag(z)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
+    peak = np.abs(z).max(initial=0.0)
+    if peak == 0.0:
         raise InputError("certificate z is zero")
-    return direction / norm
+    direction = np.real(z) / peak  # parts apart: complex division by a subnormal overflows
+    if np.linalg.norm(direction) <= 1e-12:
+        direction = np.imag(z) / peak
+    return direction / np.linalg.norm(direction)

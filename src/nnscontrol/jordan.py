@@ -20,7 +20,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_matrix, as_square, mat_pow, rank, scale_unit
+from .matrixcore import (
+    DEFAULT_TOL, Tolerances, as_matrix, as_square, finite, mat_pow, rank, scale_unit,
+)
 
 __all__ = [
     "ZeroStructure",
@@ -211,11 +213,7 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
     if not cond <= 1e12:  # also refuses inf and nan
         raise NumericError(f"assembled basis is numerically singular (cond {cond:.2e})")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        transformed = p @ a @ basis
-    if not np.isfinite(transformed).all():
-        raise NumericError("P A P^-1 overflows")
-    j_block = transformed[:q, :q]
+    j_block = finite(lambda: p @ a @ basis, "P A P^-1")[:q, :q]
     parts = tuple(np.where((level == i)[:, None], p, 0.0) for i in range(1, structure.n + 1))
     return RowSplitDecomposition(P=p, J=j_block, P0=p[:q, :], parts=parts, structure=structure)
 

@@ -2,9 +2,11 @@
 
 Each input rule is defined here, once: ``as_matrix``, ``as_square``,
 ``as_input_matrix``, ``as_vector``, ``validate_count``,
-``validate_sparsity`` and ``Tolerances``. The number rule behind
-``as_matrix`` and ``as_vector`` is the only one: system files, certificate
-files, the bundled fixtures and ``Tolerances`` are read through these doors.
+``validate_sparsity`` and ``Tolerances``; so are two numeric rules, the
+overflow guard ``finite`` and the eigenvalue-cluster rule ``eigen_clusters``.
+The number rule behind ``as_matrix`` and ``as_vector`` is the only one:
+system files, certificate files, the bundled fixtures and ``Tolerances``
+are read through these doors.
 
 Floating-point decisions downstream use the thresholds of ``Tolerances``
 and a few fixed constants, each named where it acts: ``_CROWDING_FACTOR``
@@ -23,6 +25,7 @@ reported rather than hidden.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from math import inf
 
@@ -195,6 +198,16 @@ def scale_unit(m: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp(np.abs(m).max(initial=0.0))[1] - 1))
 
 
+def finite(compute, what: str):
+    """The overflow guard: ``compute()``, evaluated without floating-point warnings,
+    or NumericError("{what} overflows") when the result is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute()
+    if not np.isfinite(result).all():
+        raise NumericError(f"{what} overflows")
+    return result
+
+
 def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank: singular values exceeding ``rank_rtol * sigma_max``,
     taken on m / ``scale_unit(m)`` so that sigma_max cannot overflow."""
@@ -277,6 +290,23 @@ def _cluster(close: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
+def eigen_clusters(values: np.ndarray, close: np.ndarray, tol: Tolerances) -> Iterator[tuple]:
+    """The cluster rule: (members, centre, is_real, spread) per component of ``close``.
+    The centre is the members' mean, taken on values / ``scale_unit`` so that it cannot
+    overflow, and made real when its imaginary part is at most ``eig_imag_tol``."""
+    for idx in _cluster(close):
+        if idx.size == 1:
+            centre, spread = complex(values[idx[0]]) + 0.0, 0.0  # as a mean, clears -0.0
+        else:
+            members = values[idx]
+            unit = scale_unit(members)  # real and imaginary parts divide apart, as in ``rank``
+            mean = (members.view(np.float64) / unit).view(members.dtype).mean()
+            centre = complex(mean.real * unit, mean.imag * unit)
+            spread = float(np.abs(members - centre).max())
+        is_real = abs(centre.imag) <= tol.eig_imag_tol
+        yield idx, complex(centre.real) if is_real else centre, is_real, spread
+
+
 # Rounding splits a defective eigenvalue into copies that can lie farther
 # apart than the clustering radius, so they become one-member groups. Their
 # eig(A^T) vectors are nearly parallel and miss the rest of the eigenspace,
@@ -323,9 +353,7 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     if n == 0:
         return LeftEigenSystem(groups=(), cluster_radius=0.0)
     try:
-        values = np.linalg.eigvals(a)
-        if not np.isfinite(values).all():
-            raise NumericError("an eigenvalue of A overflows")
+        values = finite(lambda: np.linalg.eigvals(a), "an eigenvalue of A")
         radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
         gaps = np.abs(values[:, None] - values[None, :])
         isolated = np.count_nonzero(gaps <= radius, axis=1) == 1
@@ -347,17 +375,8 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     diagonal = a.diagonal()
     shifts = {True: a.T.astype(np.float64, order="C"), False: a.T.astype(np.complex128, order="C")}
     groups = []
-    for idx in _cluster(gaps <= radius):
+    for idx, lam, is_real, spread in eigen_clusters(values, gaps <= radius, tol):
         i = int(idx[0])
-        if idx.size == 1:
-            center = complex(values[i]) + 0.0  # members.mean() also clears -0.0
-            spread = 0.0
-        else:
-            members = values[idx]
-            center = complex(members.mean())
-            spread = float(np.abs(members - center).max())
-        is_real = abs(center.imag) <= tol.eig_imag_tol
-        lam: complex = complex(center.real) if is_real else center
         shifted = shifts[is_real]
         shifted.reshape(-1)[:: n + 1] = diagonal - (lam.real if is_real else lam) / unit
         basis = None
@@ -405,8 +424,4 @@ def mat_pow(m, k: int, name: str = "matrix") -> np.ndarray:
     """
     m = as_square(m, name)
     k = validate_count(k, "power", 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.linalg.matrix_power(m, k)
-    if not np.isfinite(power).all():
-        raise NumericError(f"{name}^{k} overflows")
-    return power
+    return finite(lambda: np.linalg.matrix_power(m, k), f"{name}^{k}")

@@ -92,10 +92,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conelp import _solve, membership_tol
+from .conelp import _solve, _stiemke, membership_tol
 from .controllability import SystemPair
-from .errors import InputError, NumericError
-from .matrixcore import DEFAULT_TOL, Tolerances, as_vector, validate_count, validate_sparsity
+from .errors import InputError
+from .matrixcore import (
+    DEFAULT_TOL, Tolerances, as_vector, finite, scale_unit, validate_count, validate_sparsity,
+)
 
 __all__ = [
     "OracleConfig",
@@ -194,10 +196,7 @@ def _powers_times_b(sys: SystemPair, k: int) -> list[np.ndarray]:
     """[A^j B for j = 0..k-1]; NumericError when a power overflows."""
     blocks = [sys.B]
     for j in range(1, k):
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks.append(sys.A @ blocks[-1])
-        if not np.all(np.isfinite(blocks[-1])):
-            raise NumericError(f"A^{j} B overflows")
+        blocks.append(finite(lambda: sys.A @ blocks[-1], f"A^{j} B"))
     return blocks
 
 
@@ -258,8 +257,10 @@ def _sequence_cone_ladder(
     """
     width = sys.m * len(blocks)
     flat = np.ascontiguousarray(np.hstack(blocks).T)  # one row per column, block by block
+    units = np.array([scale_unit(row) for row in flat])
+    flat = flat / units[:, None]  # exact, so no norm over- or underflows and no key moves
     norms = np.sqrt([row.dot(row) for row in flat])  # np.linalg.norm's arithmetic
-    live = norms > 1e-12
+    live = norms * np.minimum(units, 1.0) > 1e-12  # a unit above 1 means a norm above 1
     keys = [row.tobytes() for row in np.round(flat[live] / norms[live, None], 12) + 0.0]
     columns = sorted(set(keys))
     number = {key: i for i, key in enumerate(columns)}
@@ -398,9 +399,7 @@ class _Witnesses:
         c, _, rank, _ = np.linalg.lstsq(relaxation, points, rcond=self.tol.rank_rtol)
         if rank < len(points):
             return np.zeros(len(rows), dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses an overflow
-            x = -relaxation.sum(axis=1)
-        result = _solve(relaxation, x, membership_tol(x, self.tol))
+        result = _stiemke(relaxation, self.tol)
         if not result.member:
             return np.zeros(len(rows), dtype=bool)
         y = result.coefficients[:, None] + 1.0
@@ -517,5 +516,5 @@ def random_rollout(sys: SystemPair, s: int, k: int, seed: int) -> np.ndarray:
         u = np.zeros(sys.m)
         support = rng.choice(sys.m, size=s, replace=False)
         u[support] = rng.uniform(0.0, 1.0, size=s)
-        x = sys.A @ x + sys.B @ u
+        x = finite(lambda: sys.A @ x + sys.B @ u, "the state")
     return x

@@ -377,6 +377,15 @@ class TestInternalOverflow:
         report = json.loads(out, parse_constant=refuse)
         assert all(group["max_residual"] < 1e308 for group in report["result"]["eigenvalues"])
 
+    def test_huge_jordan_block_is_uncontrollable(self, capsys, tmp_path):
+        # The cluster mean of the eigenvalues 1e308 once overflowed, and the
+        # command exited 1 on an inf it had computed itself.
+        path = tmp_path / "jordan.json"
+        path.write_text(json.dumps({"A": [[1e308, 1e308], [0.0, 1e308]], "B": [[-1.0], [-1.0]]}))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert json.loads(out)["result"]["verdict"] == "uncontrollable"
+
     def test_verify_cert_rejects_a_wrong_eigenvalue(self, capsys, overflow_file, tmp_path):
         # z = -e1 is no left eigenvector (residual 1e308); the bound once was inf.
         cert_path = tmp_path / "cert.json"

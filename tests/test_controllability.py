@@ -420,6 +420,21 @@ class TestConditionII:
     def test_cob_original_passes(self):
         assert check_condition_ii(COB).passed
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000])
+    def test_huge_jordan_block_fails_at_its_eigenvalue(self, scale):
+        # The mean of the two eigenvalues 1e308 once overflowed, and the inf
+        # centre was refused as input. At both scales, z = e2 has
+        # z^T A = lambda z^T and z^T B = -1.
+        sys = SystemPair(A=scale * np.array([[1e308, 1e308], [0.0, 1e308]]), B=-np.ones((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_nonneg(sys)
+            assert (report.verdict, report.certificate.kind) == (
+                "uncontrollable", "violates_condition_ii"
+            )
+            assert report.certificate.eigenvalue == scale * 1e308
+            assert verify_certificate(sys, report.certificate).valid
+
 
 class TestConditionIII:
     def test_cob_at_s1(self):
@@ -899,6 +914,23 @@ class TestCertificateDirection:
         direction = certificate_direction(self._cert([0.0 + 3.0j, 0.0 - 4.0j]))
         np.testing.assert_allclose(direction, [0.6, -0.8])
         assert not np.iscomplexobj(direction)
+
+    @pytest.mark.parametrize(
+        "z, expected",
+        [
+            (1e200 * np.ones(2), np.ones(2) / np.sqrt(2.0)),
+            (1e-200 * np.ones(2), np.ones(2) / np.sqrt(2.0)),
+            (1e-200 * np.array([3.0j, -4.0j]), [0.6, -0.8]),
+        ],
+        ids=["huge", "tiny", "tiny-imaginary"],
+    )
+    def test_extreme_scales_give_the_unit_direction(self, z, expected):
+        # The norm of z itself once overflowed (a zero direction) or
+        # underflowed ("certificate z is zero"); z / max|z| does neither.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direction = certificate_direction(self._cert(z))
+        np.testing.assert_allclose(direction, expected, rtol=1e-15)
 
     def test_zero_z_is_an_input_error(self):
         with pytest.raises(InputError, match="zero"):

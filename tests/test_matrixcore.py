@@ -36,7 +36,9 @@ from nnscontrol import (
 from nnscontrol import controllability, matrixcore
 from nnscontrol.controllability import SystemPair, check_nonneg_sparse
 from nnscontrol.oracle import OracleConfig, coverage_probe
-from nnscontrol.matrixcore import _CROWDING_FACTOR, _cluster, as_matrix, as_vector, scale_unit
+from nnscontrol.matrixcore import (
+    _CROWDING_FACTOR, _cluster, as_matrix, as_vector, eigen_clusters, scale_unit,
+)
 
 from helpers import (
     _reference_cluster,
@@ -751,14 +753,22 @@ class TestLeftEigensystemAgainstReference:
     def test_every_group_path_is_taken(self):
         # Real and complex eig(A^T) columns, crowded and unmatched
         # one-member groups, multi-member clusters and the empty-kernel
-        # fallback: every line of the group loop runs.
+        # fallback: every line of the group loop runs, and every line of the
+        # cluster rule, whose one-member and larger clusters take two branches.
         systems = list(_reference_systems())
-        seen = _lines_run(left_eigensystem, lambda: [left_eigensystem(s.A) for s in systems])
+
+        def run():
+            return [left_eigensystem(s.A) for s in systems]
+
+        seen = _lines_run(left_eigensystem, run)
         source, first = inspect.getsourcelines(left_eigensystem)
-        start = first + next(i for i, text in enumerate(source) if "for idx in _cluster(" in text)
+        start = first + next(i for i, text in enumerate(source) if "in eigen_clusters(" in text)
         end = first + next(i for i, text in enumerate(source) if "groups.sort(" in text)
         lines = {line for _, line in dis.findlinestarts(left_eigensystem.__code__) if line}
         assert {line for line in lines if start <= line <= end} <= seen
+        first = inspect.getsourcelines(eigen_clusters)[1]
+        lines = {line for _, line in dis.findlinestarts(eigen_clusters.__code__) if line}
+        assert {line for line in lines if line > first} <= _lines_run(eigen_clusters, run)
 
     def test_near_real_pair_is_two_real_groups(self):
         values = np.linalg.eigvals(NEAR_REAL_PAIR)

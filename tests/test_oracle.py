@@ -196,6 +196,13 @@ class TestRandomRollout:
             random_rollout(COB, 1, 2, seed=seed)
         assert str(excinfo.value) == message
 
+    def test_overflowing_state_is_a_numeric_error(self):
+        # The third state is about 1e308 times the second: once an inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^the state overflows$"):
+                random_rollout(SystemPair(A=1e308 * np.eye(2), B=np.eye(2)), 1, 3, 0)
+
 
 class TestVectorInputs:
     """The oracle's vectors go through ``as_vector`` under their own names."""
@@ -401,6 +408,20 @@ class TestSequenceConeLadder:
         sys = SystemPair(A=rng.standard_normal((3, 3)), B=b)
         assert_ladder_matches_product(sys, 1, 3)
         assert_ladder_matches_product(sys, 2, 2)
+
+    @pytest.mark.parametrize("c", [1.0, 1e200, 1e308])
+    def test_huge_columns_keep_their_keys(self, c):
+        # The columns c and -c cover R^1 at horizon 1. Unscaled, their norm
+        # overflowed at 1e200: both were zero columns with no key, and the
+        # sweep read "uncovered" at K = 2 after 18 questions.
+        sys = SystemPair(A=np.eye(1), B=[[c, -c]])
+        cfg = OracleConfig(k_max=2, n_directions=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = coverage_probe(sys, 1, cfg)
+            reference = lp_sweep_coverage(sys, 1, _probe_directions(1, cfg), 2)
+        assert (verdict.outcome, verdict.k_used, verdict.lp_count) == ("covered_at", 1, 15)
+        assert reference == (1, [], 15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_padded_columns_match_stable_argsort(self, seed):

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +91,42 @@ def test_records_holding_arrays_compare_without_raising(name):
     assert first == first and not first != first
     assert first != second
     assert len({first, second}) == 2
+
+
+def rule_sites(is_site):
+    """(module, innermost enclosing def) of every node of the package's source
+    that ``is_site`` accepts, sorted; the def is None at module level."""
+    sites = []
+
+    def visit(node, module, function):
+        if is_site(node):
+            sites.append((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in Path(nnscontrol.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sorted(sites)
+
+
+def calls(name):
+    return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
+
+
+def builds_minus_g_ones(node):
+    """-G 1: a product with a vector of ones, or a negated row sum."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return ast.unparse(node.right).startswith("np.ones(")
+    return isinstance(node, ast.UnaryOp) and ast.unparse(node).endswith(".sum(axis=1)")
+
+
+def test_each_numeric_rule_has_one_definition():
+    # The overflow guard, Stiemke's question and the eigenvalue-cluster rule
+    # are each written once; every other site calls them. _numbers' cast
+    # keeps its own errstate: an input beyond float64 is an InputError.
+    guard = [("matrixcore", "_numbers"), ("matrixcore", "finite")]
+    assert rule_sites(calls("np.errstate")) == guard
+    assert rule_sites(builds_minus_g_ones) == [("conelp", "_stiemke")]
+    assert rule_sites(calls("_cluster")) == [("matrixcore", "eigen_clusters")]
