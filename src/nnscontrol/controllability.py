@@ -44,6 +44,7 @@ from .matrixcore import (
     as_matrix,
     as_square,
     as_vector,
+    divide_by_unit,
     eigen_clusters,
     finite,
     left_eigensystem,
@@ -166,13 +167,7 @@ class Certificate:
         lam, z = complex(lam_re, lam_im), re + 1j * im
         if np.abs(z.imag).max(initial=0.0) == 0.0:
             z = z.real
-        return cls(
-            kind=kind,
-            eigenvalue=lam,
-            z=z,
-            residual_eig=residual_eig,
-            max_zb=max_zb,
-        )
+        return cls(kind=kind, eigenvalue=lam, z=z, residual_eig=residual_eig, max_zb=max_zb)
 
 
 @dataclass(frozen=True)
@@ -181,28 +176,28 @@ class ConditionResult:
 
     When several eigenvalues violate the condition, the certificate is kept
     for the one of largest modulus and the rest are listed in
-    ``other_violations``.
+    ``other_violations``. Derived: ``passed``, true when there is no certificate.
     """
 
-    passed: bool
     certificate: Certificate | None = None
     other_violations: tuple[complex, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.certificate is None
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
             "certificate": self.certificate.to_dict() if self.certificate else None,
-            "other_violations": [
-                {"re": v.real, "im": v.imag} for v in self.other_violations
-            ],
+            "other_violations": [{"re": v.real, "im": v.imag} for v in self.other_violations],
         }
 
 
 @dataclass(frozen=True)
 class SparsityConditionResult:
-    """Pass/fail for s >= N - rank(A), with the numbers that decided it."""
+    """Pass/fail for s >= N - rank(A), with the numbers; derived: ``required``, ``passed``."""
 
-    passed: bool
     s: int
     n_states: int
     rank_a: int
@@ -211,18 +206,20 @@ class SparsityConditionResult:
     def required(self) -> int:
         return self.n_states - self.rank_a
 
+    @property
+    def passed(self) -> bool:
+        return self.s >= self.required
+
     def to_dict(self) -> dict:
-        return {**asdict(self), "required": self.required}
+        return {"passed": self.passed, **asdict(self), "required": self.required}
 
 
 @dataclass(frozen=True)
 class ControllabilityReport:
-    """Aggregated verdict: controllable iff every applicable condition passed."""
+    """Aggregated verdict: controllable iff every condition that ran (the others are None)
+    passed. Derived: ``controllable``, ``verdict``, ``mode``, ``s`` and ``certificate``."""
 
-    verdict: str  # "controllable" | "uncontrollable"
-    mode: str  # "nonneg_sparse" | "nonneg" | "sparse"
-    s: int | None
-    condition_i: ConditionResult | None
+    condition_i: ConditionResult
     condition_ii: ConditionResult | None
     condition_iii: SparsityConditionResult | None
     eigenvalues: tuple[dict, ...]
@@ -230,21 +227,32 @@ class ControllabilityReport:
 
     @property
     def controllable(self) -> bool:
-        return self.verdict == "controllable"
+        conditions = (self.condition_i, self.condition_ii, self.condition_iii)
+        return all(cond.passed for cond in conditions if cond is not None)
 
     @property
-    def certificate(self) -> Certificate | None:
-        for cond in (self.condition_i, self.condition_ii):
-            if cond is not None and cond.certificate is not None:
-                return cond.certificate
-        return None
+    def verdict(self) -> str:
+        return "controllable" if self.controllable else "uncontrollable"
+
+    @property
+    def mode(self) -> str:  # "nonneg_sparse" | "nonneg" | "sparse"
+        ran = (("nonneg", self.condition_ii), ("sparse", self.condition_iii))
+        return "_".join(name for name, cond in ran if cond is not None)
+
+    @property
+    def s(self) -> int | None:
+        return None if self.condition_iii is None else self.condition_iii.s
+
+    @property
+    def certificate(self) -> Certificate | None:  # condition i's, else condition ii's
+        return self.condition_i.certificate or (self.condition_ii and self.condition_ii.certificate)
 
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "mode": self.mode,
             "s": self.s,
-            "condition_i": self.condition_i.to_dict() if self.condition_i else None,
+            "condition_i": self.condition_i.to_dict(),
             "condition_ii": self.condition_ii.to_dict() if self.condition_ii else None,
             "condition_iii": self.condition_iii.to_dict() if self.condition_iii else None,
             "eigenvalues": list(self.eigenvalues),
@@ -302,16 +310,18 @@ class _Analysis:
     @cached_property
     def condition_i(self) -> ConditionResult:
         # The eigenvalues of A_u, grouped at the eigen-analysis's radius; w is the
-        # left singular direction of A_u - lambda I closest to its kernel.
+        # left singular direction of A_u - lambda I closest to its kernel. Both
+        # differences are taken in units of ``scale_unit(A_u)``, so neither overflows.
         q_u, a_u = self.unreached
         if not a_u.size:
-            return ConditionResult(passed=True)
-        values = np.linalg.eigvals(a_u)
-        close = np.abs(values[:, None] - values[None, :]) <= self.eig.cluster_radius
+            return ConditionResult()
+        unit, values = scale_unit(a_u), np.linalg.eigvals(a_u)
+        scaled = divide_by_unit(values, unit)
+        close = np.abs(scaled[:, None] - scaled[None, :]) <= self.eig.cluster_radius / unit
         violations = [centre for _, centre, _, _ in eigen_clusters(values, close, self.tol)]
         violations.sort(key=lambda v: (-abs(v), v.real, v.imag))
         lam = violations[0]
-        u = np.linalg.svd(a_u - (lam if lam.imag else lam.real) * np.eye(len(a_u)))[0]
+        u = np.linalg.svd(a_u / unit - (lam if lam.imag else lam.real) / unit * np.eye(len(a_u)))[0]
         return self._failed(VIOLATES_CONDITION_I, lam, q_u @ u[:, -1].conj(), violations[1:])
 
     @cached_property
@@ -324,7 +334,7 @@ class _Analysis:
             if witness is not None:
                 pairs.append((complex(group.eigenvalue.real), group.basis @ witness))
         if not pairs:
-            return ConditionResult(passed=True)
+            return ConditionResult()
         pairs.sort(key=lambda pair: (-abs(pair[0]), pair[0].real))
         (lam, z), others = pairs[0], [lam for lam, _ in pairs[1:]]
         return self._failed(VIOLATES_CONDITION_II, lam, z, others)
@@ -334,18 +344,12 @@ class _Analysis:
         part is at most ``eig_imag_tol`` after max-normalization is made real.
         z is read-only: the memo hands it to every report of the pair."""
         z = _normalize_max(z)
-        if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) <= self.tol.eig_imag_tol:
+        if np.iscomplexobj(z) and _real_z(z, self.tol):
             z = z.real
         z.flags.writeable = False
-        zb = z @ self.sys.B
-        cert = Certificate(
-            kind=kind,
-            eigenvalue=lam,
-            z=z,
-            residual_eig=_eig_residual(self.sys, lam, z),
-            max_zb=float(np.abs(zb).max() if kind == VIOLATES_CONDITION_I else zb.max()),
-        )
-        return ConditionResult(passed=False, certificate=cert, other_violations=tuple(others))
+        residual, max_zb = _eig_residual(self.sys, lam, z), _max_zb(self.sys, kind, z, self.tol)
+        cert = Certificate(kind=kind, eigenvalue=lam, z=z, residual_eig=residual, max_zb=max_zb)
+        return ConditionResult(certificate=cert, other_violations=tuple(others))
 
 
 # The one-entry memo: a call with a pair and tol equal to the previous call's
@@ -365,6 +369,20 @@ def _normalize_max(z: np.ndarray) -> np.ndarray:
 
 def _eig_residual(sys: SystemPair, lam: complex, z: np.ndarray) -> float:
     return float(np.abs(z @ sys.A - lam * z).max())
+
+
+def _real_z(z: np.ndarray, tol: Tolerances) -> bool:
+    """Whether a max-normalized z counts as real: imaginary part at most ``eig_imag_tol``."""
+    return bool(np.abs(np.imag(z)).max(initial=0.0) <= tol.eig_imag_tol)
+
+
+def _max_zb(sys: SystemPair, kind: str, z: np.ndarray, tol: Tolerances) -> float:
+    """The z^T B slack of a certificate: the largest entry of z^T B, signed (of its
+    real part) for a kind-ii z that counts as real, in modulus otherwise."""
+    zb = z @ sys.B
+    if kind == VIOLATES_CONDITION_II and _real_z(z, tol):
+        return float(np.real(zb).max())
+    return float(np.abs(zb).max())
 
 
 def check_condition_i(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> ConditionResult:
@@ -396,14 +414,7 @@ def check_condition_iii(
 ) -> SparsityConditionResult:
     """Sparsity test: s >= N - rank(A)."""
     s = validate_sparsity(s, sys.m)
-    rank_a = _analysis(sys, tol).rank_a
-    return SparsityConditionResult(
-        passed=s >= sys.n - rank_a, s=s, n_states=sys.n, rank_a=rank_a
-    )
-
-
-# The report's mode, keyed by (condition ii ran, condition iii ran).
-_MODES = {(True, True): "nonneg_sparse", (True, False): "nonneg", (False, True): "sparse"}
+    return SparsityConditionResult(s=s, n_states=sys.n, rank_a=_analysis(sys, tol).rank_a)
 
 
 def _check(
@@ -413,17 +424,9 @@ def _check(
     ``nonneg`` and condition iii when ``s`` is given."""
     cond_iii = check_condition_iii(sys, s, tol) if s is not None else None
     analysis = _analysis(sys, tol)
-    cond_i = analysis.condition_i
-    cond_ii = analysis.condition_ii if nonneg else None
-    passed = all(
-        cond.passed for cond in (cond_i, cond_ii, cond_iii) if cond is not None
-    )
     return ControllabilityReport(
-        verdict="controllable" if passed else "uncontrollable",
-        mode=_MODES[nonneg, cond_iii is not None],
-        s=None if cond_iii is None else cond_iii.s,
-        condition_i=cond_i,
-        condition_ii=cond_ii,
+        condition_i=analysis.condition_i,
+        condition_ii=analysis.condition_ii if nonneg else None,
         condition_iii=cond_iii,
         eigenvalues=tuple(group.to_dict() for group in analysis.eig.groups),
         tolerances=tol,
@@ -484,17 +487,20 @@ def input_count_bound_check(sys: SystemPair, tol: Tolerances = DEFAULT_TOL) -> b
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    """Re-evaluation of a certificate against a system, with residuals."""
+    """Re-evaluation of a certificate against a system, with residuals; derived: ``valid``."""
 
-    valid: bool
     residual_eig: float
     max_zb: float
     eig_ok: bool
     sign_ok: bool
     lambda_ok: bool
 
+    @property
+    def valid(self) -> bool:
+        return self.eig_ok and self.sign_ok and self.lambda_ok
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"valid": self.valid, **asdict(self)}
 
 
 def verify_certificate(
@@ -510,37 +516,21 @@ def verify_certificate(
     if z.ndim != 1 or z.size != sys.n:
         raise InputError(f"certificate z must have length {sys.n}, got shape {z.shape}")
     if np.abs(z).max(initial=0.0) <= 0.0:
-        return CertificateCheck(False, np.inf, np.inf, False, False, False)
+        return CertificateCheck(np.inf, np.inf, False, False, False)
+    if cert.kind not in (VIOLATES_CONDITION_I, VIOLATES_CONDITION_II):
+        raise InputError(f"unknown certificate kind {cert.kind!r}")
     z = z / np.abs(z).max()  # positive scaling keeps sign constraints intact
-    lam = cert.eigenvalue
+    lam, eps = cert.eigenvalue, tol.eig_imag_tol
     unit = max(1.0, scale_unit(sys.A))
     residual = _eig_residual(sys, lam, z)
-    bound = tol.eig_imag_tol * (1.0 / unit + float(np.linalg.norm(sys.A / unit, 2)))
-    eig_ok = residual / unit <= bound
-    zb = z @ sys.B
-    if cert.kind == VIOLATES_CONDITION_I:
-        max_zb = float(np.abs(zb).max())
-        sign_ok = max_zb <= tol.ineq_tol
-        lambda_ok = True
-    elif cert.kind == VIOLATES_CONDITION_II:
-        if np.iscomplexobj(z) and np.abs(z.imag).max(initial=0.0) > tol.eig_imag_tol:
-            return CertificateCheck(False, residual, float(np.abs(zb).max()), eig_ok, False, False)
-        zb = np.real(zb)
-        max_zb = float(zb.max())
-        sign_ok = max_zb <= tol.ineq_tol
-        lambda_ok = (
-            abs(lam.imag) <= tol.eig_imag_tol and lam.real >= -tol.eig_imag_tol
-        )
-    else:
-        raise InputError(f"unknown certificate kind {cert.kind!r}")
-    return CertificateCheck(
-        valid=bool(eig_ok and sign_ok and lambda_ok),
-        residual_eig=residual,
-        max_zb=max_zb,
-        eig_ok=bool(eig_ok),
-        sign_ok=bool(sign_ok),
-        lambda_ok=bool(lambda_ok),
-    )
+    bound = eps * (1.0 / unit + float(np.linalg.norm(sys.A / unit, 2)))
+    max_zb = _max_zb(sys, cert.kind, z, tol)
+    # A kind-ii certificate also needs a real z and a real eigenvalue lambda >= 0.
+    kind_i = cert.kind == VIOLATES_CONDITION_I
+    real = kind_i or _real_z(z, tol)
+    lambda_ok = bool(kind_i or (real and abs(lam.imag) <= eps and lam.real >= -eps))
+    sign_ok = real and max_zb <= tol.ineq_tol
+    return CertificateCheck(residual, max_zb, bool(residual / unit <= bound), sign_ok, lambda_ok)
 
 
 def apply_input_basis(sys: SystemPair, phi) -> SystemPair:

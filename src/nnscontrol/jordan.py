@@ -39,20 +39,40 @@ _VERIFY_RTOL = 1e-8  # relative bound of verify_decomposition's residual checks
 
 @dataclass(frozen=True)
 class ZeroStructure:
-    """Jordan block statistics of the eigenvalue 0.
-
+    """Jordan block statistics of the eigenvalue 0. Stored: rank_sequence, rank(A^k)
+    for k = 0..n+1 (stabilized tail included), whose drops must be convex (else
+    ``NumericError``). Derived from it:
     n: size of the largest zero block (0 when A is nonsingular).
     q: dimension of the nonsingular part, q = N - sum(i * q_i).
     q_sizes: q_sizes[i-1] = number of zero blocks of size i.
     r_tail: r_tail[k-1] = number of blocks of size >= k.
-    rank_sequence: rank(A^k) for k = 0..n+1 (stabilized tail included).
+    nullity: number of zero blocks, sum(q_sizes).
     """
 
-    n: int
-    q: int
-    q_sizes: tuple[int, ...]
-    r_tail: tuple[int, ...]
     rank_sequence: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for i, qi in enumerate(self.q_sizes, start=1):
+            if qi < 0:
+                raise NumericError(f"negative block count at size {i}: rank drops not convex")
+
+    @property
+    def n(self) -> int:
+        return len(self.rank_sequence) - 2  # first k with rank(A^k) == rank(A^{k+1})
+
+    @property
+    def q(self) -> int:
+        return self.rank_sequence[self.n]
+
+    @property
+    def r_tail(self) -> tuple[int, ...]:
+        ranks = self.rank_sequence[:-1]
+        return tuple(before - after for before, after in zip(ranks, ranks[1:]))
+
+    @property
+    def q_sizes(self) -> tuple[int, ...]:
+        drops = self.r_tail
+        return tuple(now - later for now, later in zip(drops, drops[1:] + (0,)))
 
     @property
     def nullity(self) -> int:
@@ -91,24 +111,7 @@ def zero_structure(a, tol: Tolerances = DEFAULT_TOL) -> ZeroStructure:
         complement = rows[: ranks[-1]]
         block = complement @ block @ complement.T
         _, values, rows = np.linalg.svd(block)
-
-    n = len(ranks) - 2  # first k with rank(A^k) == rank(A^{k+1})
-    # Block counts from second differences of the rank sequence.
-    drops = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]  # r_k
-    q_sizes = []
-    for i in range(1, n + 1):
-        next_drop = drops[i] if i < n else 0
-        qi = drops[i - 1] - next_drop
-        if qi < 0:
-            raise NumericError(f"negative block count at size {i}: rank drops not convex")
-        q_sizes.append(qi)
-    return ZeroStructure(
-        n=n,
-        q=ranks[n],
-        q_sizes=tuple(q_sizes),
-        r_tail=tuple(drops),
-        rank_sequence=tuple(ranks),
-    )
+    return ZeroStructure(tuple(ranks))
 
 
 @dataclass(frozen=True, eq=False)

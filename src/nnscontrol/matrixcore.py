@@ -198,6 +198,11 @@ def scale_unit(m: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp(np.abs(m).max(initial=0.0))[1] - 1))
 
 
+def divide_by_unit(x: np.ndarray, unit: float) -> np.ndarray:
+    """x / unit, real and imaginary parts apart: complex division by a subnormal unit overflows."""
+    return (x.view(np.float64) / unit).view(x.dtype)
+
+
 def finite(compute, what: str):
     """The overflow guard: ``compute()``, evaluated without floating-point warnings,
     or NumericError("{what} overflows") when the result is not finite."""
@@ -214,8 +219,7 @@ def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     m = as_matrix(m, "matrix", allow_complex=True)
     if m.size == 0:
         return 0
-    # Real and imaginary parts divide apart: complex division by a subnormal u overflows.
-    s = np.linalg.svd((m.view(np.float64) / scale_unit(m)).view(m.dtype), compute_uv=False)
+    s = np.linalg.svd(divide_by_unit(m, scale_unit(m)), compute_uv=False)
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
 
 
@@ -246,15 +250,19 @@ class EigenGroup:
     up to ``max_residual``; it is real when ``is_real`` and complex otherwise.
     ``spread`` is the cluster diameter seen by the eigensolver, nonzero when
     numerically split copies of a repeated eigenvalue were merged.
+    Derived: ``geometric_multiplicity``, the number of columns of ``basis``.
     """
 
     eigenvalue: complex
     algebraic_multiplicity: int
-    geometric_multiplicity: int
     is_real: bool
     basis: np.ndarray
     spread: float
     max_residual: float
+
+    @property
+    def geometric_multiplicity(self) -> int:
+        return self.basis.shape[1]
 
     def to_dict(self) -> dict:
         return {
@@ -299,8 +307,8 @@ def eigen_clusters(values: np.ndarray, close: np.ndarray, tol: Tolerances) -> It
             centre, spread = complex(values[idx[0]]) + 0.0, 0.0  # as a mean, clears -0.0
         else:
             members = values[idx]
-            unit = scale_unit(members)  # real and imaginary parts divide apart, as in ``rank``
-            mean = (members.view(np.float64) / unit).view(members.dtype).mean()
+            unit = scale_unit(members)
+            mean = divide_by_unit(members, unit).mean()
             centre = complex(mean.real * unit, mean.imag * unit)
             spread = float(np.abs(members - centre).max())
         is_real = abs(centre.imag) <= tol.eig_imag_tol
@@ -342,27 +350,30 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     or an unmatched one) takes the kernel of A^T - lambda I from an SVD.
     An eigenvalue that overflows raises ``NumericError``.
 
-    A^T - lambda I is not built per group: each group overwrites the
-    diagonal of a C-ordered copy of A^T shared by the groups (one real and
-    one complex copy), which also serves the residual product. They hold A
-    and lambda divided by ``scale_unit(A)``, an exact power of two, as does
-    the SVD cut; the residual is multiplied back, so neither overflows.
+    A^T - lambda I is not built per group: each group overwrites the diagonal
+    of a C-ordered copy of A^T shared by the groups (one real and one complex
+    copy), which also serves the residual product. They hold A and lambda
+    divided by ``scale_unit(A)``, an exact power of two, as do the SVD cut and
+    the eigenvalue distances with the radius and reach they are compared with;
+    the residual is multiplied back, so nothing overflows.
     """
     a = as_square(a, "A")
     n = a.shape[0]
     if n == 0:
         return LeftEigenSystem(groups=(), cluster_radius=0.0)
+    unit = scale_unit(a)
     try:
         values = finite(lambda: np.linalg.eigvals(a), "an eigenvalue of A")
         radius = tol.eig_imag_tol * (1.0 + float(np.abs(values).max()))
-        gaps = np.abs(values[:, None] - values[None, :])
-        isolated = np.count_nonzero(gaps <= radius, axis=1) == 1
+        v, r = divide_by_unit(values, unit), radius / unit  # r is inf for a subnormal unit
+        gaps = np.abs(v[:, None] - v[None, :])
+        isolated = np.count_nonzero(gaps <= r, axis=1) == 1
         if isolated.any():
             w, vectors = np.linalg.eig(a.T)
-            dist = np.abs(values[:, None] - w[None, :])
-            bars = np.maximum(radius, dist.min(axis=1))
+            dist = np.abs(v[:, None] - divide_by_unit(w, unit)[None, :])
+            bars = np.maximum(r, dist.min(axis=1))
             reach = _CROWDING_FACTOR * np.maximum.outer(bars, bars)
-            near = dist <= radius
+            near = dist <= r
             match = near.argmax(axis=1)
             isolated &= np.count_nonzero(gaps <= reach, axis=1) == 1
             isolated &= np.count_nonzero(near, axis=1) == 1  # one eig(A^T) match
@@ -370,12 +381,11 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
 
-    unit = scale_unit(a)
     a = a / unit
     diagonal = a.diagonal()
     shifts = {True: a.T.astype(np.float64, order="C"), False: a.T.astype(np.complex128, order="C")}
     groups = []
-    for idx, lam, is_real, spread in eigen_clusters(values, gaps <= radius, tol):
+    for idx, lam, is_real, spread in eigen_clusters(values, gaps <= r, tol):
         i = int(idx[0])
         shifted = shifts[is_real]
         shifted.reshape(-1)[:: n + 1] = diagonal - (lam.real if is_real else lam) / unit
@@ -396,7 +406,6 @@ def left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSystem:
             EigenGroup(
                 eigenvalue=lam,
                 algebraic_multiplicity=int(idx.size),
-                geometric_multiplicity=int(basis.shape[1]),
                 is_real=is_real,
                 basis=basis,
                 spread=spread,

@@ -154,17 +154,20 @@ class OracleVerdict:
     separating hyperplane (one valid at every horizon included), a basis
     found in the same grid, the previous horizon's relaxation or a
     relaxation that spans R^n positively; fewer solves than that actually
-    run.
+    run. Derived: ``covered``, true when no direction is listed, and ``outcome``.
     """
 
-    outcome: str  # "covered_at" | "uncovered"
     k_used: int
     lp_count: int
     uncovered_directions: tuple[np.ndarray, ...] = ()
 
     @property
     def covered(self) -> bool:
-        return self.outcome == "covered_at"
+        return not self.uncovered_directions
+
+    @property
+    def outcome(self) -> str:
+        return "covered_at" if self.covered else "uncovered"
 
     def to_dict(self) -> dict:
         return {
@@ -475,14 +478,8 @@ def coverage_probe(
     """Test whether every probe direction becomes reachable by horizon k_max."""
     probes = _probe_directions(sys.n, cfg)
     covered_at, uncovered, lp_count = _sweep_coverage(sys, s, probes, cfg.k_max, tol)
-    if covered_at is not None:
-        return OracleVerdict(outcome="covered_at", k_used=covered_at, lp_count=lp_count)
-    return OracleVerdict(
-        outcome="uncovered",
-        k_used=cfg.k_max,
-        lp_count=lp_count,
-        uncovered_directions=tuple(probes[uncovered]),
-    )
+    k_used = cfg.k_max if covered_at is None else covered_at
+    return OracleVerdict(k_used, lp_count, uncovered_directions=tuple(probes[uncovered]))
 
 
 def direction_uncovered(

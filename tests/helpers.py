@@ -138,6 +138,34 @@ def defective_condition_i_system(lam, k, n, m, rng, annihilate=True):
     return SystemPair(A=t @ core @ np.linalg.inv(t), B=t @ b_j)
 
 
+def exact_planted_system(family, lam, k, n, seed, steps, m=2):
+    """An E-i or E-ii system, exact in float64: (pair, T, T^-1, z).
+
+    T is unimodular, built from I by ``steps`` elementary column operations
+    T <- T (I + c e_i e_j^T) with c in {+-1, +-2}; T^-1 <- (I - c e_i e_j^T) T^-1
+    tracks its inverse, so both are int64. A = T core T^-1 with the block
+    diagonal core = diag(lam I_k + N_k, -d_1, ..., -d_{n-k}), each d from 1 to
+    4, built in halves so that lam in {0, 0.5, 1} is exact, and B = T B_J with
+    B_J in [-3, 3]. Row k - 1 of B_J is 0 for "E-i" and in [-3, -1] for "E-ii", so
+    z = T^-T e_k has z^T A = lam z^T and z^T B = 0 (condition i fails) or
+    z^T B < 0 (condition ii fails), exactly.
+    """
+    rng = np.random.default_rng([seed, k, int(2 * lam), n, steps])
+    t, t_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(n, size=2, replace=False)
+        c = rng.choice([-2, -1, 1, 2])
+        t[:, j] += c * t[:, i]
+        t_inv[i] -= c * t_inv[j]
+    twice_core = np.zeros((n, n), dtype=np.int64)
+    twice_core[:k, :k] = 2 * lam * np.eye(k) + 2 * np.eye(k, k=1)  # small integers, stored exactly
+    twice_core[k:, k:] = np.diag(-2 * rng.integers(1, 5, size=n - k))
+    b_j = rng.integers(-3, 4, size=(n, m))
+    b_j[k - 1] = 0 if family == "E-i" else rng.integers(-3, 0, size=m)
+    pair = SystemPair(A=(t @ twice_core @ t_inv) / 2.0, B=(t @ b_j).astype(np.float64))
+    return pair, t, t_inv, t_inv[k - 1].astype(np.float64)
+
+
 _PIVOT_TOL = 1e-11
 
 
@@ -443,7 +471,6 @@ def reference_left_eigensystem(a, tol: Tolerances = DEFAULT_TOL) -> LeftEigenSys
             EigenGroup(
                 eigenvalue=lam,
                 algebraic_multiplicity=int(members.size),
-                geometric_multiplicity=int(basis.shape[1]),
                 is_real=is_real,
                 basis=basis,
                 spread=spread,

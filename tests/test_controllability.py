@@ -43,7 +43,12 @@ from nnscontrol.fixtures import (
     change_of_basis_transformed,
 )
 
-from helpers import count_linalg_calls, defective_condition_i_system, rank_cut_disagreement
+from helpers import (
+    count_linalg_calls,
+    defective_condition_i_system,
+    exact_planted_system,
+    rank_cut_disagreement,
+)
 
 COB = change_of_basis_system()
 COB_T = change_of_basis_transformed()
@@ -394,6 +399,59 @@ class TestDefectiveConditionI:
     def test_gaussian_input_passes(self, lam_index, lam, k):
         for seed in range(10):
             assert check_condition_i(_defective(lam_index, lam, k, seed, annihilate=False)).passed
+
+
+class TestEigenvalueDistancesDoNotOverflow:
+    """Eigenvalues of opposite sign beyond about 9e307 once overflowed where
+    their distances were taken, in the eigen-analysis and in condition i's
+    grouping and shift. Warnings are errors here; the verdicts are unchanged."""
+
+    E1, E3 = np.eye(2)[:, :1], np.eye(3)[:, 2:]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.diag([1e308, -1e308]), E1), (np.diag([1e308, -1e308, 1.0]), E3)],
+        ids=["2x2", "3x3"],
+    )
+    def test_opposite_real_eigenvalues_fail_condition_i(self, a, b):
+        sys = SystemPair(A=a, B=b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_nonneg(sys)
+            assert report.verdict == "uncontrollable"
+            cert = report.certificate
+            assert (cert.kind, cert.eigenvalue) == ("violates_condition_i", -1e308)
+            np.testing.assert_array_equal(cert.z, np.eye(len(a))[1])
+            assert report.condition_i.other_violations == (() if len(a) == 2 else (1e308,))
+            assert verify_certificate(sys, cert).valid
+
+    def test_huge_rotation_is_controllable(self):
+        sys = SystemPair(A=np.array([[0.0, 1e308], [-1e308, 0.0]]), B=self.E1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_nonneg(sys)
+            assert report.verdict == "controllable"
+            groups = left_eigensystem(sys.A).groups
+            assert [(g.is_real, g.algebraic_multiplicity) for g in groups] == [(False, 1)] * 2
+
+
+class TestExactPlantedFamilies:
+    def test_every_system_is_exact_and_no_e_i_system_is_controllable(self):
+        # 1,440 systems: E-i and E-ii, n in {4, 8}, m = 2, lambda in {0, 0.5, 1},
+        # k in {2, 3, 4}, seeds 0-19, 16 or 32 column operations. Every E-ii
+        # system is uncontrollable too; the number check_nonneg gets wrong is
+        # quoted in the change log, not asserted.
+        for family in ("E-i", "E-ii"):
+            for n, lam, k, seed, steps in np.ndindex(2, 3, 3, 20, 2):
+                n, lam, k, steps = 4 * (n + 1), lam / 2, k + 2, 16 * (steps + 1)
+                sys, t, t_inv, z = exact_planted_system(family, lam, k, n, seed, steps)
+                case = (family, n, lam, k, seed, steps)
+                assert (t @ t_inv == np.eye(n, dtype=np.int64)).all(), case
+                assert (z @ sys.A == lam * z).all(), case
+                zb = z @ sys.B
+                assert (zb == 0.0).all() if family == "E-i" else (zb < 0.0).all(), case
+                if family == "E-i":
+                    assert not check_nonneg(sys).controllable, case
 
 
 class TestConditionII:

@@ -8,6 +8,7 @@ from nnscontrol import InputError, NumericError
 from nnscontrol.cli import main
 from nnscontrol.jordan import (
     RowSplitDecomposition,
+    ZeroStructure,
     build_decomposition,
     verify_decomposition,
     zero_structure,
@@ -49,6 +50,18 @@ class TestZeroStructure:
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError):
             zero_structure(np.zeros((2, 3)))
+
+    def test_everything_is_derived_from_the_rank_sequence(self):
+        st = ZeroStructure((5, 3, 1, 1))
+        assert (st.n, st.q, st.r_tail, st.q_sizes, st.nullity) == (2, 1, (2, 2), (0, 2), 2)
+        assert st.to_dict() == {
+            "n": 2, "q": 1, "q_sizes": [0, 2], "r_tail": [2, 2], "rank_sequence": [5, 3, 1, 1]
+        }
+
+    def test_rank_drops_that_are_not_convex_are_refused_at_construction(self):
+        # Drops 1, 2, 1 would make -1 blocks of size 1.
+        with pytest.raises(NumericError, match="negative block count at size 1: rank drops"):
+            ZeroStructure((4, 3, 1, 0, 0))
 
     def test_overflowing_power_is_refused(self, tmp_path, capsys):
         # A has index 1, which the staircase decides without forming A^2.

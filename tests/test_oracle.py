@@ -514,9 +514,8 @@ def lp_coverage_probe(sys, s, cfg):
     probes = _probe_directions(sys.n, cfg)
     covered_at, uncovered, lp_count = lp_sweep_coverage(sys, s, probes, cfg.k_max)
     if covered_at is not None:
-        return OracleVerdict(outcome="covered_at", k_used=covered_at, lp_count=lp_count)
+        return OracleVerdict(k_used=covered_at, lp_count=lp_count)
     return OracleVerdict(
-        outcome="uncovered",
         k_used=cfg.k_max,
         lp_count=lp_count,
         uncovered_directions=tuple(probes[idx] for idx in uncovered),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -130,3 +131,38 @@ def test_each_numeric_rule_has_one_definition():
     assert rule_sites(calls("np.errstate")) == guard
     assert rule_sites(builds_minus_g_ones) == [("conelp", "_stiemke")]
     assert rule_sites(calls("_cluster")) == [("matrixcore", "eigen_clusters")]
+
+
+# The facts each record stores. Everything else it reports (a verdict, a mode,
+# a pass flag, a multiplicity, block counts, an outcome) is a property derived
+# from these, so no builder can store one that disagrees with them.
+STORED_FIELDS = {
+    controllability.ControllabilityReport: (
+        "condition_i", "condition_ii", "condition_iii", "eigenvalues", "tolerances"
+    ),
+    controllability.ConditionResult: ("certificate", "other_violations"),
+    controllability.SparsityConditionResult: ("s", "n_states", "rank_a"),
+    controllability.CertificateCheck: ("residual_eig", "max_zb", "eig_ok", "sign_ok", "lambda_ok"),
+    matrixcore.EigenGroup: (
+        "eigenvalue", "algebraic_multiplicity", "is_real", "basis", "spread", "max_residual"
+    ),
+    oracle.OracleVerdict: ("k_used", "lp_count", "uncovered_directions"),
+    jordan.ZeroStructure: ("rank_sequence",),
+}
+DERIVED = {
+    controllability.ControllabilityReport: ("controllable", "verdict", "mode", "s", "certificate"),
+    controllability.ConditionResult: ("passed",),
+    controllability.SparsityConditionResult: ("required", "passed"),
+    controllability.CertificateCheck: ("valid",),
+    matrixcore.EigenGroup: ("geometric_multiplicity",),
+    oracle.OracleVerdict: ("covered", "outcome"),
+    jordan.ZeroStructure: ("n", "q", "q_sizes", "r_tail", "nullity"),
+}
+
+
+@pytest.mark.parametrize("record", STORED_FIELDS, ids=lambda record: record.__name__)
+def test_records_store_only_the_facts_that_decide_them(record):
+    assert tuple(field.name for field in dataclasses.fields(record)) == STORED_FIELDS[record]
+    for name in DERIVED[record]:
+        assert isinstance(getattr(record, name), property), name
+        assert f"``{name}``" in record.__doc__ or f"{name}:" in record.__doc__, name

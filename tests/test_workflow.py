@@ -58,7 +58,7 @@ def test_inline_programs_read_a_perfbench_output(tmp_path):
     output.write_text(
         f"warm-up\nperfbench-summary {json.dumps(summary)}\n{json.dumps(final)}\n"
     )
-    check, gated, tracked = inline_programs()
+    check, gated, tracked, _ = inline_programs()
     assert run_inline(check, "eig-large", stdin=json.dumps(final)).returncode == 0
     refused = run_inline(check, "eig-large", stdin=json.dumps({**final, "correct": False}))
     assert refused.returncode != 0 and "eig-large" in refused.stderr
@@ -68,3 +68,20 @@ def test_inline_programs_read_a_perfbench_output(tmp_path):
     assert run_inline(tracked, str(output)).stdout == (
         "jordan-defective (seed 1): 40 of 108 checks failed per pass (0.370)\n"
     )
+
+
+def test_inline_program_counts_code_lines(tmp_path):
+    # Two modules, whose counts add up: docstrings, comments and blank lines
+    # do not count, nor does a string standing as a statement anywhere; a
+    # statement over two lines counts twice, and an assigned string once.
+    (tmp_path / "first.py").write_text(
+        '"""Module docstring,\non two lines."""\n\nimport os  # a comment\n\n\n'
+        'def f(x):\n    """Docstring."""\n    # a comment line\n    return (x +\n            1)\n'
+    )
+    (tmp_path / "second.py").write_text('NAME = "text"\n"""A string statement."""\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    *_, count = inline_programs()
+    result = run_inline(count, str(tmp_path))
+    assert result.stdout == (
+        f"Code lines in {tmp_path} (no blank, comment or docstring line): 5\n"
+    ), result.stderr
