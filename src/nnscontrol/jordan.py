@@ -2,20 +2,21 @@
 
 ``zero_structure`` reads the block sizes of the eigenvalue 0 off the rank
 sequence rank(A^k), which Kublanovskaya's staircase decides without forming
-a power of A. ``build_decomposition`` takes ker(A^k) and range(A^k) from one
-SVD of each power, cut at the rank the staircase decided, and constructs an
-invertible P, split row-wise into a part P0 intertwining with a nonsingular
-J (P0 A^k = J^k P0) and parts P_i that die under increasing powers of A
-(P_i A^k = 0 for k >= i, with rank(P_i) = rank(P_i A^{i-1})). Only the
-zero-eigenvalue chains are computed explicitly; the nonsingular part J is
-A restricted to range(A^n) in a computed orthonormal basis, because the
-full Jordan form of the nonzero spectrum is numerically unstable and
-nothing downstream needs it.
+a power of A. ``build_decomposition`` constructs an invertible P, split
+row-wise into a part P0 intertwining with a nonsingular J (P0 A^k = J^k P0)
+and parts P_i that die under increasing powers of A (P_i A^k = 0 for
+k >= i, with rank(P_i) = rank(P_i A^{i-1})). None of this needs Jordan
+chains: by Fitting's lemma the row space of A^n and the left kernel of A^n
+are complements, so P stacks an orthonormal basis of the first (P0) on an
+orthonormal basis of the second, graded by the power that kills each row.
+Both come from one SVD of each power A^k, cut at the rank the staircase
+decided; no basis is inverted.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import inf
 
 import numpy as np
 
@@ -130,63 +131,20 @@ class RowSplitDecomposition:
     structure: ZeroStructure
 
 
-def _project_out(candidates: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Components of candidate columns orthogonal to an orthonormal span."""
-    if span.shape[1] == 0:  # kept: a product's C order would change the rounding downstream
-        return candidates
-    return candidates - span @ (span.T @ candidates)
-
-
-def _orth(columns: list[np.ndarray], n_dim: int) -> np.ndarray:
-    if not columns:
-        return np.zeros((n_dim, 0))
-    stacked = np.column_stack(columns)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > 1e-12 * s[0]
-    return u[:, : int(np.count_nonzero(keep))]
-
-
-def _zero_chains(
-    a: np.ndarray, structure: ZeroStructure, kernels: list[np.ndarray]
-) -> list[list[np.ndarray]]:
-    """Jordan chains for the eigenvalue 0, longest first.
-
-    Descending-kernel completion: at height k, new chain heads are picked
-    from ker(A^k) independent of ker(A^{k-1}) and of the vectors inherited
-    from longer chains; candidates are orthonormalized before selection so
-    the basis stays well conditioned.
-    """
-    n_dim = a.shape[0]
-    chains: list[list[np.ndarray]] = []
-    for k in range(structure.n, 0, -1):
-        # Every chain from a longer block is at height k: chain[-1] is inherited.
-        avoid = _orth(list(kernels[k - 1].T) + [chain[-1] for chain in chains], n_dim)
-        projected = _project_out(kernels[k], avoid)
-        for _ in range(structure.q_sizes[k - 1]):
-            norms = np.linalg.norm(projected, axis=0)
-            if norms.size == 0 or norms.max() <= 1e-8:
-                raise NumericError(
-                    f"chain completion failed at height {k}: no independent kernel vector"
-                )
-            pick = int(np.argmax(norms))
-            head = projected[:, pick] / norms[pick]
-            chains.append([head])
-            projected = _project_out(projected, head[:, None])
-        # Push every chain one level down for the next pass.
-        if k > 1:
-            for chain in chains:
-                chain.append(a @ chain[-1])
-    return chains
-
-
 def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecomposition:
     """Construct (P, J, P0, parts) realizing the row-splitting identity.
 
-    The basis is [range(A^n) | zero chains], chains ordered by block size
-    ascending and each chain listed bottom-up, so the change of basis block
-    diagonalizes A into the nonsingular J and shift blocks. ker(A^k) and
-    range(A^n) come from the SVD of A^k, cut at the rank ``zero_structure``
-    decided. A P A P^-1 that overflows raises ``NumericError``.
+    By Fitting's lemma the row space of A^n, which A maps into itself, and
+    the left kernel of A^n are complements, so orthonormal bases of the two
+    stack into an invertible P. P0 is the first q right singular vectors of
+    A^n and J = P0 A P0^T. The left kernels L_k of A^k grow with k; part k
+    is the r_k leading left singular vectors of L_k less its projection on
+    the rows the earlier parts took, so its rows vanish under A^k and no
+    combination of them under A^{k-1}. Each L_k is the last N - rank(A^k)
+    left singular vectors of one SVD of A^k, cut at the rank
+    ``zero_structure`` decided. ``NumericError`` is raised when a projected
+    block has fewer than r_k singular values above 1e-8, when cond(P) > 1e12
+    and when P A P^-1 overflows.
     """
     a = as_square(a, "A")
     structure = zero_structure(a, tol)
@@ -196,29 +154,24 @@ def build_decomposition(a, tol: Tolerances = DEFAULT_TOL) -> RowSplitDecompositi
             P=np.eye(n_dim), J=a, P0=np.eye(n_dim), parts=(), structure=structure
         )
 
-    kernels = [np.zeros((n_dim, 0))]
-    for k in range(1, structure.n + 1):
+    taken = np.zeros((0, n_dim))  # the parts' rows so far: an orthonormal basis of L_{k-1}
+    for k, count in enumerate(structure.r_tail, start=1):
         u, _, vh = np.linalg.svd(mat_pow(a, k, "A"))
-        kernels.append(vh[structure.rank_sequence[k] :].copy().T)  # V^H itself is not kept
-    q = structure.q
-    chains = _zero_chains(a, structure, kernels)
-    chains.sort(key=len)  # block sizes ascending, matching q_sizes order
-
-    # Chains are stored head-first and enter the basis bottom-up (w_r = A^{s-1-r} head),
-    # so row r of a size-s chain is in part s - r, the power that kills it; P0's are level 0.
-    basis = np.column_stack([u[:, :q], *(np.column_stack(chain[::-1]) for chain in chains)])
-    level = np.concatenate([np.zeros(q, int), *(np.arange(len(chain), 0, -1) for chain in chains)])
-    try:
-        p = np.linalg.inv(basis)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"assembled basis is singular: {exc}") from exc
-    cond = np.linalg.cond(basis)
+        kernel = u[:, structure.rank_sequence[k] :]
+        rows, values, _ = np.linalg.svd(kernel - taken.T @ (taken @ kernel), full_matrices=False)
+        if np.count_nonzero(values > 1e-8) < count:
+            raise NumericError(f"left kernel of A^{k} adds fewer than {count} rows to A^{k - 1}'s")
+        taken = np.vstack([taken, rows[:, :count].T])
+    p0 = vh[: structure.q]  # from the last power, A^n
+    p = np.vstack([p0, taken])
+    cond = np.linalg.cond(p)
     if not cond <= 1e12:  # also refuses inf and nan
-        raise NumericError(f"assembled basis is numerically singular (cond {cond:.2e})")
+        raise NumericError(f"P is numerically singular (cond {cond:.2e})")
 
-    j_block = finite(lambda: p @ a @ basis, "P A P^-1")[:q, :q]
+    j_block = finite(lambda: p0 @ a @ p0.T, "P A P^-1")
+    level = np.repeat(np.arange(structure.n + 1), (structure.q, *structure.r_tail))
     parts = tuple(np.where((level == i)[:, None], p, 0.0) for i in range(1, structure.n + 1))
-    return RowSplitDecomposition(P=p, J=j_block, P0=p[:q, :], parts=parts, structure=structure)
+    return RowSplitDecomposition(P=p, J=j_block, P0=p0, parts=parts, structure=structure)
 
 
 @dataclass(frozen=True)
@@ -249,8 +202,9 @@ def verify_decomposition(
     """Re-check every decomposition property, reporting residuals.
 
     Power identities are compared at a scale growing like max(1, ||A||)^k,
-    since errors amplify under repeated multiplication. Failures become
-    report entries; only a decomposition of another shape than A raises.
+    since errors amplify under repeated multiplication, and infinite once
+    that passes the float range. Failures become report entries; only a
+    decomposition of another shape than A raises.
     """
     a = as_matrix(a, "A")
     if dec.P.shape != a.shape:
@@ -263,6 +217,13 @@ def verify_decomposition(
     def add(name: str, residual: float, bound: float) -> None:
         checks.append(DecompositionCheck(name=name, passed=residual <= bound, residual=residual))
 
+    def power_bound(k: int) -> float:
+        """_VERIFY_RTOL * max(1, ||A||)^k, or inf where Python's power overflows."""
+        try:
+            return _VERIFY_RTOL * norm_a**k
+        except OverflowError:
+            return inf
+
     add("P_invertible", float(n_dim - rank(dec.P, tol)), 0.0)
 
     # Row-splitting identity: P = [P0; 0] + sum of parts.
@@ -274,11 +235,7 @@ def verify_decomposition(
     add("row_split_identity", float(np.abs(dec.P - assembled).max()) / scale_p, _VERIFY_RTOL)
 
     # Nonsingular block: rank(P0) = q and J invertible.
-    checks.append(
-        DecompositionCheck(
-            name="P0_full_row_rank", passed=rank(dec.P0, tol) == st.q, residual=0.0
-        )
-    )
+    add("P0_full_row_rank", float(abs(st.q - rank(dec.P0, tol))), 0.0)
     add("J_nonsingular", float(st.q - rank(dec.J, tol)), 0.0)
 
     # Intertwining P0 A^k = J^k P0 for k = 0..n+1.
@@ -287,11 +244,7 @@ def verify_decomposition(
     for k in range(st.n + 2):
         lhs = dec.P0 @ powers[k]
         rhs = mat_pow(dec.J, k, "J") @ dec.P0 if st.q else lhs * 0.0
-        add(
-            f"intertwine_k{k}",
-            float(np.abs(lhs - rhs).max(initial=0.0)) / scale_p0,
-            _VERIFY_RTOL * norm_a**k,
-        )
+        add(f"intertwine_k{k}", float(np.abs(lhs - rhs).max(initial=0.0)) / scale_p0, power_bound(k))
 
     # Annihilation and rank preservation for each part.
     for i, part in enumerate(dec.parts, start=1):
@@ -309,6 +262,6 @@ def verify_decomposition(
             add(
                 f"part{i}_annihilated_k{k}",
                 float(np.abs(part @ powers[k]).max(initial=0.0)) / scale_part,
-                _VERIFY_RTOL * norm_a**k,
+                power_bound(k),
             )
     return DecompositionReport(checks=tuple(checks))

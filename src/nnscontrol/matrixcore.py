@@ -14,8 +14,8 @@ and the 1e-6 cutoff widening here; ``conelp._DUAL_RTOL`` and
 ``_BLOCK_RCOND``; ``oracle._SEPARATOR_TAU``, ``_REJECT_FACTOR``, the 1e-12
 zero-column cut and 12-digit rounding of ``_sequence_cone_ladder`` and the
 1e-9 redraw guard of ``_probe_directions``; ``certificate_direction``'s
-1e-12; and ``jordan``'s 1e-12 (``_orth``), 1e-8 (chain completion), 1e12
-(condition bound) and ``_VERIFY_RTOL``. Identical inputs and tolerances
+1e-12; and ``jordan``'s 1e-8 (left-kernel growth guard), 1e12 (condition
+bound) and ``_VERIFY_RTOL``. Identical inputs and tolerances
 always give identical answers. The eigen-analysis costs O(N^3) when the
 eigenvalues are well separated (see ``left_eigensystem``).
 Correctness is promised for well-conditioned, small matrices (N <= 8);

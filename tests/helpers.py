@@ -4,7 +4,10 @@ the cone primitives, their Lawson-Hanson loop before it kept one mask of
 excluded columns, the per-group eigen-analysis loop and the per-column
 keying of the oracle's cone ladder."""
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +40,17 @@ def count_linalg_calls(monkeypatch, names=("eigvals", "eig", "svd"), shapes=None
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def count_cone_solves(monkeypatch):

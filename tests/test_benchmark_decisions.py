@@ -8,17 +8,13 @@ recorded too, counted where every solve runs: a change that moves them
 changes the record.
 The controllability layer's verdicts, condition results, ranks and
 sparsity levels on the seed-1 `eig-large` and `cli-commands` systems are
-pinned too; they are integers and booleans, so they hold on any machine."""
+pinned too, and so are the rank sequences and verification verdicts of
+`decompose` on the `cli-commands` systems; they are integers and
+booleans, so they hold on any machine."""
 
-import importlib.util
-import sys
-from pathlib import Path
+from helpers import count_cone_solves, load_workloads
 
-from helpers import count_cone_solves
-
-from nnscontrol import oracle
-
-ROOT = Path(__file__).resolve().parents[1]
+from nnscontrol import cli, oracle
 
 U, C = "uncovered", "covered_at"
 # (outcome, k_used, lp_count) of coverage_probe on each case of
@@ -79,17 +75,21 @@ CLI_COMMANDS_SEED_1 = [
     (F, None, None, (), T), (F, None, None, (8,), T), (T, 1, 0, (), T),
     (F, None, None, (), T), (F, None, None, (12,), T), (T, 1, 0, (), T),
 ]
-
-
-def load_workloads(monkeypatch):
-    """perfbench/workloads.py, loaded by path (perfbench is not a package)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up by name
-    spec.loader.exec_module(module)
-    return module
+# (rank_sequence, all_passed) of the decompose report on each case of
+# build_cli_commands(1, "full", ...): the same ranks and the same verdict
+# of verify_decomposition, whatever basis P is built from.
+DECOMPOSE_SEED_1 = [
+    ((40, 40), T), ((40, 39, 39), T), ((40, 40), T),
+    ((40, 40), T), ((40, 38, 38), T), ((40, 40), T),
+    ((40, 40), T), ((40, 36, 36), T), ((40, 40), T),
+    ((40, 40), T), ((40, 32, 32), T), ((40, 40), T),
+    ((40, 40), T), ((40, 28, 28), T), ((40, 40), T),
+    ((40, 40), T), ((40, 39, 39), T), ((40, 40), T),
+    ((40, 40), T), ((40, 38, 38), T), ((40, 40), T),
+    ((40, 40), T), ((40, 36, 36), T), ((40, 40), T),
+    ((40, 40), T), ((40, 32, 32), T), ((40, 40), T),
+    ((40, 40), T), ((40, 28, 28), T), ((40, 40), T),
+]
 
 
 def decisions(monkeypatch, tmp_path, seed):
@@ -151,3 +151,14 @@ def test_cli_commands_seed_1(monkeypatch, tmp_path):
             decomposition["verification"]["all_passed"],
         ))
     assert found == CLI_COMMANDS_SEED_1
+
+
+def test_cli_commands_decompose_seed_1(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    found = []
+    for case in workloads.build_cli_commands(1, "full", tmp_path):
+        result = cli.run_command(["decompose", str(case.path)])[0]["result"]
+        found.append((
+            tuple(result["structure"]["rank_sequence"]), result["verification"]["all_passed"]
+        ))
+    assert found == DECOMPOSE_SEED_1

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import load_workloads
 from helpers import planted_structure_matrix as planted_matrix
 
 from nnscontrol import InputError, NumericError
@@ -185,6 +186,30 @@ class TestVerifyDecomposition:
             verify_decomposition(np.eye(3), dec)
         assert str(info.value) == "decomposition is of shape (2, 2), but A has shape (3, 3)"
 
+    def test_rank_deficient_p0_reports_its_rank_gap(self):
+        dec = build_decomposition(A_DIAG)
+        broken = RowSplitDecomposition(
+            P=dec.P, J=dec.J, P0=dec.P0[[0, 0]], parts=dec.parts, structure=dec.structure
+        )
+        checks = {c.name: c for c in verify_decomposition(A_DIAG, broken).checks}
+        assert (checks["P0_full_row_rank"].passed, checks["P0_full_row_rank"].residual) == (
+            False, 1.0
+        )
+
+    def test_bounds_past_the_float_range_are_infinite(self, tmp_path, capsys):
+        # ||A||^2 = 1e400 passes the float range while A^2 = 0 does not.
+        a = [[0.0, 1e200], [0.0, 0.0]]
+        assert verify_decomposition(a, build_decomposition([[0.0, 1.0], [0.0, 0.0]])).all_passed
+        dec = build_decomposition(a)
+        assert np.linalg.cond(dec.P) == pytest.approx(1.0)
+        assert verify_decomposition(a, dec).all_passed
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"A": a, "B": [[1.0], [1.0]]}))
+        assert main(["decompose", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["structure"]["n"] == 2
+        assert result["verification"]["all_passed"]
+
     def test_cob_state_matrix_rank_bound(self):
         dec = build_decomposition(A_DIAG)
         report = verify_decomposition(A_DIAG, dec)
@@ -240,3 +265,52 @@ class TestLargeZeroBlocks:
         # step at rank_rtol * sigma_1(A).
         for seed in range(5):
             self.assert_planted_structure(sizes, [], seed)
+
+
+class TestOrthonormalRowBases:
+    """P0 is an orthonormal basis of the row space of A^n and the other rows
+    of P an orthonormal basis of its left kernel, Fitting's complement."""
+
+    @staticmethod
+    def assert_orthonormal_split(a, q_sizes):
+        """Check the split of A and return cond(P)."""
+        dec = build_decomposition(a)
+        assert verify_decomposition(a, dec).all_passed
+        assert dec.structure.q_sizes == q_sizes
+        q = dec.structure.q
+        nilpotent = dec.P[q:]
+        np.testing.assert_allclose(dec.P0 @ dec.P0.T, np.eye(q), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            nilpotent @ nilpotent.T, np.eye(len(nilpotent)), rtol=0.0, atol=1e-12
+        )
+        similar = dec.P @ a @ np.linalg.inv(dec.P)
+        bound = 1e-6 * np.linalg.norm(a, 2)
+        assert np.abs(similar[:q, q:]).max(initial=0.0) <= bound
+        assert np.abs(similar[q:, :q]).max(initial=0.0) <= bound
+        return np.linalg.cond(dec.P)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (2,), (3,), (2, 1), (4, 1), (5,), (4, 2, 1), (5, 3), (3, 3), (2, 2, 1)],
+        ids=str,
+    )
+    def test_planted_blocks(self, sizes):
+        q_sizes = tuple(sizes.count(i) for i in range(1, max(sizes) + 1))
+        for seed in range(5):
+            nonsingular = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=3)
+            for diagonal in ([], nonsingular):
+                self.assert_orthonormal_split(planted_blocks(sizes, diagonal, seed), q_sizes)
+
+    def test_jordan_defective_systems_at_zero(self, monkeypatch):
+        # The 108 lambda = 0 systems of the jordan-defective workload at seeds
+        # 1-3, drawn with its generator keys. cond(P) reaches 4.3e3 on them;
+        # the inverse of a basis of Jordan chains reached 2.2e4.
+        workloads = load_workloads(monkeypatch)
+        conds = []
+        for seed in (1, 2, 3):
+            for k in (2, 3, 4):
+                for j in range(12):
+                    rng = np.random.default_rng([seed, 0, k, j])
+                    a, _ = workloads.defective_system(0.0, k, 32, 4, rng)
+                    conds.append(self.assert_orthonormal_split(a, (0,) * (k - 1) + (1,)))
+        assert max(conds) <= 1e4

@@ -71,9 +71,10 @@ def test_inline_programs_read_a_perfbench_output(tmp_path):
 
 
 def test_inline_program_counts_code_lines(tmp_path):
-    # Two modules, whose counts add up: docstrings, comments and blank lines
-    # do not count, nor does a string standing as a statement anywhere; a
-    # statement over two lines counts twice, and an assigned string once.
+    # Two modules, counted one by one and in total: docstrings, comments and
+    # blank lines do not count, nor does a string standing as a statement
+    # anywhere; a statement over two lines counts twice, and an assigned
+    # string once. A file that is not Python is not counted.
     (tmp_path / "first.py").write_text(
         '"""Module docstring,\non two lines."""\n\nimport os  # a comment\n\n\n'
         'def f(x):\n    """Docstring."""\n    # a comment line\n    return (x +\n            1)\n'
@@ -84,4 +85,6 @@ def test_inline_program_counts_code_lines(tmp_path):
     result = run_inline(count, str(tmp_path))
     assert result.stdout == (
         f"Code lines in {tmp_path} (no blank, comment or docstring line): 5\n"
+        "- first.py: 4\n"
+        "- second.py: 1\n"
     ), result.stderr
